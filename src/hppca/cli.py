@@ -9,47 +9,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .experiments import (ExperimentSpec, robustness_csv, run_convergence,
                           run_diagnose, run_robustness, svg_line_chart,
                           trial_stream)
-from .diagnostics import write_report
-from .model import NoiseKind, load_dataset, save_dataset
+from .diagnostics import report_text, write_report
+from .model import SignalModel, load_dataset, save_dataset
 from .problem import PopulationProblem, build_problem
 from .solver import gpm_solve, pca_init, write_trace_csv
 from .stiefel import StiefelPoint, frame_distance, random_stiefel
 
-_DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    "alpha": 0.05,
-    "max_iters": 5000,
-    "tol_step": 1e-12,
-    "tol_residual": 1e-10,
-    "init": "pca",
-    "noise": "gaussian",
-    "trials": 20,
-    "levels": 6,
-    "sweep": "heterogeneity",
-    "out": "out",
-    "d": 100,
-    "k": 3,
-    "sizes": (200, 800),
-    "variances": (1.0, 6.0),
-    "lambdas": (5.0, 3.5, 2.0),
-    "metric": "dist-f",
-}
-
-_CONVERT = {
-    "seed": int, "alpha": float, "max_iters": int, "tol_step": float,
-    "tol_residual": float, "trials": int, "levels": int, "d": int, "k": int,
-    "sizes": lambda s: tuple(int(v) for v in _split(s)),
-    "variances": lambda s: tuple(float(v) for v in _split(s)),
-    "lambdas": lambda s: tuple(float(v) for v in _split(s)),
-    "init": str, "noise": str, "sweep": str, "out": str, "metric": str,
-}
+# Settings that are not ExperimentSpec fields; the spec supplies the rest.
+_EXTRA_DEFAULTS = {"sweep": "heterogeneity", "metric": "dist-f"}
 
 
 def _split(value) -> list:
@@ -132,28 +108,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_spec(args) -> ExperimentSpec:
-    """Merge defaults, config file and explicit flags into a spec."""
-    settings = dict(_DEFAULTS)
+    """Merge ExperimentSpec defaults, config file and explicit flags into a
+    spec, coercing each value to its field's type (comma lists to tuples)."""
+    hints = get_type_hints(ExperimentSpec)
+    defaults = {f.name: f.default for f in fields(ExperimentSpec)} | _EXTRA_DEFAULTS
+    settings = dict(defaults)
     if getattr(args, "config", None):
         file_values = read_config(args.config)
-        unknown = set(file_values) - set(_DEFAULTS)
+        unknown = set(file_values) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         settings.update(file_values)
-    for key in _DEFAULTS:
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    coerced = {key: _CONVERT[key](value) for key, value in settings.items()}
-    return ExperimentSpec(
-        d=coerced["d"], k=coerced["k"], sizes=coerced["sizes"],
-        variances=coerced["variances"], lambdas=coerced["lambdas"],
-        alpha=coerced["alpha"], max_iters=coerced["max_iters"],
-        tol_step=coerced["tol_step"], tol_residual=coerced["tol_residual"],
-        seed=coerced["seed"], trials=coerced["trials"], levels=coerced["levels"],
-        noise=NoiseKind(coerced["noise"]), init=coerced["init"],
-        out=Path(coerced["out"]),
-    )
+
+    def coerce(key):
+        hint = hints[key]
+        if get_origin(hint) is tuple:
+            return tuple(get_args(hint)[0](v) for v in _split(settings[key]))
+        return hint(settings[key])
+
+    return ExperimentSpec(**{key: coerce(key) for key in hints})
 
 
 def _outdir(spec: ExperimentSpec) -> Path:
@@ -184,7 +161,6 @@ def _load_or_generate(spec: ExperimentSpec, data_dir):
         lambdas_path = Path(data_dir) / "lambdas.npy"
         population = None
         if truth_path.is_file() and lambdas_path.is_file():
-            from .model import SignalModel
             model = SignalModel(StiefelPoint(np.load(truth_path)), np.load(lambdas_path))
             population = PopulationProblem.from_model(model, dataset.groups)
         return dataset, population
@@ -250,14 +226,14 @@ def cmd_convergence(args) -> int:
 def cmd_robustness(args) -> int:
     spec = resolve_spec(args)
     out = _outdir(spec)
-    sweep = args.sweep or str(_DEFAULTS["sweep"])
-    metric = args.metric or str(_DEFAULTS["metric"])
+    sweep = args.sweep or _EXTRA_DEFAULTS["sweep"]
+    metric = args.metric or _EXTRA_DEFAULTS["metric"]
     stats = run_robustness(spec, sweep=sweep, metric=metric)
     (out / "robustness.csv").write_text(robustness_csv(stats))
     if args.svg:
         series = {}
         for method in ("pca", "gpm"):
-            rows = [s for s in stats if s.method == method]
+            rows = [s for s in stats if s.method == method and s.mean_error is not None]
             series[method] = ([s.level for s in rows], [s.mean_error for s in rows])
         (out / "robustness.svg").write_text(svg_line_chart(
             series, title=f"{sweep} sweep", x_label="level", y_label=metric))
@@ -274,7 +250,6 @@ def cmd_diagnose(args) -> int:
     report, samples = run_diagnose(spec, zero_residual=bool(getattr(args, "zero_residual", False)),
                                    dataset=dataset)
     write_report(report, samples, out)
-    from .diagnostics import report_text
     print(report_text(report), end="")
     return 0
 
@@ -284,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,8 @@ from .linalg import RngStream
 from .model import (GroupedDataset, NoiseGroups, NoiseKind, SignalModel,
                     expected_covariance, sample_dataset)
 from .problem import PopulationProblem, build_problem
-from .solver import SolveResult, SolverConfig, gpm_solve, pca_init
+from .solver import (SolveResult, SolverConfig, Termination, csv_cell, gpm_solve,
+                     pca_init)
 from .stiefel import frame_distance, random_stiefel, sin_theta_distance
 
 # Role offsets inside a trial's stream block.
@@ -211,13 +212,18 @@ def sweep_variances(sweep: str, level: int,
 
 @dataclass(frozen=True)
 class LevelStat:
+    """One method's errors at one sweep level. A statistic with too few
+    successful trials is None; the failed and capped (max-iters, still
+    counted as ok) trial counts are the level's, on both methods' rows."""
+
     level: int
     variances: tuple[float, float]
     method: str
-    mean_error: float
-    std_error: float
+    mean_error: float | None
+    std_error: float | None
     trials_ok: int
     trials_failed: int
+    trials_capped: int
 
 
 ROBUSTNESS_HEADER = "level,method,mean_error,std_error"
@@ -230,7 +236,8 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
     Each level runs ``spec.trials`` seeded replicates; each replicate
     draws a fresh ground truth and dataset, measures the spectral
     initialization's subspace error and the solver's final error. Trials
-    that fail are excluded and counted.
+    that fail are excluded and counted, and so are solves that hit the
+    iteration cap.
     """
     if metric == "dist-f":
         error = frame_distance
@@ -247,7 +254,7 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
         variances = sweep_variances(sweep, level)
         level_spec = replace(spec, variances=variances)
         errors: dict[str, list[float]] = {"pca": [], "gpm": []}
-        failed = 0
+        failed = capped = 0
         for trial in range(spec.trials):
             trial_id = level * 1_000_003 + trial + 1
             try:
@@ -258,22 +265,25 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
                 problem = build_problem(dataset, model.lambdas)
                 result = gpm_solve(problem, start, config)
                 errors["gpm"].append(error(result.x_final, model.q_truth))
+                capped += result.termination is Termination.MAX_ITERS
             except (ValueError, RuntimeError):
                 failed += 1
         for method, values in errors.items():
             arr = np.asarray(values)
             stats.append(LevelStat(
                 level=level, variances=variances, method=method,
-                mean_error=float(arr.mean()), std_error=float(arr.std(ddof=1)),
-                trials_ok=arr.size, trials_failed=failed,
+                mean_error=float(arr.mean()) if arr.size else None,
+                std_error=float(arr.std(ddof=1)) if arr.size > 1 else None,
+                trials_ok=arr.size, trials_failed=failed, trials_capped=capped,
             ))
     return stats
 
 
 def robustness_csv(stats: list[LevelStat]) -> str:
+    """One row per level and method; an undefined statistic is an empty cell."""
     lines = [ROBUSTNESS_HEADER]
     for s in stats:
-        lines.append(f"{s.level},{s.method},{s.mean_error:.17g},{s.std_error:.17g}")
+        lines.append(f"{s.level},{s.method},{csv_cell(s.mean_error)},{csv_cell(s.std_error)}")
     return "\n".join(lines) + "\n"
 
 

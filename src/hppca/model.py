@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import RngStream, as_matrix, symmetrize
+from .linalg import RngStream, as_matrix, frozen, symmetrize
 from .stiefel import StiefelPoint
 
 
@@ -61,10 +61,7 @@ class SignalModel:
     lambdas: np.ndarray
 
     def __post_init__(self):
-        arr = validate_lambdas(self.lambdas, self.q_truth.k)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "lambdas", arr)
+        object.__setattr__(self, "lambdas", frozen(validate_lambdas(self.lambdas, self.q_truth.k)))
 
     @property
     def d(self) -> int:
@@ -147,12 +144,7 @@ class GroupedDataset:
                 raise ValueError(
                     f"block {i} has shape {block.shape}, expected ({d}, {size})"
                 )
-        frozen = []
-        for block in blocks:
-            block = block.copy()
-            block.setflags(write=False)
-            frozen.append(block)
-        object.__setattr__(self, "blocks", tuple(frozen))
+        object.__setattr__(self, "blocks", tuple(frozen(block) for block in blocks))
 
     @property
     def d(self) -> int:

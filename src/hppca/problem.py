@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_symmetric, symmetrize
+from .linalg import check_symmetric, frozen, symmetrize
 from .model import GroupedDataset, NoiseGroups, SignalModel, validate_lambdas
 from .stiefel import StiefelPoint, frame_array
 
@@ -68,9 +68,7 @@ class WeightTable:
         _check_strictly_decreasing(gains, "gains")
         _check_strictly_decreasing(shifts, "shifts")
         for name, arr in (("weights", w), ("gains", gains), ("shifts", shifts)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(arr))
 
     @property
     def k(self) -> int:
@@ -96,17 +94,18 @@ def build_weights(lambdas, groups: NoiseGroups) -> WeightTable:
 class HppcaProblem:
     """Sum of per-column quadratic forms assembled from a grouped dataset.
 
-    Dense mode stores the K symmetric d-by-d matrices. Factored mode keeps
-    the raw blocks and applies each form as a weighted sum of
-    data-projected columns, which avoids d-by-d storage for large n; both
-    modes implement the same map and agree to rounding.
+    Dense mode stores the K symmetric d-by-d matrices once, stacked in a
+    read-only (K, d, d) array; ``m_matrices[k]`` is column k's matrix.
+    Factored mode keeps the raw blocks and applies each form as a weighted
+    sum of data-projected columns, which avoids d-by-d storage for large
+    n; both modes implement the same map and agree to rounding.
     """
 
     weights: WeightTable
     d: int
     k: int
     n: int
-    m_matrices: tuple[np.ndarray, ...] | None = None
+    m_matrices: np.ndarray | None = None
     blocks: tuple[np.ndarray, ...] | None = None
     block_coeffs: np.ndarray | None = None
 
@@ -114,18 +113,10 @@ class HppcaProblem:
         if (self.m_matrices is None) == (self.blocks is None):
             raise ValueError("exactly one of dense matrices or data blocks is required")
         if self.m_matrices is not None:
-            mats = tuple(
-                check_symmetric(m, f"column matrix {i}", SYM_TOL)
-                for i, m in enumerate(self.m_matrices)
-            )
-            if len(mats) != self.k or any(m.shape != (self.d, self.d) for m in mats):
+            mats = _frozen_stack(self.m_matrices, "column matrix")
+            if mats.shape != (self.k, self.d, self.d):
                 raise ValueError("need one d-by-d matrix per column")
-            frozen = []
-            for m in mats:
-                m = m.copy()
-                m.setflags(write=False)
-                frozen.append(m)
-            object.__setattr__(self, "m_matrices", tuple(frozen))
+            object.__setattr__(self, "m_matrices", mats)
 
     @property
     def factored(self) -> bool:
@@ -135,9 +126,8 @@ class HppcaProblem:
         """Apply column k's matrix to column k: returns [M_1 x_1, ..., M_K x_K]."""
         xa = frame_array(x)
         if not self.factored:
-            return np.column_stack(
-                [self.m_matrices[k] @ xa[:, k] for k in range(self.k)]
-            )
+            # One batched matrix-vector product per column: (K,d,d) @ (K,d,1).
+            return np.matmul(self.m_matrices, xa.T[:, :, None])[:, :, 0].T
         out = -xa * self.weights.shifts[None, :]
         for block, coeffs in zip(self.blocks, self.block_coeffs):
             out += block @ ((block.T @ xa) * coeffs[None, :])
@@ -152,17 +142,9 @@ class HppcaProblem:
         """Dense-mode copy (no-op if already dense)."""
         if not self.factored:
             return self
-        mats = []
-        for k in range(self.k):
-            acc = np.zeros((self.d, self.d))
-            for block, coeffs in zip(self.blocks, self.block_coeffs):
-                acc += coeffs[k] * (block @ block.T)
-            acc -= self.weights.shifts[k] * np.eye(self.d)
-            mats.append(symmetrize(acc))
-        return HppcaProblem(
-            weights=self.weights, d=self.d, k=self.k, n=self.n,
-            m_matrices=tuple(mats),
-        )
+        mats = _column_matrices(self.blocks, self.block_coeffs, self.weights.shifts, self.d)
+        return HppcaProblem(weights=self.weights, d=self.d, k=self.k, n=self.n,
+                            m_matrices=mats)
 
     def ascent_alpha_floor(self) -> float:
         """Smallest step weight guaranteeing monotone ascent of f.
@@ -189,18 +171,30 @@ def build_problem(dataset: GroupedDataset, lambdas, factored: bool = False) -> H
             weights=weights, d=dataset.d, k=dataset.k, n=dataset.n,
             blocks=dataset.blocks, block_coeffs=coeffs,
         )
-    group_covs = [symmetrize(block @ block.T) for block in dataset.blocks]
+    mats = _column_matrices(dataset.blocks, coeffs, weights.shifts, dataset.d)
+    return HppcaProblem(weights=weights, d=dataset.d, k=dataset.k, n=dataset.n,
+                        m_matrices=mats)
+
+
+def _column_matrices(blocks, coeffs: np.ndarray, shifts: np.ndarray, d: int) -> list:
+    """M_k = sum_l coeffs[l, k] Y_l Y_l.T - shifts[k] I for every column k."""
+    group_covs = [symmetrize(block @ block.T) for block in blocks]
     mats = []
-    for k in range(dataset.k):
-        acc = np.zeros((dataset.d, dataset.d))
+    for k in range(len(shifts)):
+        acc = np.zeros((d, d))
         for cov, coeff in zip(group_covs, coeffs[:, k]):
             acc += coeff * cov
-        acc -= weights.shifts[k] * np.eye(dataset.d)
+        acc -= shifts[k] * np.eye(d)
         mats.append(symmetrize(acc))
-    return HppcaProblem(
-        weights=weights, d=dataset.d, k=dataset.k, n=dataset.n,
-        m_matrices=tuple(mats),
-    )
+    return mats
+
+
+def _frozen_stack(mats, label: str) -> np.ndarray:
+    """Read-only (K, d, d) stack of square matrices, each checked symmetric."""
+    stacked = np.stack([check_symmetric(m, f"{label} {i}", SYM_TOL)
+                        for i, m in enumerate(mats)])
+    stacked.setflags(write=False)
+    return stacked
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,9 +216,7 @@ class PopulationProblem:
         if gains.size != self.q_truth.k:
             raise ValueError("need one gain per column")
         for name, arr in (("lambdas", lam), ("gains", gains)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(arr))
 
     @classmethod
     def from_model(cls, model: SignalModel, groups: NoiseGroups) -> "PopulationProblem":
@@ -240,8 +232,7 @@ class PopulationProblem:
         return self.q_truth.k
 
     def signal_covariance(self) -> np.ndarray:
-        q = self.q_truth.x
-        return q @ (self.lambdas[:, None] * q.T)
+        return SignalModel(self.q_truth, self.lambdas).signal_covariance()
 
     def optimal_value(self) -> float:
         """g at the ground truth, sum_k lambda_k * gain_k; the global maximum."""
@@ -253,9 +244,12 @@ class PopulationProblem:
         return self.q_truth.x @ (self.lambdas[:, None] * overlap) * self.gains[None, :]
 
     def objective(self, x) -> float:
-        xa = frame_array(x)
+        return self.frame_objective(frame_array(x))
+
+    def frame_objective(self, xa: np.ndarray) -> float:
+        """objective() of a validated frame array, which it does not re-check."""
         overlap = self.q_truth.x.T @ xa
-        return float(np.sum(self.gains * np.sum(self.lambdas[:, None] * overlap**2, axis=0)))
+        return float((self.gains * (self.lambdas[:, None] * overlap**2).sum(axis=0)).sum())
 
     def ascent_alpha_floor(self) -> float:
         # The signal covariance is positive semidefinite, so any positive
@@ -270,18 +264,10 @@ class PopulationProblem:
 class ResidualSet:
     """Per-column sampling residuals D_k = M_k - gain_k * signal covariance."""
 
-    deltas: tuple[np.ndarray, ...]
+    deltas: np.ndarray  # read-only (K, d, d) stack
 
     def __post_init__(self):
-        mats = tuple(
-            check_symmetric(m, f"residual {i}", SYM_TOL) for i, m in enumerate(self.deltas)
-        )
-        frozen = []
-        for m in mats:
-            m = m.copy()
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "deltas", tuple(frozen))
+        object.__setattr__(self, "deltas", _frozen_stack(self.deltas, "residual"))
 
     @property
     def k(self) -> int:
@@ -321,7 +307,12 @@ def gpm_map(problem, x, alpha: float) -> np.ndarray:
     """Matrix whose orthonormal projection is the next power-method iterate:
     alpha * X + [M_1 x_1, ..., M_K x_K] (finite-sample) or
     alpha * X + S X diag(gains) (population)."""
-    if alpha < 0:
-        raise ValueError(f"step weight must be nonnegative, got {alpha}")
     xa = frame_array(x)
-    return alpha * xa + problem.columnwise_map(xa)
+    return check_step_weight(alpha) * xa + problem.columnwise_map(xa)
+
+
+def check_step_weight(alpha: float) -> float:
+    """Return alpha if it is a valid step weight: nonnegative, not NaN."""
+    if not alpha >= 0:
+        raise ValueError(f"step weight must be nonnegative, got {alpha}")
+    return alpha

@@ -24,13 +24,16 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ThinSvd, check_symmetric, sym_eig_topk, thin_svd
+from .linalg import (ThinSvd, check_symmetric, fro_norm, orthonormality_defect,
+                     sym_eig_topk, thin_svd)
 from .model import GroupedDataset, sample_covariance
-from .problem import PopulationProblem, gpm_map
-from .stiefel import RANK_TOL, StiefelPoint, frame_distance
+from .problem import PopulationProblem, check_step_weight, gpm_map
+from .stiefel import (ORTHO_TOL, RANK_TOL, StiefelPoint, aligned_distance,
+                      frame_array, project_stiefel)
 
 # Eigengap below which the top-k eigenvector frame is not well determined.
 EIGENGAP_TOL = 1e-12
@@ -62,7 +65,7 @@ class SolverConfig:
     ascent_safeguard: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be nonnegative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
@@ -85,7 +88,7 @@ class IterationRecord:
     wall_time: float
 
     def __post_init__(self):
-        if self.residual < 0 or self.fixed_point_gap < -1e-9 or self.wall_time < 0:
+        if not (self.residual >= 0 and self.fixed_point_gap >= -1e-9 and self.wall_time >= 0):
             raise ValueError("iteration certificates out of range")
 
 
@@ -107,26 +110,35 @@ class SolveResult:
         return np.array([r.objective for r in self.trace])
 
     def population_trace(self) -> np.ndarray:
-        return np.array([math.nan if r.population_objective is None else r.population_objective
-                         for r in self.trace])
+        return np.array([r.population_objective for r in self.trace], dtype=np.float64)
 
     def distance_trace(self) -> np.ndarray:
-        return np.array([math.nan if r.dist_to_truth is None else r.dist_to_truth
-                         for r in self.trace])
+        return np.array([r.dist_to_truth for r in self.trace], dtype=np.float64)
 
 
-def _fixed_point_stats(f: ThinSvd, xa: np.ndarray, mapped: np.ndarray) -> tuple[float, float]:
-    """(residual, nuclear gap) of the frame against its mapped matrix."""
-    core = f.v @ (f.sigma[:, None] * f.v.T)
-    residual = float(np.linalg.norm(xa @ core - mapped))
-    gap = float(np.sum(f.sigma) - np.sum(xa * mapped))
-    return residual, gap
+class _Certificate(NamedTuple):
+    """Checked SVD of a frame's mapped matrix and the certificates from it."""
+
+    svd: ThinSvd
+    residual: float
+    gap: float
+    objective: float
+
+
+def _certify(problem, xa: np.ndarray, alpha: float) -> _Certificate:
+    """Map a frame array (alpha already checked), take the checked thin SVD
+    and derive the fixed-point residual, the nuclear gap and the objective
+    trace(X.T A) - alpha * k from them, without a second map."""
+    mapped = alpha * xa + problem.columnwise_map(xa)
+    f = thin_svd(mapped)
+    residual = fro_norm(xa @ (f.v @ (f.sigma[:, None] * f.v.T)) - mapped)
+    inner = float((xa * mapped).sum())
+    return _Certificate(f, residual, float(f.sigma.sum()) - inner, inner - alpha * xa.shape[1])
 
 
 def gpm_step(problem, x: StiefelPoint, alpha: float) -> StiefelPoint:
     """One update: project the mapped frame back onto orthonormal frames."""
-    f = thin_svd(gpm_map(problem, x, alpha))
-    return StiefelPoint(f.polar_factor(), nonunique=bool(f.sigma[-1] <= RANK_TOL))
+    return project_stiefel(gpm_map(problem, x, alpha))
 
 
 def fixed_point_residual(problem, x: StiefelPoint, alpha: float) -> float:
@@ -135,9 +147,7 @@ def fixed_point_residual(problem, x: StiefelPoint, alpha: float) -> float:
     Zero exactly at fixed points of the update; used as the optimality
     residual for stopping and for empirical error-bound ratios.
     """
-    mapped = gpm_map(problem, x, alpha)
-    residual, _ = _fixed_point_stats(thin_svd(mapped), x.x, mapped)
-    return residual
+    return _certify(problem, frame_array(x), check_step_weight(alpha)).residual
 
 
 def fixed_point_gap(problem, x: StiefelPoint, alpha: float) -> float:
@@ -146,9 +156,7 @@ def fixed_point_gap(problem, x: StiefelPoint, alpha: float) -> float:
     Nonnegative for every frame by the trace inequality for singular
     values, and zero exactly when X is a fixed point of the update.
     """
-    mapped = gpm_map(problem, x, alpha)
-    _, gap = _fixed_point_stats(thin_svd(mapped), x.x, mapped)
-    return gap
+    return _certify(problem, frame_array(x), check_step_weight(alpha)).gap
 
 
 def pca_init(data, k: int | None = None) -> StiefelPoint:
@@ -183,11 +191,14 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     the termination field, never raised. When ``truth`` is supplied each
     record also carries the infinite-sample objective and the
     sign-invariant distance to the ground truth.
+
+    The loop runs on plain arrays: thin_svd checks every SVD, and each new
+    iterate must be orthonormal within ORTHO_TOL or a ValueError is raised.
     """
     alpha = config.alpha
     if config.ascent_safeguard:
         alpha = max(alpha, problem.ascent_alpha_floor())
-    x = init
+    x = init.x
     records: list[IterationRecord] = []
     termination = Termination.MAX_ITERS
     nonunique_steps = 0
@@ -195,19 +206,17 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
 
     for t in range(config.max_iters):
         tic = time.perf_counter()
-        mapped = gpm_map(problem, x, alpha)
-        f = thin_svd(mapped)
-        x_next = StiefelPoint(f.polar_factor(), nonunique=bool(f.sigma[-1] <= RANK_TOL))
-        residual, gap = _fixed_point_stats(f, x.x, mapped)
-        step = float(np.linalg.norm(x_next.x - x.x))
-        records.append(_record(truth, x, t, step, residual, gap,
-                               float(f.sigma[0]), time.perf_counter() - tic,
-                               _objective_from_map(x, mapped, alpha)))
-        last_step_nonunique = x_next.nonunique
-        if x_next.nonunique:
-            nonunique_steps += 1
+        c = _certify(problem, x, alpha)
+        x_next = c.svd.polar_factor()
+        dev = orthonormality_defect(x_next)
+        if not dev <= ORTHO_TOL:
+            raise ValueError(f"iterate {t + 1} is not orthonormal (deviation {dev:.3e})")
+        step = fro_norm(x_next - x)
+        records.append(_record(truth, x, t, step, c, time.perf_counter() - tic))
+        last_step_nonunique = bool(c.svd.sigma[-1] <= RANK_TOL)
+        nonunique_steps += last_step_nonunique
         x = x_next
-        if residual <= config.tol_residual:
+        if c.residual <= config.tol_residual:
             termination = Termination.RESIDUAL
             break
         if step <= config.tol_step:
@@ -215,57 +224,50 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
             break
 
     tic = time.perf_counter()
-    mapped = gpm_map(problem, x, alpha)
-    f = thin_svd(mapped)
-    residual, gap = _fixed_point_stats(f, x.x, mapped)
-    records.append(_record(truth, x, len(records), 0.0, residual, gap,
-                           float(f.sigma[0]), time.perf_counter() - tic,
-                           _objective_from_map(x, mapped, alpha)))
+    c = _certify(problem, x, alpha)
+    records.append(_record(truth, x, len(records), 0.0, c, time.perf_counter() - tic))
     if last_step_nonunique:
         termination = Termination.PROJECTION_NONUNIQUE
-    return SolveResult(x_final=x, trace=records, termination=termination,
+    x_final = StiefelPoint(x, nonunique=last_step_nonunique) if len(records) > 1 else init
+    return SolveResult(x_final=x_final, trace=records, termination=termination,
                        alpha=alpha, nonunique_steps=nonunique_steps)
 
 
-def _objective_from_map(x: StiefelPoint, mapped: np.ndarray, alpha: float) -> float:
-    """Objective recovered from the already-computed map: the quadratic part
-    of trace(X.T A(X)) after removing the alpha * ||X||_F^2 term."""
-    return float(np.sum(x.x * mapped)) - alpha * x.k
-
-
-def _record(truth, x: StiefelPoint, iteration: int, step: float, residual: float,
-            gap: float, map_norm: float, elapsed: float, objective: float) -> IterationRecord:
+def _record(truth, xa: np.ndarray, iteration: int, step: float, c: _Certificate,
+            elapsed: float) -> IterationRecord:
     pop_value = None
     dist = None
     if truth is not None:
-        pop_value = truth.objective(x)
-        dist = frame_distance(x, truth.q_truth)
+        pop_value = truth.frame_objective(xa)
+        dist = aligned_distance(xa, truth.q_truth.x)
     return IterationRecord(
         iteration=iteration,
-        objective=objective,
+        objective=c.objective,
         population_objective=pop_value,
         dist_to_truth=dist,
         step_norm=step,
-        residual=max(residual, 0.0),
-        fixed_point_gap=gap,
-        map_norm=map_norm,
-        wall_time=max(elapsed, 0.0),
+        residual=c.residual,
+        fixed_point_gap=c.gap,
+        map_norm=float(c.svd.sigma[0]),
+        wall_time=elapsed,
     )
 
 
 def trace_csv(trace: list[IterationRecord]) -> str:
     """Render a trace as CSV, 17 significant digits so floats round-trip."""
-    def cell(value) -> str:
-        return "" if value is None else f"{value:.17g}"
-
     lines = [TRACE_HEADER]
     for r in trace:
         lines.append(",".join([
-            str(r.iteration), cell(r.objective), cell(r.population_objective),
-            cell(r.dist_to_truth), cell(r.step_norm), cell(r.residual),
-            cell(r.fixed_point_gap), cell(r.wall_time * 1e3),
+            str(r.iteration), csv_cell(r.objective), csv_cell(r.population_objective),
+            csv_cell(r.dist_to_truth), csv_cell(r.step_norm), csv_cell(r.residual),
+            csv_cell(r.fixed_point_gap), csv_cell(r.wall_time * 1e3),
         ]))
     return "\n".join(lines) + "\n"
+
+
+def csv_cell(value: float | None) -> str:
+    """17 significant digits, so floats round-trip; None is an empty cell."""
+    return "" if value is None else f"{value:.17g}"
 
 
 def write_trace_csv(trace: list[IterationRecord], path) -> Path:

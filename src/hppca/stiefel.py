@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RngStream, as_matrix, random_gaussian, thin_svd
+from .linalg import (RngStream, as_matrix, fro_norm, frozen, orthonormality_defect,
+                     random_gaussian, thin_svd)
 
 # Orthonormality slack for points, checked on construction.
 ORTHO_TOL = 1e-8
@@ -32,12 +33,10 @@ class StiefelPoint:
         d, k = mat.shape
         if d < k:
             raise ValueError(f"need d >= k, got shape {mat.shape}")
-        dev = float(np.linalg.norm(mat.T @ mat - np.eye(k)))
-        if dev > ORTHO_TOL:
+        dev = orthonormality_defect(mat)
+        if not dev <= ORTHO_TOL:
             raise ValueError(f"columns are not orthonormal (deviation {dev:.3e})")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "x", mat)
+        object.__setattr__(self, "x", frozen(mat))
 
     @property
     def d(self) -> int:
@@ -71,17 +70,24 @@ def project_stiefel(m) -> StiefelPoint:
     return StiefelPoint(f.polar_factor(), nonunique=bool(f.sigma[-1] <= RANK_TOL))
 
 
+def _frame_pair(x, ref) -> tuple[np.ndarray, np.ndarray]:
+    xa, ra = frame_array(x), frame_array(ref)
+    if xa.shape != ra.shape:
+        raise ValueError(f"shape mismatch: {xa.shape} vs {ra.shape}")
+    return xa, ra
+
+
+def _signs(xa: np.ndarray, ra: np.ndarray) -> np.ndarray:
+    return np.where((xa * ra).sum(axis=0) >= 0, 1.0, -1.0)
+
+
 def sign_align(x, ref) -> np.ndarray:
     """Column signs q in {-1, +1}^k minimizing ||x - ref * q||_F.
 
     The objective separates over columns, so q_k is the sign of the inner
     product of the k-th columns, with exact ties resolved to +1.
     """
-    xa, ra = frame_array(x), frame_array(ref)
-    if xa.shape != ra.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {ra.shape}")
-    overlaps = np.sum(xa * ra, axis=0)
-    return np.where(overlaps >= 0, 1.0, -1.0)
+    return _signs(*_frame_pair(x, ref))
 
 
 def frame_distance(x, ref) -> float:
@@ -90,9 +96,12 @@ def frame_distance(x, ref) -> float:
     Minimum of ||x - ref @ diag(q)||_F over all column sign flips q.
     Always in [0, sqrt(2k)].
     """
-    xa, ra = frame_array(x), frame_array(ref)
-    q = sign_align(xa, ra)
-    return float(np.linalg.norm(xa - ra * q))
+    return aligned_distance(*_frame_pair(x, ref))
+
+
+def aligned_distance(xa: np.ndarray, ra: np.ndarray) -> float:
+    """frame_distance of two validated frame arrays of equal shape."""
+    return fro_norm(xa - ra * _signs(xa, ra))
 
 
 def sin_theta_distance(x, ref) -> float:

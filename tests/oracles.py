@@ -124,3 +124,38 @@ def quadratic_form_sum_naive(matrices, x) -> float:
             for j in range(len(column)):
                 total += column[i] * m[i, j] * column[j]
     return total
+
+
+def plain_gpm(apply, x0, alpha: float, max_iters: int, tol_step: float,
+              tol_residual: float, rank_tol: float = 1e-12):
+    """The power-method loop in bare numpy, with no contract checks.
+
+    ``apply`` is the column-wise map X -> [M_1 x_1, ..., M_K x_K]. Same
+    arithmetic and stopping rules as the library solver: residual test
+    first, then the step test, and a last step with a numerically
+    singular mapped matrix reported as projection-nonunique. Returns
+    (x_final, iterations, termination value).
+    """
+    x = np.array(x0, dtype=np.float64)
+    termination = "max-iters"
+    last_nonunique = False
+    iterations = 0
+    for _ in range(max_iters):
+        mapped = alpha * x + apply(x)
+        u, sigma, vt = np.linalg.svd(mapped, full_matrices=False)
+        v = vt.T
+        residual = np.linalg.norm(x @ (v @ (sigma[:, None] * v.T)) - mapped)
+        x_next = u @ v.T
+        step = np.linalg.norm(x_next - x)
+        last_nonunique = bool(sigma[-1] <= rank_tol)
+        x = x_next
+        iterations += 1
+        if residual <= tol_residual:
+            termination = "residual-converged"
+            break
+        if step <= tol_step:
+            termination = "step-converged"
+            break
+    if last_nonunique:
+        termination = "projection-nonunique"
+    return x, iterations, termination

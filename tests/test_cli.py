@@ -122,6 +122,20 @@ def test_diagnose_command_deterministic(tmp_path):
     assert (out / "ratio_samples.csv").read_bytes() == samples
 
 
+def test_runtime_error_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    import hppca.diagnostics as diagnostics
+    from hppca import PowerIterationError
+
+    def stalled(*args, **kwargs):
+        raise PowerIterationError("power iteration did not converge in 3 iterations")
+
+    monkeypatch.setattr(diagnostics, "operator_norm", stalled)
+    code = run_cli("diagnose", "--d", "20", "--sizes", "30,90", "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: power iteration did not converge in 3 iterations\n"
+
+
 def test_diagnose_zero_residual(tmp_path):
     out = tmp_path / "diag0"
     assert run_cli("diagnose", "--d", "20", "--sizes", "30,90", "--zero-residual",

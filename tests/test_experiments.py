@@ -101,6 +101,38 @@ def test_run_robustness_structure_and_determinism():
     float(lines[1].split(",")[2])  # parses
 
 
+@pytest.mark.filterwarnings("error")
+def test_run_robustness_single_trial_has_no_std_error():
+    spec = ExperimentSpec(d=20, sizes=(30, 90), seed=6, trials=1, max_iters=300)
+    stats = run_robustness(spec, sweep="noise", levels=1)
+    assert all(s.trials_ok == 1 and s.std_error is None for s in stats)
+    assert all(np.isfinite(s.mean_error) for s in stats)
+    for line in robustness_csv(stats).strip().splitlines()[1:]:
+        assert line.endswith(",") and line.count(",") == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_robustness_level_where_every_solve_failed(monkeypatch):
+    import hppca.experiments as experiments
+
+    def failing_solve(*args, **kwargs):
+        raise RuntimeError("svd left factor lost orthonormality")
+
+    monkeypatch.setattr(experiments, "gpm_solve", failing_solve)
+    spec = ExperimentSpec(d=20, sizes=(30, 90), seed=7, trials=2)
+    stats = {s.method: s for s in run_robustness(spec, sweep="noise", levels=1)}
+    gpm = stats["gpm"]
+    assert gpm.mean_error is None and gpm.std_error is None
+    assert gpm.trials_ok == 0 and gpm.trials_failed == 2
+    assert "0,gpm,,\n" in robustness_csv(list(stats.values()))
+
+
+def test_run_robustness_counts_capped_trials():
+    spec = ExperimentSpec(d=20, sizes=(30, 90), seed=8, trials=2, max_iters=3)
+    stats = run_robustness(spec, sweep="noise", levels=1)
+    assert all(s.trials_capped == 2 and s.trials_ok == 2 for s in stats)
+
+
 def test_run_robustness_sin_theta_metric():
     spec = ExperimentSpec(d=25, sizes=(30, 90), seed=3, trials=2, max_iters=300)
     stats = run_robustness(spec, sweep="heterogeneity", levels=1, metric="sin-theta")

@@ -3,7 +3,7 @@ import pytest
 
 from hppca import (PowerIterationError, RngStream, operator_norm, random_gaussian,
                    random_uniform_sym, sym_eig_topk, thin_svd)
-from hppca.linalg import as_matrix, check_symmetric, symmetrize
+from hppca.linalg import as_matrix, check_symmetric, fro_norm, symmetrize
 
 from oracles import jacobi_eigh
 
@@ -54,6 +54,34 @@ def test_thin_svd_rejects_wide_and_nonfinite():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         thin_svd(bad)
+
+
+@pytest.mark.parametrize("factor", ["u", "sigma", "v"])
+def test_thin_svd_rejects_nan_factor(monkeypatch, factor):
+    svd = np.linalg.svd
+
+    def nan_factor(*args, **kwargs):
+        u, sigma, vt = (a.copy() for a in svd(*args, **kwargs))
+        {"u": u, "sigma": sigma, "v": vt}[factor].flat[0] = np.nan
+        return u, sigma, vt
+
+    monkeypatch.setattr(np.linalg, "svd", nan_factor)
+    with pytest.raises(RuntimeError):
+        thin_svd(random_gaussian(6, 3, RngStream(12)))
+
+
+def test_thin_svd_accepts_finite_input_whose_norm_overflows():
+    m = np.array([[1e200, 0.0], [0.0, 1e200], [0.0, 0.0]])
+    with np.errstate(over="ignore"):  # the squared norm overflows to inf
+        assert np.allclose(thin_svd(m).sigma, [1e200, 1e200], rtol=1e-14)
+    with pytest.raises(ValueError, match="non-finite"):
+        thin_svd(np.array([[np.inf, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_fro_norm_is_bit_identical_to_numpy():
+    base = random_gaussian(40, 7, RngStream(13))
+    for a in (base, base.T, base[::3, 1:5], base[:, :1], np.zeros((2, 2))):
+        assert fro_norm(a) == float(np.linalg.norm(a))
 
 
 def test_sym_eig_topk_identity():

@@ -8,9 +8,12 @@ from hppca import (GroupedDataset, NoiseGroups, NoiseKind, PopulationProblem,
                    read_trace_csv, riemannian_gradient, sample_dataset, trace_csv,
                    write_trace_csv)
 from hppca.diagnostics import critical_point
+from hppca.linalg import ThinSvd
+from hppca.problem import HppcaProblem
 from hppca.solver import TRACE_HEADER
 
 from conftest import make_model, make_population
+from oracles import plain_gpm
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +196,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=-0.1)
     with pytest.raises(ValueError):
+        SolverConfig(alpha=float("nan"))
+    with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
     with pytest.raises(ValueError):
         SolverConfig(tol_step=0.0)
@@ -227,3 +232,108 @@ def test_factored_problem_solves_identically(ref_lambdas, ref_groups):
     assert np.allclose(dense_run.x_final.x, factored_run.x_final.x, atol=1e-9)
     assert np.allclose(dense_run.objective_trace(), factored_run.objective_trace(),
                        atol=1e-10)
+
+
+def _oracle_map(problem):
+    """The column-wise map rebuilt from the problem's raw arrays: K
+    separate matrix-vector products for dense, blocks for factored."""
+    if isinstance(problem, PopulationProblem):
+        q, lam, gains = problem.q_truth.x, problem.lambdas, problem.gains
+        return lambda x: q @ (lam[:, None] * (q.T @ x)) * gains[None, :]
+    if problem.factored:
+        shifts = problem.weights.shifts
+
+        def apply(x):
+            out = -x * shifts[None, :]
+            for block, coeffs in zip(problem.blocks, problem.block_coeffs):
+                out += block @ ((block.T @ x) * coeffs[None, :])
+            return out
+        return apply
+    mats = [np.array(m) for m in problem.m_matrices]
+    return lambda x: np.column_stack([mats[k] @ x[:, k] for k in range(len(mats))])
+
+
+@pytest.mark.parametrize("kind", ["dense", "factored", "population"])
+def test_gpm_solve_matches_plain_numpy_loop_exactly(kind, ref_lambdas, ref_groups):
+    model = make_model(30, ref_lambdas, seed=23)
+    if kind == "population":
+        problem = PopulationProblem.from_model(model, ref_groups)
+        start = random_stiefel(30, 3, RngStream(23, 2))
+    else:
+        groups = NoiseGroups((40, 160), (1.0, 6.0))
+        ds = sample_dataset(model, groups, NoiseKind.GAUSSIAN, RngStream(23, 1))
+        problem = build_problem(ds, ref_lambdas, factored=kind == "factored")
+        start = pca_init(ds)
+    config = SolverConfig(max_iters=4000)
+    result = gpm_solve(problem, start, config, truth=PopulationProblem.from_model(
+        model, ref_groups))
+    x, iterations, termination = plain_gpm(_oracle_map(problem), start.x, config.alpha,
+                                           config.max_iters, config.tol_step,
+                                           config.tol_residual)
+    assert termination == "residual-converged"
+    assert result.termination.value == termination
+    assert result.iterations == iterations
+    assert np.array_equal(result.x_final.x, x)
+
+
+def _svd_faulty_on_call(monkeypatch, call: int, corrupt):
+    """Patch numpy's SVD so that its ``call``-th use returns corrupted factors."""
+    svd = np.linalg.svd
+    calls = []
+
+    def faulty(*args, **kwargs):
+        u, sigma, vt = svd(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == call:
+            u, sigma, vt = corrupt(u.copy(), sigma.copy(), vt.copy())
+        return u, sigma, vt
+
+    monkeypatch.setattr(np.linalg, "svd", faulty)
+    return calls
+
+
+def test_svd_corrupted_at_iteration_5_stops_the_solve(pop50, monkeypatch):
+    def tilt(u, sigma, vt):
+        u[0, 0] += 1e-6
+        return u, sigma, vt
+
+    calls = _svd_faulty_on_call(monkeypatch, 6, tilt)
+    start = random_stiefel(50, 3, RngStream(24))
+    with pytest.raises(RuntimeError, match="orthonormality"):
+        gpm_solve(pop50, start, SolverConfig(max_iters=50), truth=pop50)
+    assert len(calls) == 6
+
+
+def test_nan_operator_entry_is_rejected(ref_lambdas, ref_groups):
+    model = make_model(20, ref_lambdas, seed=25)
+    ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(25, 1))
+    dense = build_problem(ds, ref_lambdas)
+    mats = np.array(dense.m_matrices)
+    mats[1, 3, 3] = np.nan
+    with pytest.raises(ValueError):
+        HppcaProblem(weights=dense.weights, d=20, k=3, n=dense.n, m_matrices=mats)
+    factored = build_problem(ds, ref_lambdas, factored=True)
+    blocks = [np.array(b) for b in factored.blocks]
+    blocks[0][2, 5] = np.nan
+    bad = HppcaProblem(weights=factored.weights, d=20, k=3, n=factored.n,
+                       blocks=tuple(blocks), block_coeffs=factored.block_coeffs)
+    with pytest.raises(ValueError, match="non-finite"):
+        gpm_solve(bad, pca_init(ds), SolverConfig(max_iters=10))
+
+
+@pytest.mark.parametrize("damage", [2.0, np.nan])
+def test_iterate_orthonormality_is_checked_every_iteration(pop50, monkeypatch, damage):
+    import hppca.solver as solver_module
+
+    thin_svd = solver_module.thin_svd
+    calls = []
+
+    def damaged(m):
+        f = thin_svd(m)
+        calls.append(1)
+        return ThinSvd(u=f.u * damage, sigma=f.sigma, v=f.v) if len(calls) == 3 else f
+
+    monkeypatch.setattr(solver_module, "thin_svd", damaged)
+    start = random_stiefel(50, 3, RngStream(26))
+    with pytest.raises(ValueError, match="iterate 3 is not orthonormal"):
+        gpm_solve(pop50, start, SolverConfig(max_iters=50))
