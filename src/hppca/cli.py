@@ -107,9 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_spec(args) -> ExperimentSpec:
+def resolve_spec(args) -> tuple[ExperimentSpec, dict[str, str]]:
     """Merge ExperimentSpec defaults, config file and explicit flags into a
-    spec, coercing each value to its field's type (comma lists to tuples)."""
+    spec, coercing each value to its field's type (comma lists to tuples).
+
+    Returns the spec and the merged settings that are not spec fields
+    (sweep and metric), so a config file sets those too.
+    """
     hints = get_type_hints(ExperimentSpec)
     defaults = {f.name: f.default for f in fields(ExperimentSpec)} | _EXTRA_DEFAULTS
     settings = dict(defaults)
@@ -130,7 +134,8 @@ def resolve_spec(args) -> ExperimentSpec:
             return tuple(get_args(hint)[0](v) for v in _split(settings[key]))
         return hint(settings[key])
 
-    return ExperimentSpec(**{key: coerce(key) for key in hints})
+    extras = {key: str(settings[key]) for key in _EXTRA_DEFAULTS}
+    return ExperimentSpec(**{key: coerce(key) for key in hints}), extras
 
 
 def _outdir(spec: ExperimentSpec) -> Path:
@@ -139,7 +144,7 @@ def _outdir(spec: ExperimentSpec) -> Path:
 
 
 def cmd_generate(args) -> int:
-    spec = resolve_spec(args)
+    spec, _ = resolve_spec(args)
     out = _outdir(spec)
     model = spec.make_model()
     dataset = spec.make_dataset(model)
@@ -180,7 +185,7 @@ def _initial_point(spec: ExperimentSpec, dataset) -> StiefelPoint:
 
 
 def cmd_solve(args) -> int:
-    spec = resolve_spec(args)
+    spec, _ = resolve_spec(args)
     out = _outdir(spec)
     dataset, population = _load_or_generate(spec, getattr(args, "data", None))
     lambdas = population.lambdas if population is not None else np.asarray(spec.lambdas)
@@ -204,7 +209,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    spec = resolve_spec(args)
+    spec, _ = resolve_spec(args)
     out = _outdir(spec)
     run = run_convergence(spec, population_mode=bool(getattr(args, "population", False)))
     summary_lines: list[str] = []
@@ -224,10 +229,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    spec = resolve_spec(args)
+    spec, extras = resolve_spec(args)
     out = _outdir(spec)
-    sweep = args.sweep or _EXTRA_DEFAULTS["sweep"]
-    metric = args.metric or _EXTRA_DEFAULTS["metric"]
+    sweep, metric = extras["sweep"], extras["metric"]
     stats = run_robustness(spec, sweep=sweep, metric=metric)
     (out / "robustness.csv").write_text(robustness_csv(stats))
     if args.svg:
@@ -242,7 +246,7 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    spec = resolve_spec(args)
+    spec, _ = resolve_spec(args)
     out = _outdir(spec)
     dataset = None
     if getattr(args, "data", None):

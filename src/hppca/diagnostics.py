@@ -20,18 +20,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import RngStream, check_symmetric, operator_norm, symmetrize
+from .linalg import RngStream, check_symmetric, fro_norms, operator_norm, symmetrize
 from .model import (GroupedDataset, NoiseGroups, SignalModel, expected_covariance,
                     sample_covariance)
 from .problem import (HppcaProblem, PopulationProblem, ResidualSet, build_problem,
                       build_residuals)
-from .solver import pca_init
-from .stiefel import StiefelPoint, frame_distance, project_stiefel
+from .solver import fixed_point_residuals, pca_init
+from .stiefel import StiefelPoint, aligned_distances, frame_distance, project_frames
 
 # Distances below this are treated as "at the optimum" when forming ratios.
 ZERO_DIST = 1e-6
 # Residuals below this are treated as exact fixed points.
 ZERO_RESIDUAL = 1e-12
+# Frames drawn, projected and measured per stacked SVD by the samplers;
+# bounds the size of the temporary stacks.
+CHUNK = 64
 
 
 def orthogonal_completion(q: StiefelPoint, rng: RngStream) -> np.ndarray:
@@ -83,15 +86,48 @@ def sample_near(q: StiefelPoint, radius: float, gen: np.random.Generator,
 
     Perturb-and-project: q plus a Gaussian direction of Frobenius norm
     ``radius``, projected back to the manifold, rejected if it lands
-    outside the ball.
+    outside the ball. Each try consumes one d-by-k draw from ``gen``.
     """
-    for _ in range(max_tries):
-        direction = gen.standard_normal((q.d, q.k))
-        direction *= radius / np.linalg.norm(direction)
-        candidate = project_stiefel(q.x + direction)
-        if frame_distance(candidate, q) <= radius:
-            return candidate
-    raise RuntimeError(f"could not sample within radius {radius} after {max_tries} tries")
+    frames, _ = next(_near_chunks(q, radius, gen, 1, max_tries))
+    return StiefelPoint(frames[0])
+
+
+def _near_chunks(q: StiefelPoint, radius: float, gen: np.random.Generator,
+                 n: int, max_tries: int = 200):
+    """sample_near n times over, CHUNK tries at a time: yields the accepted
+    frames of each chunk with their distances from q, in draw order.
+
+    A chunk makes at most as many tries as frames are still needed, so the
+    stream is consumed exactly as n sample_near calls would consume it.
+    Raises RuntimeError after max_tries consecutive rejections, counted
+    across chunk boundaries.
+    """
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
+    needed, misses = n, 0
+    while needed > 0:
+        directions = gen.standard_normal((min(CHUNK, needed), q.d, q.k))
+        directions *= (radius / fro_norms(directions))[:, None, None]
+        frames = project_frames(q.x + directions)
+        dists = aligned_distances(frames, q.x)
+        inside = dists <= radius
+        for hit in inside.tolist():
+            misses = 0 if hit else misses + 1
+            if misses == max_tries:
+                raise RuntimeError(
+                    f"could not sample within radius {radius} after {max_tries} tries")
+        if inside.any():
+            needed -= int(inside.sum())
+            yield frames[inside], dists[inside]
+
+
+def _check_sample_count(n_samples: int) -> None:
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+
+
+def _rows(rows: list) -> np.ndarray:
+    return np.array(rows) if rows else np.empty((0, 2))
 
 
 def growth_ratio_samples(population: PopulationProblem, n_samples: int,
@@ -100,39 +136,43 @@ def growth_ratio_samples(population: PopulationProblem, n_samples: int,
 
     The gap is optimal value minus objective; the ratio is the quantity
     whose infimum is the quadratic growth constant. Points closer than
-    ZERO_DIST to the optimum set are skipped.
+    ZERO_DIST to the optimum set are skipped. The n_samples near frames
+    are drawn first, then the n_samples global ones, from one stream.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    _check_sample_count(n_samples)
     gen = rng.generator()
     top = population.optimal_value()
 
-    def ratio_rows(points):
-        rows = []
-        for point in points:
-            dist = frame_distance(point, population.q_truth)
-            if dist < ZERO_DIST:
-                continue
-            rows.append((dist, (top - population.objective(point)) / dist**2))
-        return np.array(rows) if rows else np.empty((0, 2))
+    def ratio_rows(frames, dists) -> list:
+        values = population.frame_objective(frames).tolist()
+        return [(dist, (top - value) / dist**2)
+                for dist, value in zip(dists.tolist(), values) if not dist < ZERO_DIST]
 
-    near = ratio_rows(sample_near(population.q_truth, radius, gen)
-                      for _ in range(n_samples))
-    far = ratio_rows(
-        project_stiefel(gen.standard_normal((population.d, population.k)))
-        for _ in range(n_samples)
-    )
-    return near, far
+    near = []
+    for frames, dists in _near_chunks(population.q_truth, radius, gen, n_samples):
+        near += ratio_rows(frames, dists)
+    far = []
+    for start in range(0, n_samples, CHUNK):
+        draws = gen.standard_normal((min(CHUNK, n_samples - start), population.d, population.k))
+        frames = project_frames(draws)
+        far += ratio_rows(frames, aligned_distances(frames, population.q_truth.x))
+    return _rows(near), _rows(far)
+
+
+def _growth_rate(near: np.ndarray, far: np.ndarray) -> float:
+    """Quadratic growth constant of sampled ratios: their minimum."""
+    ratios = np.concatenate([near[:, 1], far[:, 1]])
+    if ratios.size == 0:
+        raise RuntimeError("no usable growth samples (all points hit the optimum set)")
+    return float(np.min(ratios))
 
 
 def estimate_quadratic_growth(population: PopulationProblem, n_samples: int,
                               radius: float, rng: RngStream) -> float:
     """Empirical quadratic growth constant: min sampled gap / distance^2."""
-    near, far = growth_ratio_samples(population, n_samples, radius, rng)
-    ratios = np.concatenate([near[:, 1], far[:, 1]])
-    if ratios.size == 0:
-        raise RuntimeError("no usable growth samples (all points hit the optimum set)")
-    return float(np.min(ratios))
+    return _growth_rate(*growth_ratio_samples(population, n_samples, radius, rng))
 
 
 def error_bound_samples(population: PopulationProblem, alpha: float, n_samples: int,
@@ -145,27 +185,27 @@ def error_bound_samples(population: PopulationProblem, alpha: float, n_samples: 
     """
     if not 0 < radius < np.sqrt(2) / 2:
         raise ValueError("radius must lie in (0, sqrt(2)/2) for the local bound")
-    from .solver import fixed_point_residual
-
+    _check_sample_count(n_samples)
     gen = rng.generator()
     rows = []
-    for _ in range(n_samples):
-        point = sample_near(population.q_truth, radius, gen)
-        dist = frame_distance(point, population.q_truth)
-        residual = fixed_point_residual(population, point, alpha)
-        if residual < ZERO_RESIDUAL:
-            continue
-        rows.append((dist, dist / residual))
-    return np.array(rows) if rows else np.empty((0, 2))
+    for frames, dists in _near_chunks(population.q_truth, radius, gen, n_samples):
+        residuals = fixed_point_residuals(population, frames, alpha).tolist()
+        rows += [(dist, dist / residual) for dist, residual in zip(dists.tolist(), residuals)
+                 if not residual < ZERO_RESIDUAL]
+    return _rows(rows)
+
+
+def _error_bound_factor(rows: np.ndarray) -> float:
+    """Error-bound constant of sampled ratios: their maximum."""
+    if rows.size == 0:
+        raise RuntimeError("no usable error-bound samples")
+    return float(np.max(rows[:, 1]))
 
 
 def estimate_error_bound_factor(population: PopulationProblem, alpha: float,
                                 n_samples: int, radius: float, rng: RngStream) -> float:
     """Empirical error-bound constant: max sampled distance / residual."""
-    rows = error_bound_samples(population, alpha, n_samples, radius, rng)
-    if rows.size == 0:
-        raise RuntimeError("no usable error-bound samples")
-    return float(np.max(rows[:, 1]))
+    return _error_bound_factor(error_bound_samples(population, alpha, n_samples, radius, rng))
 
 
 def residual_norms(residuals: ResidualSet, tol: float = 1e-9) -> np.ndarray:
@@ -289,10 +329,10 @@ def run_diagnostics(model: SignalModel, groups: NoiseGroups, dataset: GroupedDat
     """
     population = PopulationProblem.from_model(model, groups)
     near, far = growth_ratio_samples(population, n_samples, radius, rng)
-    growth = float(np.min(np.concatenate([near[:, 1], far[:, 1]])))
+    growth = _growth_rate(near, far)
     eb_rows = error_bound_samples(population, alpha, n_samples, radius,
                                   RngStream(rng.seed, rng.stream + 1))
-    factor = float(np.max(eb_rows[:, 1]))
+    factor = _error_bound_factor(eb_rows)
     if zero_residual:
         norms = np.zeros(model.k)
     else:

@@ -62,9 +62,26 @@ def _identity(k: int) -> np.ndarray:
     return frozen(np.eye(k))
 
 
+def fro_norms(stack: np.ndarray) -> np.ndarray:
+    """fro_norm of each matrix of a C-ordered (B, d, k) stack, by the same
+    arithmetic: one dot product of each raveled matrix with itself."""
+    flat = stack.reshape(stack.shape[0], -1)
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
+
+
+def matrix_transpose(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix of a stack."""
+    return a.T if a.ndim == 2 else np.swapaxes(a, -1, -2)
+
+
 def orthonormality_defect(a: np.ndarray) -> float:
     """||a.T a - I||_F; NaN when ``a`` has a non-finite entry."""
     return fro_norm(a.T @ a - _identity(a.shape[1]))
+
+
+def orthonormality_defects(stack: np.ndarray) -> np.ndarray:
+    """orthonormality_defect of each matrix of a (B, d, k) stack."""
+    return fro_norms(matrix_transpose(stack) @ stack - _identity(stack.shape[2]))
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -133,7 +150,8 @@ class ThinSvd(NamedTuple):
     """Thin SVD m = u @ diag(sigma) @ v.T of a tall d-by-k matrix.
 
     u has orthonormal columns (d-by-k), v is k-by-k orthogonal and sigma
-    is nonnegative and nonincreasing.
+    is nonnegative and nonincreasing. The SVD of a (B, d, k) stack holds
+    one such factorization per matrix: u (B, d, k), sigma (B, k), v (B, k, k).
     """
 
     u: np.ndarray
@@ -141,19 +159,23 @@ class ThinSvd(NamedTuple):
     v: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return self.u @ (self.sigma[:, None] * self.v.T)
+        return self.u @ (self.sigma[..., None] * matrix_transpose(self.v))
 
     def polar_factor(self) -> np.ndarray:
         """Orthonormal polar factor u @ v.T, the closest orthonormal frame."""
-        return self.u @ self.v.T
+        return self.u @ matrix_transpose(self.v)
 
 
 def thin_svd(m) -> ThinSvd:
-    """Thin SVD of a d-by-k matrix with d >= k.
+    """Thin SVD of a d-by-k matrix with d >= k, or of each matrix of a
+    (B, d, k) stack array in one np.linalg.svd call.
 
     The input must be finite and the factors must meet the orthonormality
-    and reconstruction tolerances; every tolerance test fails on NaN.
+    and reconstruction tolerances; every tolerance test fails on NaN. A
+    stack passes only if each of its matrices passes every test.
     """
+    if getattr(m, "ndim", 2) == 3:
+        return _thin_svd_stack(np.asarray(m, dtype=np.float64))
     mat = as_matrix(m)
     if mat.shape[0] < mat.shape[1]:
         raise ValueError(f"need at least as many rows as columns, got shape {mat.shape}")
@@ -168,6 +190,33 @@ def thin_svd(m) -> ThinSvd:
     resid = fro_norm(f.reconstruct() - mat)
     if not resid <= FACTOR_TOL * max(1.0, fro_norm(mat)):
         raise RuntimeError(f"svd reconstruction residual too large ({resid:.3e})")
+    return f
+
+
+def _thin_svd_stack(stack: np.ndarray) -> ThinSvd:
+    """thin_svd of a (B, d, k) stack: the same tests, each taken per matrix.
+
+    Kept apart from the one-matrix path, which the solver runs every
+    iteration and which these stacked reductions would slow down.
+    """
+    if min(stack.shape) == 0:
+        raise ValueError(f"matrix stack must have positive dimensions, got shape {stack.shape}")
+    if stack.shape[1] < stack.shape[2]:
+        raise ValueError(f"need at least as many rows as columns, got shape {stack.shape}")
+    norms = fro_norms(stack)
+    if not np.isfinite(norms).all() and not np.isfinite(stack).all():
+        raise ValueError("matrix stack has non-finite entries")
+    u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
+    f = ThinSvd(u=u, sigma=sigma, v=matrix_transpose(vt))
+    if not (orthonormality_defects(u) <= FACTOR_TOL).all():
+        raise RuntimeError("svd left factor lost orthonormality")
+    if not (orthonormality_defects(f.v) <= FACTOR_TOL).all():
+        raise RuntimeError("svd right factor lost orthogonality")
+    if not ((sigma[:, :-1] >= sigma[:, 1:]).all() and (sigma[:, -1] >= 0).all()):
+        raise RuntimeError("singular values are not sorted nonnegative")
+    resid = fro_norms(f.reconstruct() - stack)
+    if not (resid <= FACTOR_TOL * np.maximum(1.0, norms)).all():
+        raise RuntimeError(f"svd reconstruction residual too large ({np.max(resid):.3e})")
     return f
 
 

@@ -226,6 +226,8 @@ def sample_covariance(dataset: GroupedDataset) -> np.ndarray:
 
 
 _META_NAME = "meta.json"
+# Header keys load_dataset needs; seed and stream are optional.
+_META_KEYS = ("format", "d", "k", "l", "sizes", "variances", "noise")
 
 
 def save_dataset(dataset: GroupedDataset, directory) -> Path:
@@ -260,11 +262,27 @@ def load_dataset(directory) -> GroupedDataset:
     if not meta_path.is_file():
         raise OSError(f"no dataset header at {meta_path}")
     meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{meta_path}: missing keys {missing}")
+    if meta["format"] != 1:
+        raise ValueError(f"{meta_path}: unsupported format {meta['format']!r} (expected 1)")
+    if not (isinstance(meta["sizes"], list) and isinstance(meta["variances"], list)):
+        raise ValueError(f"{meta_path}: sizes and variances must be lists")
+    if meta["l"] != len(meta["sizes"]):
+        raise ValueError(f"{meta_path}: l={meta['l']!r} but {len(meta['sizes'])} sizes")
     groups = NoiseGroups(sizes=tuple(meta["sizes"]), variances=tuple(meta["variances"]))
-    blocks = tuple(
-        np.load(directory / f"block_{i:03d}.npy") for i in range(meta["l"])
-    )
+    blocks = []
+    for i, size in enumerate(groups.sizes):
+        path = directory / f"block_{i:03d}.npy"
+        block = np.load(path)
+        if block.shape != (meta["d"], size):
+            raise ValueError(f"{path} has shape {block.shape}, but the header "
+                             f"gives d={meta['d']!r} and size {size}")
+        blocks.append(block)
     return GroupedDataset(
-        blocks=blocks, k=int(meta["k"]), groups=groups,
+        blocks=tuple(blocks), k=int(meta["k"]), groups=groups,
         noise=NoiseKind(meta["noise"]), seed=meta.get("seed"), stream=meta.get("stream"),
     )

@@ -239,17 +239,22 @@ class PopulationProblem:
         return float(np.dot(self.lambdas, self.gains))
 
     def columnwise_map(self, x) -> np.ndarray:
-        xa = frame_array(x)
+        return self.frame_map(frame_array(x))
+
+    def frame_map(self, xa: np.ndarray) -> np.ndarray:
+        """columnwise_map() of a validated frame array, or of each frame of
+        a (B, d, k) stack; the input is not re-checked."""
         overlap = self.q_truth.x.T @ xa
-        return self.q_truth.x @ (self.lambdas[:, None] * overlap) * self.gains[None, :]
+        return self.q_truth.x @ (self.lambdas[:, None] * overlap) * self.gains
 
     def objective(self, x) -> float:
-        return self.frame_objective(frame_array(x))
+        return float(self.frame_objective(frame_array(x)))
 
-    def frame_objective(self, xa: np.ndarray) -> float:
-        """objective() of a validated frame array, which it does not re-check."""
+    def frame_objective(self, xa: np.ndarray) -> np.ndarray:
+        """objective() of a validated frame array (a numpy scalar), or of each
+        frame of a (B, d, k) stack; the input is not re-checked."""
         overlap = self.q_truth.x.T @ xa
-        return float((self.gains * (self.lambdas[:, None] * overlap**2).sum(axis=0)).sum())
+        return (self.gains * (self.lambdas[:, None] * overlap**2).sum(axis=-2)).sum(axis=-1)
 
     def ascent_alpha_floor(self) -> float:
         # The signal covariance is positive semidefinite, so any positive

@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (ThinSvd, check_symmetric, fro_norm, orthonormality_defect,
-                     sym_eig_topk, thin_svd)
+from .linalg import (ThinSvd, check_symmetric, fro_norm, fro_norms, matrix_transpose,
+                     orthonormality_defect, sym_eig_topk, thin_svd)
 from .model import GroupedDataset, sample_covariance
 from .problem import PopulationProblem, check_step_weight, gpm_map
 from .stiefel import (ORTHO_TOL, RANK_TOL, StiefelPoint, aligned_distance,
@@ -131,9 +131,15 @@ def _certify(problem, xa: np.ndarray, alpha: float) -> _Certificate:
     trace(X.T A) - alpha * k from them, without a second map."""
     mapped = alpha * xa + problem.columnwise_map(xa)
     f = thin_svd(mapped)
-    residual = fro_norm(xa @ (f.v @ (f.sigma[:, None] * f.v.T)) - mapped)
+    residual = fro_norm(_residual_matrix(xa, f, mapped))
     inner = float((xa * mapped).sum())
     return _Certificate(f, residual, float(f.sigma.sum()) - inner, inner - alpha * xa.shape[1])
+
+
+def _residual_matrix(xa: np.ndarray, f: ThinSvd, mapped: np.ndarray) -> np.ndarray:
+    """X V Sigma V.T - A, whose Frobenius norm is the fixed-point residual,
+    for one frame or for each frame of a (B, d, k) stack."""
+    return xa @ (f.v @ (f.sigma[..., None] * matrix_transpose(f.v))) - mapped
 
 
 def gpm_step(problem, x: StiefelPoint, alpha: float) -> StiefelPoint:
@@ -148,6 +154,14 @@ def fixed_point_residual(problem, x: StiefelPoint, alpha: float) -> float:
     residual for stopping and for empirical error-bound ratios.
     """
     return _certify(problem, frame_array(x), check_step_weight(alpha)).residual
+
+
+def fixed_point_residuals(population: PopulationProblem, frames: np.ndarray,
+                          alpha: float) -> np.ndarray:
+    """fixed_point_residual of each frame of a (B, d, k) stack of checked
+    frame arrays, from one checked SVD of the stacked mapped frames."""
+    mapped = check_step_weight(alpha) * frames + population.frame_map(frames)
+    return fro_norms(_residual_matrix(frames, thin_svd(mapped), mapped))
 
 
 def fixed_point_gap(problem, x: StiefelPoint, alpha: float) -> float:
@@ -238,7 +252,7 @@ def _record(truth, xa: np.ndarray, iteration: int, step: float, c: _Certificate,
     pop_value = None
     dist = None
     if truth is not None:
-        pop_value = truth.frame_objective(xa)
+        pop_value = float(truth.frame_objective(xa))
         dist = aligned_distance(xa, truth.q_truth.x)
     return IterationRecord(
         iteration=iteration,

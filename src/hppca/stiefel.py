@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (RngStream, as_matrix, fro_norm, frozen, orthonormality_defect,
-                     random_gaussian, thin_svd)
+from .linalg import (RngStream, as_matrix, fro_norm, fro_norms, frozen,
+                     orthonormality_defect, orthonormality_defects, random_gaussian,
+                     thin_svd)
 
 # Orthonormality slack for points, checked on construction.
 ORTHO_TOL = 1e-8
@@ -70,6 +71,20 @@ def project_stiefel(m) -> StiefelPoint:
     return StiefelPoint(f.polar_factor(), nonunique=bool(f.sigma[-1] <= RANK_TOL))
 
 
+def project_frames(stack) -> np.ndarray:
+    """project_stiefel of each matrix of a (B, d, k) stack, as a stack of
+    frame arrays, from one checked SVD of the whole stack.
+
+    Each frame is checked orthonormal within ORTHO_TOL, as a StiefelPoint
+    is; the nonunique flags are not kept.
+    """
+    frames = thin_svd(stack).polar_factor()
+    dev = orthonormality_defects(frames)
+    if not (dev <= ORTHO_TOL).all():
+        raise ValueError(f"columns are not orthonormal (deviation {np.max(dev):.3e})")
+    return frames
+
+
 def _frame_pair(x, ref) -> tuple[np.ndarray, np.ndarray]:
     xa, ra = frame_array(x), frame_array(ref)
     if xa.shape != ra.shape:
@@ -78,7 +93,7 @@ def _frame_pair(x, ref) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _signs(xa: np.ndarray, ra: np.ndarray) -> np.ndarray:
-    return np.where((xa * ra).sum(axis=0) >= 0, 1.0, -1.0)
+    return np.where((xa * ra).sum(axis=-2) >= 0, 1.0, -1.0)
 
 
 def sign_align(x, ref) -> np.ndarray:
@@ -102,6 +117,11 @@ def frame_distance(x, ref) -> float:
 def aligned_distance(xa: np.ndarray, ra: np.ndarray) -> float:
     """frame_distance of two validated frame arrays of equal shape."""
     return fro_norm(xa - ra * _signs(xa, ra))
+
+
+def aligned_distances(stack: np.ndarray, ra: np.ndarray) -> np.ndarray:
+    """aligned_distance of each frame of a (B, d, k) stack from one frame array."""
+    return fro_norms(stack - ra * _signs(stack, ra)[:, None, :])
 
 
 def sin_theta_distance(x, ref) -> float:

@@ -3,7 +3,10 @@
 Nothing here may call the code path it is used to verify: the eigen
 oracle is a hand-rolled cyclic Jacobi iteration, the trace-maximization
 oracle combines mass sampling with a QR-retraction ascent, and the sign
-and critical-value oracles are exhaustive enumerations.
+and critical-value oracles are exhaustive enumerations. The diagnostics
+samplers are checked against one-frame-at-a-time references built only
+on the one-frame library routines (project_stiefel, frame_distance,
+fixed_point_residual), never on the stacked ones.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from hppca.diagnostics import ZERO_DIST, ZERO_RESIDUAL
+from hppca.solver import fixed_point_residual
+from hppca.stiefel import frame_distance, project_stiefel
 
 
 def jacobi_eigh(s, max_sweeps: int = 100, tol: float = 1e-13):
@@ -159,3 +166,56 @@ def plain_gpm(apply, x0, alpha: float, max_iters: int, tol_step: float,
     if last_nonunique:
         termination = "projection-nonunique"
     return x, iterations, termination
+
+
+def reference_sample_near(q, radius: float, gen, max_tries: int = 200):
+    """One frame within ``radius`` of q by perturb-and-project, one
+    (d, k) draw per try."""
+    for _ in range(max_tries):
+        direction = gen.standard_normal((q.d, q.k))
+        direction *= radius / np.linalg.norm(direction)
+        candidate = project_stiefel(q.x + direction)
+        if frame_distance(candidate, q) <= radius:
+            return candidate
+    raise RuntimeError(f"could not sample within radius {radius} after {max_tries} tries")
+
+
+def _rows(rows):
+    return np.array(rows) if rows else np.empty((0, 2))
+
+
+def reference_growth_samples(population, n_samples: int, radius: float, rng):
+    """(near, far) growth-ratio rows, one frame at a time: n_samples near
+    frames first, then n_samples projected Gaussian frames."""
+    gen = rng.generator()
+    top = population.optimal_value()
+
+    def ratio_rows(points):
+        rows = []
+        for point in points:
+            dist = frame_distance(point, population.q_truth)
+            if dist < ZERO_DIST:
+                continue
+            rows.append((dist, (top - population.objective(point)) / dist**2))
+        return _rows(rows)
+
+    near = ratio_rows(reference_sample_near(population.q_truth, radius, gen)
+                      for _ in range(n_samples))
+    far = ratio_rows(project_stiefel(gen.standard_normal((population.d, population.k)))
+                     for _ in range(n_samples))
+    return near, far
+
+
+def reference_error_bound_samples(population, alpha: float, n_samples: int,
+                                  radius: float, rng):
+    """(distance, distance / fixed-point residual) rows, one frame at a time."""
+    gen = rng.generator()
+    rows = []
+    for _ in range(n_samples):
+        point = reference_sample_near(population.q_truth, radius, gen)
+        dist = frame_distance(point, population.q_truth)
+        residual = fixed_point_residual(population, point, alpha)
+        if residual < ZERO_RESIDUAL:
+            continue
+        rows.append((dist, dist / residual))
+    return _rows(rows)

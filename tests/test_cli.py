@@ -187,3 +187,35 @@ def test_missing_data_directory_fails_cleanly(tmp_path, capsys):
     assert run_cli("solve", "--data", str(tmp_path / "absent"),
                    "--out", str(tmp_path / "o")) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_robustness_reads_sweep_and_metric_from_config(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sweep = noise\nmetric = sin-theta\n")
+    common = ("robustness", "--config", str(config), "--d", "20", "--sizes", "30,90",
+              "--trials", "2", "--levels", "1", "--max-iters", "200", "--svg")
+    assert run_cli(*common, "--out", str(tmp_path / "file")) == 0
+    svg = (tmp_path / "file" / "robustness.svg").read_text()
+    assert "noise sweep" in svg and "sin-theta" in svg
+    # Flags still win over the file.
+    assert run_cli(*common, "--sweep", "heterogeneity", "--metric", "dist-f",
+                   "--out", str(tmp_path / "flags")) == 0
+    svg = (tmp_path / "flags" / "robustness.svg").read_text()
+    assert "heterogeneity sweep" in svg and "dist-f" in svg and "sin-theta" not in svg
+
+
+@pytest.mark.parametrize("command", ["diagnose", "solve"])
+def test_damaged_dataset_header_is_a_one_line_error(tmp_path, capsys, command):
+    import json
+
+    out = tmp_path / "run"
+    assert run_cli("generate", "--seed", "4", "--d", "20", "--sizes", "30,90",
+                   "--out", str(out)) == 0
+    meta_path = out / "dataset" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["sizes"]
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run_cli(command, "--data", str(out / "dataset"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sizes" in err and err.count("\n") == 1

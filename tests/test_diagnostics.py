@@ -8,10 +8,14 @@ from hppca import (NoiseGroups, NoiseKind, PopulationProblem, ResidualSet, RngSt
                    gpm_solve, optimum_distance_bound, orthogonal_completion, pca_init,
                    residual_norms, riemannian_gradient, run_diagnostics,
                    sample_dataset, SolverConfig)
-from hppca.diagnostics import critical_point, report_text, sample_near, write_report
+import hppca.diagnostics as diagnostics
+from hppca import growth_ratio_samples, project_stiefel
+from hppca.diagnostics import (CHUNK, _near_chunks, critical_point, report_text,
+                               sample_near, write_report)
 
 from conftest import make_model, make_population
-from oracles import population_critical_values
+from oracles import (population_critical_values, reference_error_bound_samples,
+                     reference_growth_samples)
 
 TWENTY_SELECTIONS = [
     (0, 1, 3), (0, 4, 2), (5, 1, 2), (6, 7, 8), (2, 1, 0),
@@ -80,8 +84,6 @@ def test_quadratic_growth_estimate_positive(pop20):
 
 
 def test_growth_samples_exclude_near_optimal_points(pop20):
-    from hppca import growth_ratio_samples
-
     near, far = growth_ratio_samples(pop20, 200, 0.3, RngStream(6))
     for rows in (near, far):
         assert np.all(np.isfinite(rows))
@@ -124,6 +126,67 @@ def test_sample_near_respects_radius(pop20):
     for _ in range(50):
         point = sample_near(pop20.q_truth, 0.25, gen)
         assert frame_distance(point, pop20.q_truth) <= 0.25
+    with pytest.raises(ValueError, match="max_tries"):
+        sample_near(pop20.q_truth, 0.25, gen, max_tries=0)
+
+
+@pytest.mark.parametrize("d, seed", [(20, 0), (20, 1), (100, 2)])
+def test_stacked_samplers_match_per_frame_reference(ref_lambdas, ref_groups, d, seed):
+    population = make_population(d, ref_lambdas, ref_groups, seed=40 + seed)
+    n = 2 * CHUNK + 2  # the last chunk is a short one
+    near, far = growth_ratio_samples(population, n, 0.3, RngStream(seed))
+    ref_near, ref_far = reference_growth_samples(population, n, 0.3, RngStream(seed))
+    assert near.shape == far.shape == (n, 2)
+    assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
+    rows = error_bound_samples(population, 0.05, n, 0.3, RngStream(seed, 1))
+    ref_rows = reference_error_bound_samples(population, 0.05, n, 0.3, RngStream(seed, 1))
+    assert rows.shape == (n, 2) and np.array_equal(rows, ref_rows)
+
+
+def _reject_tries(monkeypatch, rejected, radius):
+    """Make the near sampler reject its tries numbered (from 0) in ``rejected``."""
+    distances = diagnostics.aligned_distances
+    tries = [0]
+
+    def patched(frames, ref):
+        out = distances(frames, ref)
+        for i in range(len(out)):
+            if tries[0] + i in rejected:
+                out[i] = 2.0 * radius
+        tries[0] += len(out)
+        return out
+
+    monkeypatch.setattr(diagnostics, "aligned_distances", patched)
+
+
+def test_rejected_try_consumes_exactly_one_draw(pop20, monkeypatch):
+    radius, n = 0.3, CHUNK + 6
+    rejected = {3, CHUNK - 1, CHUNK, CHUNK + 5}
+    _reject_tries(monkeypatch, rejected, radius)
+    gen = RngStream(11).generator()
+    frames = np.concatenate([f for f, _ in _near_chunks(pop20.q_truth, radius, gen, n)])
+    replay = RngStream(11).generator()
+    expected = []
+    for t in range(n + len(rejected)):
+        direction = replay.standard_normal((20, 3))
+        direction *= radius / np.linalg.norm(direction)
+        if t not in rejected:
+            expected.append(project_stiefel(pop20.q_truth.x + direction).x)
+    assert np.array_equal(frames, np.stack(expected))
+    # The stream is left exactly after the last accepted try.
+    assert gen.standard_normal() == replay.standard_normal()
+
+
+@pytest.mark.parametrize("run, raises", [(9, False), (10, True)])
+def test_max_tries_counts_rejections_across_chunks(pop20, monkeypatch, run, raises):
+    _reject_tries(monkeypatch, set(range(CHUNK - 4, CHUNK - 4 + run)), 0.3)
+    sample = _near_chunks(pop20.q_truth, 0.3, RngStream(12).generator(), 2 * CHUNK,
+                          max_tries=10)
+    if raises:
+        with pytest.raises(RuntimeError, match="after 10 tries"):
+            list(sample)
+    else:
+        assert sum(len(f) for f, _ in sample) == 2 * CHUNK
 
 
 def test_residual_norms_simple_cases():
@@ -268,3 +331,26 @@ def test_report_text_and_write(tmp_path, ref_lambdas):
     out = write_report(report, samples, tmp_path)
     assert (out / "report.txt").read_text() == text
     assert (out / "ratio_samples.csv").is_file()
+
+
+def test_run_diagnostics_shares_the_estimators_checks(ref_lambdas, monkeypatch):
+    groups = NoiseGroups((40, 160), (1.0, 6.0))
+    model = make_model(20, ref_lambdas, seed=20)
+    ds = sample_dataset(model, groups, NoiseKind.GAUSSIAN, RngStream(20, 1))
+    population = PopulationProblem.from_model(model, groups)
+    with pytest.raises(ValueError, match="n_samples"):
+        run_diagnostics(model, groups, ds, n_samples=0)
+    with pytest.raises(ValueError, match="n_samples"):
+        error_bound_samples(population, 0.05, 0, 0.3, RngStream(0))
+    # Every sampled point skipped: the estimators' own error, not numpy's.
+    monkeypatch.setattr(diagnostics, "ZERO_DIST", 10.0)
+    with pytest.raises(RuntimeError, match="no usable growth samples"):
+        run_diagnostics(model, groups, ds, n_samples=5)
+    with pytest.raises(RuntimeError, match="no usable growth samples"):
+        estimate_quadratic_growth(population, 5, 0.3, RngStream(0))
+    monkeypatch.setattr(diagnostics, "ZERO_DIST", 1e-6)
+    monkeypatch.setattr(diagnostics, "ZERO_RESIDUAL", np.inf)
+    with pytest.raises(RuntimeError, match="no usable error-bound samples"):
+        run_diagnostics(model, groups, ds, n_samples=5)
+    with pytest.raises(RuntimeError, match="no usable error-bound samples"):
+        estimate_error_bound_factor(population, 0.05, 5, 0.3, RngStream(0))

@@ -3,7 +3,7 @@ import pytest
 
 from hppca import (PowerIterationError, RngStream, operator_norm, random_gaussian,
                    random_uniform_sym, sym_eig_topk, thin_svd)
-from hppca.linalg import as_matrix, check_symmetric, fro_norm, symmetrize
+from hppca.linalg import as_matrix, check_symmetric, fro_norm, fro_norms, symmetrize
 
 from oracles import jacobi_eigh
 
@@ -50,24 +50,45 @@ def test_thin_svd_reconstruction_and_orthonormality_many_seeds():
 def test_thin_svd_rejects_wide_and_nonfinite():
     with pytest.raises(ValueError):
         thin_svd(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        thin_svd(np.ones((4, 2, 3)))
     bad = np.ones((3, 2))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         thin_svd(bad)
+    stack = np.ones((5, 3, 2))
+    stack[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        thin_svd(stack)
+
+
+def test_thin_svd_of_a_stack_matches_each_matrix():
+    stack = np.stack([random_gaussian(9, 3, RngStream(200 + i)) for i in range(5)])
+    f = thin_svd(stack)
+    for i, m in enumerate(stack):
+        one = thin_svd(m)
+        assert np.array_equal(f.u[i], one.u) and np.array_equal(f.sigma[i], one.sigma)
+        assert np.array_equal(f.v[i], one.v)
+        assert np.array_equal(f.polar_factor()[i], one.polar_factor())
+    assert np.allclose(f.reconstruct(), stack, atol=1e-12)
 
 
 @pytest.mark.parametrize("factor", ["u", "sigma", "v"])
 def test_thin_svd_rejects_nan_factor(monkeypatch, factor):
     svd = np.linalg.svd
 
-    def nan_factor(*args, **kwargs):
-        u, sigma, vt = (a.copy() for a in svd(*args, **kwargs))
-        {"u": u, "sigma": sigma, "v": vt}[factor].flat[0] = np.nan
+    def nan_factor(m, **kwargs):
+        u, sigma, vt = (a.copy() for a in svd(m, **kwargs))
+        target = {"u": u, "sigma": sigma, "v": vt}[factor]
+        # In a stack, corrupt only the middle matrix.
+        (target[1] if m.ndim == 3 else target).flat[0] = np.nan
         return u, sigma, vt
 
     monkeypatch.setattr(np.linalg, "svd", nan_factor)
     with pytest.raises(RuntimeError):
         thin_svd(random_gaussian(6, 3, RngStream(12)))
+    with pytest.raises(RuntimeError):
+        thin_svd(np.stack([random_gaussian(6, 3, RngStream(12 + i)) for i in range(3)]))
 
 
 def test_thin_svd_accepts_finite_input_whose_norm_overflows():
@@ -82,6 +103,10 @@ def test_fro_norm_is_bit_identical_to_numpy():
     base = random_gaussian(40, 7, RngStream(13))
     for a in (base, base.T, base[::3, 1:5], base[:, :1], np.zeros((2, 2))):
         assert fro_norm(a) == float(np.linalg.norm(a))
+    gen = RngStream(14).generator()
+    for shape in ((1, 5, 1), (7, 40, 7), (64, 100, 3)):
+        stack = gen.standard_normal(shape) * 10.0 ** gen.uniform(-5, 5, (shape[0], 1, 1))
+        assert np.array_equal(fro_norms(stack), [fro_norm(a) for a in stack])
 
 
 def test_sym_eig_topk_identity():

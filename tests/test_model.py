@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,28 @@ def test_dataset_roundtrip(tmp_path, ref_lambdas):
 def test_load_dataset_missing(tmp_path):
     with pytest.raises(OSError):
         load_dataset(tmp_path / "nope")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda meta, _: meta.pop("variances"), "missing keys"),
+    (lambda meta, _: meta.update(format=2), "unsupported format"),
+    (lambda meta, _: meta.update(d=14), "header gives d=14"),
+    (lambda meta, _: meta.update(sizes=[20, 31]), "size 31"),
+    (lambda meta, _: meta.update(l=3), "l=3"),
+    (lambda _, directory: np.save(directory / "block_001.npy", np.zeros((15, 29))),
+     "has shape"),
+])
+def test_load_dataset_rejects_inconsistent_header(tmp_path, ref_lambdas, damage, message):
+    groups = NoiseGroups((20, 30), (0.5, 3.0))
+    model = make_model(15, ref_lambdas, seed=11)
+    directory = tmp_path / "ds"
+    save_dataset(sample_dataset(model, groups, NoiseKind.GAUSSIAN, RngStream(11, 1)),
+                 directory)
+    meta = json.loads((directory / "meta.json").read_text())
+    damage(meta, directory)
+    (directory / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=message):
+        load_dataset(directory)
 
 
 def test_grouped_dataset_shape_validation(ref_lambdas):

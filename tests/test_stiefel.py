@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hppca import (RngStream, StiefelPoint, frame_distance, project_stiefel,
+from hppca import (RngStream, StiefelPoint, ThinSvd, frame_distance, project_stiefel,
                    random_gaussian, random_stiefel, sign_align, sin_theta_distance)
 
 from oracles import best_trace_by_search, exhaustive_sign_distance
@@ -135,3 +135,27 @@ def test_sin_theta_distance():
     x = random_stiefel(8, 3, RngStream(13))
     residual = np.linalg.norm((np.eye(8) - x.x @ x.x.T) @ q.x)
     assert sin_theta_distance(x, q) == pytest.approx(residual, abs=1e-10)
+
+
+@pytest.mark.parametrize("damage", [2.0, np.nan])
+def test_project_frames_matches_and_checks_each_frame(monkeypatch, damage):
+    import hppca.stiefel as stiefel
+
+    stack = np.stack([random_gaussian(8, 3, RngStream(30 + i)) for i in range(3)])
+    frames = stiefel.project_frames(stack)
+    ref = random_stiefel(8, 3, RngStream(33))
+    dists = stiefel.aligned_distances(frames, ref.x)
+    for m, x, dist in zip(stack, frames, dists):
+        assert np.array_equal(x, project_stiefel(m).x)
+        assert dist == frame_distance(x, ref)
+    thin_svd = stiefel.thin_svd
+
+    def damaged(m):
+        f = thin_svd(m)
+        u = f.u.copy()
+        u[1] *= damage  # only the middle frame
+        return ThinSvd(u=u, sigma=f.sigma, v=f.v)
+
+    monkeypatch.setattr(stiefel, "thin_svd", damaged)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        stiefel.project_frames(stack)
