@@ -184,10 +184,24 @@ def _initial_point(spec: ExperimentSpec, dataset) -> StiefelPoint:
     raise ValueError(f"unknown init {spec.init!r} (expected pca, random or file:PATH)")
 
 
+# Settings a dataset directory fixes, so `solve --data` rejects their flags.
+_DATASET_FLAGS = ("d", "k", "sizes", "variances", "noise")
+
+
+def _reject_flags(args, names, reason: str) -> None:
+    given = [f"--{name}" for name in names if getattr(args, name, None) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} cannot be used with --data: {reason}")
+
+
 def cmd_solve(args) -> int:
     spec, _ = resolve_spec(args)
+    if args.data:
+        _reject_flags(args, _DATASET_FLAGS, "the dataset fixes them")
+    dataset, population = _load_or_generate(spec, args.data)
+    if population is not None and args.data:
+        _reject_flags(args, ("lambdas",), "the dataset's lambdas.npy fixes them")
     out = _outdir(spec)
-    dataset, population = _load_or_generate(spec, getattr(args, "data", None))
     lambdas = population.lambdas if population is not None else np.asarray(spec.lambdas)
     problem = build_problem(dataset, lambdas)
     start = _initial_point(spec, dataset)

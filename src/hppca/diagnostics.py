@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import RngStream, check_symmetric, fro_norms, operator_norm, symmetrize
+from .linalg import CHUNK, RngStream, check_symmetric, fro_norms, operator_norm, symmetrize
 from .model import (GroupedDataset, NoiseGroups, SignalModel, expected_covariance,
                     sample_covariance)
 from .problem import (HppcaProblem, PopulationProblem, ResidualSet, build_problem,
@@ -32,9 +32,6 @@ from .stiefel import StiefelPoint, aligned_distances, frame_distance, project_fr
 ZERO_DIST = 1e-6
 # Residuals below this are treated as exact fixed points.
 ZERO_RESIDUAL = 1e-12
-# Frames drawn, projected and measured per stacked SVD by the samplers;
-# bounds the size of the temporary stacks.
-CHUNK = 64
 
 
 def orthogonal_completion(q: StiefelPoint, rng: RngStream) -> np.ndarray:
@@ -208,17 +205,13 @@ def estimate_error_bound_factor(population: PopulationProblem, alpha: float,
     return _error_bound_factor(error_bound_samples(population, alpha, n_samples, radius, rng))
 
 
-def residual_norms(residuals: ResidualSet, tol: float = 1e-9) -> np.ndarray:
+def residual_norms(residuals: ResidualSet) -> np.ndarray:
     """Operator norm of each residual matrix.
 
     The matrices are symmetric but possibly indefinite, so the norm is the
-    square root of the largest eigenvalue of the square.
+    largest eigenvalue magnitude, from one eigensolve of the whole stack.
     """
-    out = []
-    for delta in residuals.deltas:
-        squared = symmetrize(delta @ delta)
-        out.append(float(np.sqrt(max(operator_norm(squared, tol), 0.0))))
-    return np.array(out)
+    return np.abs(np.linalg.eigvalsh(residuals.deltas)).max(axis=1)
 
 
 def optimum_distance_bound(max_residual_norm: float, growth_rate: float, k: int) -> float:

@@ -21,6 +21,10 @@ import numpy as np
 # Deviation allowed for orthonormal factors and reconstruction residuals.
 FACTOR_TOL = 1e-10
 
+# Most frames in any temporary (B, d, k) stack: the diagnostics samplers'
+# chunks of random frames and the solver's buffer of iterates.
+CHUNK = 64
+
 # Internal entropy for the deterministic power-iteration start vector.
 _POWER_START_ENTROPY = 0x5D2C0F1A
 

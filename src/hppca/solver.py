@@ -14,7 +14,9 @@ certificates:
 * the nuclear gap ||A||_* - trace(X.T A), nonnegative for every frame
   and zero precisely at fixed points.
 
-Every iteration is recorded; traces export to CSV at full precision.
+Every iteration is recorded; traces export to CSV at full precision. The
+records, and the truth metrics they may carry, are built once per chunk
+of iterates, while every check still fires in the iteration it concerns.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (ThinSvd, check_symmetric, fro_norm, fro_norms, matrix_transpose,
-                     orthonormality_defect, sym_eig_topk, thin_svd)
+from .linalg import (CHUNK, ThinSvd, check_symmetric, fro_norm, fro_norms,
+                     matrix_transpose, orthonormality_defect, sym_eig_topk, thin_svd)
 from .model import GroupedDataset, sample_covariance
 from .problem import PopulationProblem, check_step_weight, gpm_map
-from .stiefel import (ORTHO_TOL, RANK_TOL, StiefelPoint, aligned_distance,
+from .stiefel import (ORTHO_TOL, RANK_TOL, StiefelPoint, aligned_distances,
                       frame_array, project_stiefel)
 
 # Eigengap below which the top-k eigenvector frame is not well determined.
@@ -88,8 +90,14 @@ class IterationRecord:
     wall_time: float
 
     def __post_init__(self):
-        if not (self.residual >= 0 and self.fixed_point_gap >= -1e-9 and self.wall_time >= 0):
-            raise ValueError("iteration certificates out of range")
+        _check_certificates(self.residual, self.fixed_point_gap, self.wall_time)
+
+
+def _check_certificates(residual: float, gap: float, wall_time: float) -> None:
+    """Raise ValueError unless an iteration's residual, gap and time are in
+    range; NaN fails."""
+    if not (residual >= 0 and gap >= -1e-9 and wall_time >= 0):
+        raise ValueError("iteration certificates out of range")
 
 
 @dataclass(eq=False)
@@ -206,14 +214,19 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     record also carries the infinite-sample objective and the
     sign-invariant distance to the ground truth.
 
-    The loop runs on plain arrays: thin_svd checks every SVD, and each new
-    iterate must be orthonormal within ORTHO_TOL or a ValueError is raised.
+    The loop runs on plain arrays: thin_svd checks every SVD, each new
+    iterate must be orthonormal within ORTHO_TOL and each iteration's
+    certificates must be in range, or the iteration raises. The iterates
+    and their scalars wait in a buffer of at most CHUNK entries; the
+    truth metrics of a full buffer are taken on one (B, d, k) stack and
+    its records built then. wall_time covers each iteration's own work.
     """
     alpha = config.alpha
     if config.ascent_safeguard:
         alpha = max(alpha, problem.ascent_alpha_floor())
     x = init.x
     records: list[IterationRecord] = []
+    pending: list[tuple] = []
     termination = Termination.MAX_ITERS
     nonunique_steps = 0
     last_step_nonunique = False
@@ -226,7 +239,9 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
         if not dev <= ORTHO_TOL:
             raise ValueError(f"iterate {t + 1} is not orthonormal (deviation {dev:.3e})")
         step = fro_norm(x_next - x)
-        records.append(_record(truth, x, t, step, c, time.perf_counter() - tic))
+        _buffer(pending, x, t, c, step, time.perf_counter() - tic)
+        if len(pending) == CHUNK:
+            _flush(records, pending, truth)
         last_step_nonunique = bool(c.svd.sigma[-1] <= RANK_TOL)
         nonunique_steps += last_step_nonunique
         x = x_next
@@ -239,7 +254,8 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
 
     tic = time.perf_counter()
     c = _certify(problem, x, alpha)
-    records.append(_record(truth, x, len(records), 0.0, c, time.perf_counter() - tic))
+    _buffer(pending, x, len(records) + len(pending), c, 0.0, time.perf_counter() - tic)
+    _flush(records, pending, truth)
     if last_step_nonunique:
         termination = Termination.PROJECTION_NONUNIQUE
     x_final = StiefelPoint(x, nonunique=last_step_nonunique) if len(records) > 1 else init
@@ -247,35 +263,58 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
                        alpha=alpha, nonunique_steps=nonunique_steps)
 
 
-def _record(truth, xa: np.ndarray, iteration: int, step: float, c: _Certificate,
-            elapsed: float) -> IterationRecord:
-    pop_value = None
-    dist = None
-    if truth is not None:
-        pop_value = float(truth.frame_objective(xa))
-        dist = aligned_distance(xa, truth.q_truth.x)
-    return IterationRecord(
-        iteration=iteration,
-        objective=c.objective,
-        population_objective=pop_value,
-        dist_to_truth=dist,
-        step_norm=step,
-        residual=c.residual,
-        fixed_point_gap=c.gap,
-        map_norm=float(c.svd.sigma[0]),
-        wall_time=elapsed,
-    )
+def _buffer(pending: list[tuple], xa: np.ndarray, iteration: int, c: _Certificate,
+            step: float, elapsed: float) -> None:
+    """Check an iteration's certificates, then buffer its frame and scalars."""
+    _check_certificates(c.residual, c.gap, elapsed)
+    pending.append((xa, iteration, c.objective, step, c.residual, c.gap,
+                    float(c.svd.sigma[0]), elapsed))
+
+
+def _flush(records: list[IterationRecord], pending: list[tuple], truth) -> None:
+    """Append the records of the pending (frame, iteration, objective, step,
+    residual, gap, map norm, wall time) entries and empty the buffer. With
+    ``truth``, the population objective and the distance of every pending
+    frame come from one stack."""
+    if truth is None:
+        truth_cells = [(None, None)] * len(pending)
+    else:
+        stack = np.stack([entry[0] for entry in pending])
+        truth_cells = zip(truth.frame_objective(stack).tolist(),
+                          aligned_distances(stack, truth.q_truth.x).tolist())
+    for (_, t, objective, step, residual, gap, map_norm, elapsed), (pop_value, dist) in zip(
+            pending, truth_cells):
+        records.append(IterationRecord(
+            iteration=t,
+            objective=objective,
+            population_objective=pop_value,
+            dist_to_truth=dist,
+            step_norm=step,
+            residual=residual,
+            fixed_point_gap=gap,
+            map_norm=map_norm,
+            wall_time=elapsed,
+        ))
+    pending.clear()
+
+
+# %-templates of a trace row, keyed by which truth cells are None: "%.17g"
+# formats a float as csv_cell does and "%.0s" turns a None into its empty cell.
+_ROW_TEMPLATES = {
+    (pop, dist): ",".join(["%d", "%.17g", "%.0s" if pop else "%.17g",
+                           "%.0s" if dist else "%.17g", "%.17g", "%.17g", "%.17g", "%.17g"])
+    for pop in (False, True) for dist in (False, True)
+}
 
 
 def trace_csv(trace: list[IterationRecord]) -> str:
     """Render a trace as CSV, 17 significant digits so floats round-trip."""
     lines = [TRACE_HEADER]
     for r in trace:
-        lines.append(",".join([
-            str(r.iteration), csv_cell(r.objective), csv_cell(r.population_objective),
-            csv_cell(r.dist_to_truth), csv_cell(r.step_norm), csv_cell(r.residual),
-            csv_cell(r.fixed_point_gap), csv_cell(r.wall_time * 1e3),
-        ]))
+        pop_value, dist = r.population_objective, r.dist_to_truth
+        lines.append(_ROW_TEMPLATES[pop_value is None, dist is None] % (
+            r.iteration, r.objective, pop_value, dist, r.step_norm, r.residual,
+            r.fixed_point_gap, r.wall_time * 1e3))
     return "\n".join(lines) + "\n"
 
 

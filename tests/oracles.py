@@ -4,9 +4,10 @@ Nothing here may call the code path it is used to verify: the eigen
 oracle is a hand-rolled cyclic Jacobi iteration, the trace-maximization
 oracle combines mass sampling with a QR-retraction ascent, and the sign
 and critical-value oracles are exhaustive enumerations. The diagnostics
-samplers are checked against one-frame-at-a-time references built only
-on the one-frame library routines (project_stiefel, frame_distance,
-fixed_point_residual), never on the stacked ones.
+samplers and the solver's trace records are checked against
+one-frame-at-a-time references built only on the one-frame library
+routines (project_stiefel, frame_distance, fixed_point_residual,
+PopulationProblem.objective), never on the stacked ones.
 """
 
 from __future__ import annotations
@@ -166,6 +167,33 @@ def plain_gpm(apply, x0, alpha: float, max_iters: int, tol_step: float,
     if last_nonunique:
         termination = "projection-nonunique"
     return x, iterations, termination
+
+
+def plain_trace(apply, x0, alpha: float, iterations: int, truth=None) -> list[tuple]:
+    """Trace rows of ``iterations`` power-method steps from x0 and of the
+    iterate they reach, one frame at a time and in plain_gpm's arithmetic.
+
+    A row is (iteration, objective, population objective, distance to the
+    truth, step norm, residual, gap, map norm). The truth metrics come from
+    the one-frame PopulationProblem.objective and frame_distance, and are
+    None without ``truth``.
+    """
+    x = np.array(x0, dtype=np.float64)
+    rows = []
+    for t in range(iterations + 1):
+        mapped = alpha * x + apply(x)
+        u, sigma, vt = np.linalg.svd(mapped, full_matrices=False)
+        v = vt.T
+        residual = np.linalg.norm(x @ (v @ (sigma[:, None] * v.T)) - mapped)
+        inner = float((x * mapped).sum())
+        x_next = u @ v.T
+        step = np.linalg.norm(x_next - x) if t < iterations else 0.0
+        truth_cells = (None, None) if truth is None else (
+            truth.objective(x), frame_distance(x, truth.q_truth))
+        rows.append((t, inner - alpha * x.shape[1], *truth_cells, float(step),
+                     float(residual), float(sigma.sum()) - inner, float(sigma[0])))
+        x = x_next
+    return rows
 
 
 def reference_sample_near(q, radius: float, gen, max_tries: int = 200):

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hppca.cli import main, read_config
-from hppca.solver import TRACE_HEADER
+from hppca.cli import build_parser, main, read_config, resolve_spec
+from hppca.solver import TRACE_HEADER, csv_cell
+
+from oracles import plain_trace
 
 
 def run_cli(*args) -> int:
@@ -219,3 +223,96 @@ def test_damaged_dataset_header_is_a_one_line_error(tmp_path, capsys, command):
     assert run_cli(command, "--data", str(out / "dataset"), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "sizes" in err and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("generated")
+    assert run_cli("generate", "--seed", "5", "--d", "20", "--sizes", "30,90",
+                   "--out", str(out)) == 0
+    return out / "dataset"
+
+
+@pytest.mark.parametrize("flag", [("--d", "20"), ("--k", "2"), ("--sizes", "30,90"),
+                                  ("--variances", "1,6"), ("--noise", "uniform")])
+def test_solve_with_data_rejects_flags_the_dataset_fixes(small_dataset, tmp_path, capsys,
+                                                         flag):
+    out = tmp_path / "o"
+    assert run_cli("solve", "--data", str(small_dataset), *flag, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag[0]} cannot be used with --data: the dataset fixes them\n"
+    assert not out.exists()
+
+
+def test_solve_with_data_rejects_lambdas_when_the_dataset_has_them(small_dataset,
+                                                                   tmp_path, capsys):
+    assert run_cli("solve", "--data", str(small_dataset), "--lambdas", "5,3.5,2",
+                   "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: --lambdas cannot be used with --data")
+    # The seed, the start and the solver flags stay allowed.
+    assert run_cli("solve", "--data", str(small_dataset), "--seed", "3", "--init", "random",
+                   "--alpha", "0.1", "--max-iters", "20", "--tol-step", "1e-12",
+                   "--tol-residual", "1e-10", "--out", str(tmp_path / "solver")) == 0
+    # Without the truth files the dataset carries no lambdas, so the flag counts.
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for path in small_dataset.iterdir():
+        if path.name not in ("qtruth.npy", "lambdas.npy"):
+            (bare / path.name).write_bytes(path.read_bytes())
+    assert run_cli("solve", "--data", str(bare), "--lambdas", "5,3.5,2", "--max-iters", "20",
+                   "--out", str(tmp_path / "bare_out")) == 0
+
+
+def _without_wall_time(text: str) -> str:
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+
+
+def _first_difference(actual: str, expected: str):
+    """None for equal texts, else the first pair of differing lines: a short
+    failure report where pytest's full diff of two long traces is very slow."""
+    pairs = itertools.zip_longest(actual.splitlines(), expected.splitlines())
+    return next(((i, a, e) for i, (a, e) in enumerate(pairs) if a != e), None)
+
+
+def _reference_trace_csv(problem, start, alpha, truth, iterations) -> str:
+    """Trace CSV without its wall-time column, one row per frame, joined
+    cell by cell with csv_cell."""
+    rows = plain_trace(problem.columnwise_map, start.x, alpha, iterations, truth)
+    header = TRACE_HEADER.rsplit(",", 1)[0]
+    lines = [",".join([str(row[0]), *map(csv_cell, (row[1], row[2], row[3], row[4], row[5],
+                                                    row[6]))])
+             for row in rows]
+    return "\n".join([header, *lines]) + "\n"
+
+
+def test_solve_and_convergence_traces_match_one_frame_reference(small_dataset, tmp_path):
+    from hppca import (PopulationProblem, SignalModel, StiefelPoint, build_problem,
+                       load_dataset, pca_init, random_stiefel)
+    from hppca.experiments import _ROLE_INIT, trial_stream
+
+    out = tmp_path / "solve"
+    assert run_cli("solve", "--data", str(small_dataset), "--out", str(out)) == 0
+    dataset = load_dataset(small_dataset)
+    model = SignalModel(StiefelPoint(np.load(small_dataset / "qtruth.npy")),
+                        np.load(small_dataset / "lambdas.npy"))
+    truth = PopulationProblem.from_model(model, dataset.groups)
+    text = _without_wall_time((out / "trace.csv").read_text())
+    iterations = text.count("\n") - 2
+    assert iterations > 64
+    assert _first_difference(text, _reference_trace_csv(
+        build_problem(dataset, model.lambdas), pca_init(dataset), 0.05, truth, iterations)) is None
+
+    args = ("convergence", "--d", "25", "--sizes", "30,90", "--max-iters", "150")
+    out = tmp_path / "conv"
+    assert run_cli(*args, "--out", str(out)) == 0
+    spec, _ = resolve_spec(build_parser().parse_args(list(args)))
+    model = spec.make_model()
+    dataset = spec.make_dataset(model)
+    truth = PopulationProblem.from_model(model, spec.groups())
+    problem = build_problem(dataset, model.lambdas)
+    starts = {"pca": pca_init(dataset),
+              "random": random_stiefel(spec.d, spec.k, trial_stream(spec.seed, 0, _ROLE_INIT))}
+    for label, start in starts.items():
+        text = _without_wall_time((out / f"trace_{label}.csv").read_text())
+        assert _first_difference(text, _reference_trace_csv(
+            problem, start, spec.alpha, truth, text.count("\n") - 2)) is None

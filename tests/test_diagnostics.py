@@ -14,8 +14,8 @@ from hppca.diagnostics import (CHUNK, _near_chunks, critical_point, report_text,
                                sample_near, write_report)
 
 from conftest import make_model, make_population
-from oracles import (population_critical_values, reference_error_bound_samples,
-                     reference_growth_samples)
+from oracles import (jacobi_eigh, population_critical_values,
+                     reference_error_bound_samples, reference_growth_samples)
 
 TWENTY_SELECTIONS = [
     (0, 1, 3), (0, 4, 2), (5, 1, 2), (6, 7, 8), (2, 1, 0),
@@ -198,6 +198,21 @@ def test_residual_norms_simple_cases():
     indefinite = np.diag([0.2, -0.4, 0.0])
     assert residual_norms(ResidualSet(deltas=(indefinite,)))[0] == pytest.approx(
         0.4, rel=1e-8)
+
+
+def test_residual_norms_match_jacobi_oracle():
+    # Indefinite deltas whose most negative eigenvalue dominates in one and
+    # whose most positive one dominates in the other.
+    gen = RngStream(40).generator()
+    basis, _ = np.linalg.qr(gen.standard_normal((6, 6)))
+    deltas = [basis @ np.diag(values) @ basis.T
+              for values in ([0.3, 0.1, 0.0, -0.05, -0.2, -0.7],
+                             [0.9, 0.4, -0.1, -0.3, -0.5, -0.6])]
+    deltas = [(m + m.T) / 2 for m in deltas]
+    norms = residual_norms(ResidualSet(deltas=tuple(deltas)))
+    for norm, delta in zip(norms, deltas):
+        assert norm == pytest.approx(np.max(np.abs(jacobi_eigh(delta)[0])), rel=1e-10)
+    assert norms == pytest.approx([0.7, 0.9], rel=1e-10)
 
 
 def test_residual_norm_trend_with_sample_size(ref_lambdas):

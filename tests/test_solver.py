@@ -1,5 +1,10 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hppca import (GroupedDataset, NoiseGroups, NoiseKind, PopulationProblem,
                    RngStream, SolverConfig, Termination, build_problem,
@@ -8,12 +13,12 @@ from hppca import (GroupedDataset, NoiseGroups, NoiseKind, PopulationProblem,
                    read_trace_csv, riemannian_gradient, sample_dataset, trace_csv,
                    write_trace_csv)
 from hppca.diagnostics import critical_point
-from hppca.linalg import ThinSvd
+from hppca.linalg import CHUNK, ThinSvd
 from hppca.problem import HppcaProblem
-from hppca.solver import TRACE_HEADER
+from hppca.solver import TRACE_HEADER, csv_cell
 
 from conftest import make_model, make_population
-from oracles import plain_gpm
+from oracles import plain_gpm, plain_trace
 
 
 @pytest.fixture(scope="module")
@@ -337,3 +342,83 @@ def test_iterate_orthonormality_is_checked_every_iteration(pop50, monkeypatch, d
     start = random_stiefel(50, 3, RngStream(26))
     with pytest.raises(ValueError, match="iterate 3 is not orthonormal"):
         gpm_solve(pop50, start, SolverConfig(max_iters=50))
+
+
+def _trace_rows(result) -> list[tuple]:
+    return [(r.iteration, r.objective, r.population_objective, r.dist_to_truth,
+             r.step_norm, r.residual, r.fixed_point_gap, r.map_norm) for r in result.trace]
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 63, 64, 65, 200])
+@pytest.mark.parametrize("kind", ["dense", "population"])
+def test_truth_trace_equals_one_frame_reference(kind, max_iters, ref_lambdas, ref_groups,
+                                                monkeypatch):
+    # Records are built once per CHUNK = 64 iterates; every row must still
+    # equal the one computed on its own frame, on either side of a chunk end.
+    import hppca.solver as solver_module
+
+    distances = solver_module.aligned_distances
+    stack_sizes = []
+
+    def counted(stack, ra):
+        stack_sizes.append(len(stack))
+        return distances(stack, ra)
+
+    monkeypatch.setattr(solver_module, "aligned_distances", counted)
+    model = make_model(30, ref_lambdas, seed=27)
+    truth = PopulationProblem.from_model(model, ref_groups)
+    if kind == "population":
+        problem = truth
+    else:
+        ds = sample_dataset(model, NoiseGroups((40, 160), (1.0, 6.0)), NoiseKind.GAUSSIAN,
+                            RngStream(27, 1))
+        problem = build_problem(ds, ref_lambdas)
+    start = random_stiefel(30, 3, RngStream(27, 2))
+    config = SolverConfig(max_iters=max_iters, tol_residual=1e-300, tol_step=1e-300)
+    result = gpm_solve(problem, start, config, truth=truth)
+    assert result.iterations == max_iters
+    expected = plain_trace(_oracle_map(problem), start.x, config.alpha, max_iters, truth)
+    assert _trace_rows(result) == expected
+    full, rest = divmod(max_iters + 1, CHUNK)
+    assert stack_sizes == [CHUNK] * full + [rest] * (rest > 0)
+    # Without the truth the rows are the same, their truth cells empty.
+    bare = gpm_solve(problem, start, config)
+    assert _trace_rows(bare) == [row[:2] + (None, None) + row[4:] for row in expected]
+
+
+def test_negative_gap_raises_in_the_iteration_that_produced_it(pop50, monkeypatch):
+    import hppca.solver as solver_module
+
+    thin_svd = solver_module.thin_svd
+    calls = []
+
+    def halved(m):
+        f = thin_svd(m)
+        calls.append(1)
+        return ThinSvd(u=f.u, sigma=f.sigma / 2, v=f.v) if len(calls) == 3 else f
+
+    monkeypatch.setattr(solver_module, "thin_svd", halved)
+    start = random_stiefel(50, 3, RngStream(28))
+    with pytest.raises(ValueError, match="certificates out of range"):
+        gpm_solve(pop50, start, SolverConfig(max_iters=200), truth=pop50)
+    assert len(calls) == 3
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | \
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.nan, -math.nan,
+                     math.inf, -math.inf])
+
+
+@settings(deadline=None)
+@given(iteration=st.integers(min_value=0, max_value=10**9),
+       cells=st.tuples(_ANY_FLOAT, st.none() | _ANY_FLOAT, st.none() | _ANY_FLOAT,
+                       _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT))
+def test_trace_row_template_matches_csv_cell(iteration, cells):
+    objective, pop_value, dist, step, residual, gap, wall_time = cells
+    row = SimpleNamespace(iteration=iteration, objective=objective,
+                          population_objective=pop_value, dist_to_truth=dist,
+                          step_norm=step, residual=residual, fixed_point_gap=gap,
+                          wall_time=wall_time)
+    expected = ",".join([str(iteration), *map(csv_cell, (objective, pop_value, dist, step,
+                                                         residual, gap, wall_time * 1e3))])
+    assert trace_csv([row]) == f"{TRACE_HEADER}\n{expected}\n"
