@@ -19,7 +19,7 @@ from .experiments import (ExperimentSpec, robustness_csv, run_convergence,
                           run_diagnose, run_robustness, svg_line_chart,
                           trial_stream)
 from .diagnostics import report_text, write_report
-from .model import SignalModel, load_dataset, save_dataset
+from .model import GroupedDataset, SignalModel, load_dataset, save_dataset
 from .problem import PopulationProblem, build_problem
 from .solver import gpm_solve, pca_init, write_trace_csv
 from .stiefel import StiefelPoint, frame_distance, random_stiefel
@@ -158,20 +158,34 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_or_generate(spec: ExperimentSpec, data_dir):
-    """Dataset plus, when recoverable, the population problem for analysis."""
-    if data_dir:
-        dataset = load_dataset(data_dir)
-        truth_path = Path(data_dir) / "qtruth.npy"
-        lambdas_path = Path(data_dir) / "lambdas.npy"
-        population = None
-        if truth_path.is_file() and lambdas_path.is_file():
-            model = SignalModel(StiefelPoint(np.load(truth_path)), np.load(lambdas_path))
-            population = PopulationProblem.from_model(model, dataset.groups)
-        return dataset, population
-    model = spec.make_model()
-    dataset = spec.make_dataset(model)
-    return dataset, PopulationProblem.from_model(model, spec.groups())
+# Settings a dataset directory fixes, so `solve --data` and `diagnose --data`
+# reject them, as flags or in the --config file.
+_DATASET_FLAGS = ("d", "k", "sizes", "variances", "noise")
+
+
+def _reject_flags(args, names, reason: str) -> None:
+    in_file = read_config(args.config) if args.config else {}
+    given = [f"--{name}" if getattr(args, name, None) is not None else f"{name} (in --config)"
+             for name in names if getattr(args, name, None) is not None or name in in_file]
+    if given:
+        raise ValueError(f"{', '.join(given)} cannot be used with --data: {reason}")
+
+
+def _load_or_generate(args, spec: ExperimentSpec) -> tuple[GroupedDataset, SignalModel | None]:
+    """The --data dataset, or the spec's trial-0 one, plus the model that
+    drew it when that is recoverable. With --data, the settings the dataset
+    fixes are rejected: the shape always, the lambdas when it holds them."""
+    if not args.data:
+        model = spec.make_model()
+        return spec.make_dataset(model), model
+    _reject_flags(args, _DATASET_FLAGS, "the dataset fixes them")
+    dataset = load_dataset(args.data)
+    truth_path = Path(args.data) / "qtruth.npy"
+    lambdas_path = Path(args.data) / "lambdas.npy"
+    if not (truth_path.is_file() and lambdas_path.is_file()):
+        return dataset, None
+    _reject_flags(args, ("lambdas",), "the dataset's lambdas.npy fixes them")
+    return dataset, SignalModel(StiefelPoint(np.load(truth_path)), np.load(lambdas_path))
 
 
 def _initial_point(spec: ExperimentSpec, dataset) -> StiefelPoint:
@@ -184,24 +198,11 @@ def _initial_point(spec: ExperimentSpec, dataset) -> StiefelPoint:
     raise ValueError(f"unknown init {spec.init!r} (expected pca, random or file:PATH)")
 
 
-# Settings a dataset directory fixes, so `solve --data` rejects their flags.
-_DATASET_FLAGS = ("d", "k", "sizes", "variances", "noise")
-
-
-def _reject_flags(args, names, reason: str) -> None:
-    given = [f"--{name}" for name in names if getattr(args, name, None) is not None]
-    if given:
-        raise ValueError(f"{', '.join(given)} cannot be used with --data: {reason}")
-
-
 def cmd_solve(args) -> int:
     spec, _ = resolve_spec(args)
-    if args.data:
-        _reject_flags(args, _DATASET_FLAGS, "the dataset fixes them")
-    dataset, population = _load_or_generate(spec, args.data)
-    if population is not None and args.data:
-        _reject_flags(args, ("lambdas",), "the dataset's lambdas.npy fixes them")
+    dataset, model = _load_or_generate(args, spec)
     out = _outdir(spec)
+    population = None if model is None else PopulationProblem.from_model(model, dataset.groups)
     lambdas = population.lambdas if population is not None else np.asarray(spec.lambdas)
     problem = build_problem(dataset, lambdas)
     start = _initial_point(spec, dataset)
@@ -261,12 +262,12 @@ def cmd_robustness(args) -> int:
 
 def cmd_diagnose(args) -> int:
     spec, _ = resolve_spec(args)
+    dataset, model = _load_or_generate(args, spec)
+    if model is None:
+        raise ValueError(f"{args.data} has no qtruth.npy and lambdas.npy, which diagnose needs")
     out = _outdir(spec)
-    dataset = None
-    if getattr(args, "data", None):
-        dataset = load_dataset(args.data)
-    report, samples = run_diagnose(spec, zero_residual=bool(getattr(args, "zero_residual", False)),
-                                   dataset=dataset)
+    report, samples = run_diagnose(spec, zero_residual=args.zero_residual,
+                                   data=(model, dataset))
     write_report(report, samples, out)
     print(report_text(report), end="")
     return 0

@@ -237,7 +237,8 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
     draws a fresh ground truth and dataset, measures the spectral
     initialization's subspace error and the solver's final error. Trials
     that fail are excluded and counted, and so are solves that hit the
-    iteration cap.
+    iteration cap. Only the final frame counts here, so the solves are
+    accelerated (SolverConfig.accelerate).
     """
     if metric == "dist-f":
         error = frame_distance
@@ -248,7 +249,7 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
     levels = spec.levels if levels is None else levels
     if levels < 1:
         raise ValueError("need at least one sweep level")
-    config = spec.solver_config()
+    config = replace(spec.solver_config(), accelerate=True)
     stats: list[LevelStat] = []
     for level in range(levels):
         variances = sweep_variances(sweep, level)
@@ -288,14 +289,16 @@ def robustness_csv(stats: list[LevelStat]) -> str:
 
 
 def run_diagnose(spec: ExperimentSpec, zero_residual: bool = False,
-                 dataset: GroupedDataset | None = None,
+                 data: tuple[SignalModel, GroupedDataset] | None = None,
                  ) -> tuple[DiagnosticsReport, RatioSamples]:
-    """Diagnostics report for the spec's trial-0 model and dataset."""
-    model = spec.make_model()
-    if dataset is None:
-        dataset = spec.make_dataset(model)
+    """Diagnostics report for a model and the dataset drawn from it, by
+    default the spec's trial-0 ones; the groups are the dataset's."""
+    if data is None:
+        model = spec.make_model()
+        data = model, spec.make_dataset(model)
+    model, dataset = data
     return run_diagnostics(
-        model, spec.groups(), dataset, alpha=spec.alpha,
+        model, dataset.groups, dataset, alpha=spec.alpha,
         rng=trial_stream(spec.seed, 0, _ROLE_DIAG), zero_residual=zero_residual,
     )
 

@@ -17,6 +17,13 @@ certificates:
 Every iteration is recorded; traces export to CSV at full precision. The
 records, and the truth metrics they may carry, are built once per chunk
 of iterates, while every check still fires in the iteration it concerns.
+
+The plain update converges linearly, at a rate that can sit close to 1.
+An accelerated solve (``SolverConfig.accelerate``) replaces each update by
+a type-II Anderson mixture of the last ANDERSON_DEPTH updates (Walker &
+Ni, 2011), projected back onto the orthonormal frames. A monotone
+safeguard takes the plain update instead whenever the mixture's objective
+is below it.
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ from .stiefel import (ORTHO_TOL, RANK_TOL, StiefelPoint, aligned_distances,
 # Eigengap below which the top-k eigenvector frame is not well determined.
 EIGENGAP_TOL = 1e-12
 
+# Differences of past fixed-point residuals an accelerated step mixes.
+ANDERSON_DEPTH = 5
+
 TRACE_HEADER = "iter,f,g,dist_f,step_norm,rho_alpha,fixed_point_gap,wall_time_ms"
 
 
@@ -57,7 +67,8 @@ class SolverConfig:
     With ascent_safeguard on, solving a finite-sample problem lifts the
     effective step weight to at least the problem's ascent floor so the
     objective is monotone; the population problem ascends for any
-    positive alpha already.
+    positive alpha already. With accelerate on, every step that does not
+    stop the solve is an Anderson mixture (see gpm_solve).
     """
 
     alpha: float = 0.05
@@ -65,6 +76,7 @@ class SolverConfig:
     tol_step: float = 1e-12
     tol_residual: float = 1e-10
     ascent_safeguard: bool = False
+    accelerate: bool = False
 
     def __post_init__(self):
         if not self.alpha >= 0:
@@ -77,7 +89,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Metrics of one iterate; step_norm is the step taken from it."""
+    """Metrics of one iterate; step_norm is the plain update's step from it,
+    which an accelerated solve may replace by a mixture."""
 
     iteration: int
     objective: float
@@ -102,13 +115,16 @@ def _check_certificates(residual: float, gap: float, wall_time: float) -> None:
 
 @dataclass(eq=False)
 class SolveResult:
-    """Final frame, full per-iteration trace and why the loop stopped."""
+    """Final frame, full per-iteration trace and why the loop stopped.
+    safeguard_steps counts the accelerated steps that fell back to the
+    plain update."""
 
     x_final: StiefelPoint
     trace: list[IterationRecord]
     termination: Termination
     alpha: float
     nonunique_steps: int = 0
+    safeguard_steps: int = 0
 
     @property
     def iterations(self) -> int:
@@ -133,11 +149,14 @@ class _Certificate(NamedTuple):
     objective: float
 
 
-def _certify(problem, xa: np.ndarray, alpha: float) -> _Certificate:
+def _certify(problem, xa: np.ndarray, alpha: float,
+             mapped: np.ndarray | None = None) -> _Certificate:
     """Map a frame array (alpha already checked), take the checked thin SVD
     and derive the fixed-point residual, the nuclear gap and the objective
-    trace(X.T A) - alpha * k from them, without a second map."""
-    mapped = alpha * xa + problem.columnwise_map(xa)
+    trace(X.T A) - alpha * k from them, without a second map. ``mapped``
+    is the frame's mapped matrix when it is already known."""
+    if mapped is None:
+        mapped = alpha * xa + problem.columnwise_map(xa)
     f = thin_svd(mapped)
     residual = fro_norm(_residual_matrix(xa, f, mapped))
     inner = float((xa * mapped).sum())
@@ -214,6 +233,11 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     record also carries the infinite-sample objective and the
     sign-invariant distance to the ground truth.
 
+    With ``config.accelerate`` every iteration whose stopping tests fail
+    moves to the Anderson mixture of _anderson_step instead of the plain
+    update; the tests themselves, and the plain update returned when one
+    of them fires, are the plain solver's.
+
     The loop runs on plain arrays: thin_svd checks every SVD, each new
     iterate must be orthonormal within ORTHO_TOL and each iteration's
     certificates must be in range, or the iteration raises. The iterates
@@ -228,17 +252,22 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     records: list[IterationRecord] = []
     pending: list[tuple] = []
     termination = Termination.MAX_ITERS
-    nonunique_steps = 0
+    nonunique_steps = safeguard_steps = 0
     last_step_nonunique = False
+    history: list[np.ndarray] = []
+    mapped = None
 
     for t in range(config.max_iters):
         tic = time.perf_counter()
-        c = _certify(problem, x, alpha)
+        c = _certify(problem, x, alpha, mapped)
         x_next = c.svd.polar_factor()
-        dev = orthonormality_defect(x_next)
-        if not dev <= ORTHO_TOL:
-            raise ValueError(f"iterate {t + 1} is not orthonormal (deviation {dev:.3e})")
+        _check_iterate(x_next, t + 1)
         step = fro_norm(x_next - x)
+        mapped = None
+        if config.accelerate and c.residual > config.tol_residual and step > config.tol_step:
+            x_next, mapped, fell_back = _anderson_step(problem, x, x_next, alpha, history)
+            _check_iterate(x_next, t + 1)
+            safeguard_steps += fell_back
         _buffer(pending, x, t, c, step, time.perf_counter() - tic)
         if len(pending) == CHUNK:
             _flush(records, pending, truth)
@@ -253,14 +282,55 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
             break
 
     tic = time.perf_counter()
-    c = _certify(problem, x, alpha)
+    c = _certify(problem, x, alpha, mapped)
     _buffer(pending, x, len(records) + len(pending), c, 0.0, time.perf_counter() - tic)
     _flush(records, pending, truth)
     if last_step_nonunique:
         termination = Termination.PROJECTION_NONUNIQUE
     x_final = StiefelPoint(x, nonunique=last_step_nonunique) if len(records) > 1 else init
     return SolveResult(x_final=x_final, trace=records, termination=termination,
-                       alpha=alpha, nonunique_steps=nonunique_steps)
+                       alpha=alpha, nonunique_steps=nonunique_steps,
+                       safeguard_steps=safeguard_steps)
+
+
+def _check_iterate(xa: np.ndarray, iteration: int) -> None:
+    """Raise ValueError unless a new iterate is orthonormal within ORTHO_TOL."""
+    dev = orthonormality_defect(xa)
+    if not dev <= ORTHO_TOL:
+        raise ValueError(f"iterate {iteration} is not orthonormal (deviation {dev:.3e})")
+
+
+def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
+                   history: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """Accelerated successor of frame ``xa``, whose plain update is ``g``.
+
+    ``history`` keeps, for up to ANDERSON_DEPTH + 1 consecutive iterates,
+    the residual G(X) - X and the update G(X), flattened into one (2, d*k)
+    array each. The mixture combines the latest update with the update
+    differences, weighted by the least-squares fit of the residual
+    differences to the latest residual, and is projected through the
+    checked thin SVD. If the mixture's objective is below the plain
+    update's, the plain update is taken and the history restarts from it.
+
+    Returns the successor, its mapped matrix alpha * X + M(X) when it was
+    computed (None otherwise) and whether the safeguard fell back.
+    """
+    history.append(np.stack([g - xa, g]).reshape(2, -1))
+    del history[:-ANDERSON_DEPTH - 1]
+    if len(history) == 1:
+        return g, None, False
+    pairs = np.array(history)
+    diffs = np.diff(pairs, axis=0)
+    gamma = np.linalg.lstsq(diffs[:, 0].T, pairs[-1, 0], rcond=None)[0]
+    mixture = thin_svd((pairs[-1, 1] - gamma @ diffs[:, 1]).reshape(g.shape)).polar_factor()
+    mapped_mixture = alpha * mixture + problem.columnwise_map(mixture)
+    mapped_g = alpha * g + problem.columnwise_map(g)
+    # Both frames are orthonormal, so their objectives differ as these
+    # alignments trace(X.T A) do.
+    if (mixture * mapped_mixture).sum() < (g * mapped_g).sum():
+        del history[:-1]
+        return g, mapped_g, True
+    return mixture, mapped_mixture, False
 
 
 def _buffer(pending: list[tuple], xa: np.ndarray, iteration: int, c: _Certificate,

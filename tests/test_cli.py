@@ -316,3 +316,42 @@ def test_solve_and_convergence_traces_match_one_frame_reference(small_dataset, t
         text = _without_wall_time((out / f"trace_{label}.csv").read_text())
         assert _first_difference(text, _reference_trace_csv(
             problem, start, spec.alpha, truth, text.count("\n") - 2)) is None
+
+
+def test_diagnose_with_data_takes_the_model_from_the_dataset(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("generate", "--seed", "3", "--d", "20", "--sizes", "30,90",
+                   "--out", str(out)) == 0
+    assert run_cli("diagnose", "--data", str(out / "dataset"), "--out", str(out / "d")) == 0
+    report = dict(line.split("=", 1)
+                  for line in (out / "d" / "report.txt").read_text().splitlines())
+    norms = [float(v) for v in report["residual_operator_norms"].split(",")]
+    assert norms == pytest.approx([0.911958, 0.842769, 0.715876], abs=1e-6)
+    # Without the truth files there is no model to diagnose against.
+    (out / "dataset" / "qtruth.npy").unlink()
+    capsys.readouterr()
+    assert run_cli("diagnose", "--data", str(out / "dataset"), "--out", str(out / "e")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "qtruth.npy" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["diagnose", "solve"])
+def test_data_rejects_shape_settings_from_flags_and_config(small_dataset, tmp_path, capsys,
+                                                           command):
+    out = tmp_path / "o"
+    assert run_cli(command, "--data", str(small_dataset), "--sizes", "30,90",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == \
+        "error: --sizes cannot be used with --data: the dataset fixes them\n"
+    config = tmp_path / "shape.cfg"
+    config.write_text("d = 20\nsizes = 30,90\nseed = 4\n")
+    assert run_cli(command, "--data", str(small_dataset), "--config", str(config),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("error: d (in --config), sizes (in --config) cannot be "
+                                       "used with --data: the dataset fixes them\n")
+    config.write_text("lambdas = 5,3.5,2\n")
+    assert run_cli(command, "--data", str(small_dataset), "--config", str(config),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: lambdas (in --config) cannot be used with --data")
+    assert not out.exists()

@@ -13,6 +13,7 @@ from hppca import (GroupedDataset, NoiseGroups, NoiseKind, PopulationProblem,
                    read_trace_csv, riemannian_gradient, sample_dataset, trace_csv,
                    write_trace_csv)
 from hppca.diagnostics import critical_point
+from hppca.experiments import ExperimentSpec, sweep_variances
 from hppca.linalg import CHUNK, ThinSvd
 from hppca.problem import HppcaProblem
 from hppca.solver import TRACE_HEADER, csv_cell
@@ -422,3 +423,85 @@ def test_trace_row_template_matches_csv_cell(iteration, cells):
     expected = ",".join([str(iteration), *map(csv_cell, (objective, pop_value, dist, step,
                                                          residual, gap, wall_time * 1e3))])
     assert trace_csv([row]) == f"{TRACE_HEADER}\n{expected}\n"
+
+
+def _sweep_problem(d, sizes, seed, level):
+    """Problem and spectral start of one heterogeneity-sweep trial."""
+    spec = ExperimentSpec(d=d, sizes=sizes, seed=seed,
+                          variances=sweep_variances("heterogeneity", level))
+    model = spec.make_model()
+    ds = spec.make_dataset(model)
+    return build_problem(ds, model.lambdas), pca_init(ds)
+
+
+@pytest.mark.parametrize("d, sizes, seed, level", [
+    (20, (30, 90), 0, 0), (20, (30, 90), 2, 3),
+    (30, (40, 160), 1, 5),  # the plain solve hits the cap here
+])
+def test_accelerated_solve_agrees_with_a_tight_plain_reference(d, sizes, seed, level):
+    problem, start = _sweep_problem(d, sizes, seed, level)
+    reference = gpm_solve(problem, start, SolverConfig(tol_residual=1e-13, tol_step=1e-300,
+                                                       max_iters=100_000))
+    assert reference.termination is Termination.RESIDUAL
+    plain = gpm_solve(problem, start, SolverConfig())
+    accelerated = gpm_solve(problem, start, SolverConfig(accelerate=True))
+    distance = frame_distance(accelerated.x_final, reference.x_final)
+    assert distance <= 1e-7
+    assert distance <= frame_distance(plain.x_final, reference.x_final) + 1e-9
+    assert accelerated.termination is Termination.RESIDUAL
+    assert plain.termination in (Termination.RESIDUAL, Termination.MAX_ITERS)
+    assert accelerated.iterations <= 100 < plain.iterations
+    assert fixed_point_residual(problem, accelerated.x_final, 0.05) <= 1e-10
+
+
+def test_accelerated_safeguard_falls_back_and_keeps_the_ascent():
+    problem, start = _sweep_problem(20, (30, 90), 1, 5)
+    result = gpm_solve(problem, start, SolverConfig(accelerate=True, ascent_safeguard=True))
+    assert result.termination is Termination.RESIDUAL
+    assert result.safeguard_steps > 0
+    assert np.all(np.diff(result.objective_trace()) >= -1e-10)
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 3])
+def test_accelerated_solve_counts_tiny_budgets_as_plain(max_iters):
+    # No mixture exists before the second iteration, so budgets of 0 and 1
+    # give the plain frame itself.
+    problem, start = _sweep_problem(20, (30, 90), 8, 0)
+    plain = gpm_solve(problem, start, SolverConfig(max_iters=max_iters))
+    accelerated = gpm_solve(problem, start, SolverConfig(max_iters=max_iters, accelerate=True))
+    for result in (plain, accelerated):
+        assert result.termination is Termination.MAX_ITERS
+        assert result.iterations == max_iters == len(result.trace) - 1
+    if max_iters <= 1:
+        assert np.array_equal(accelerated.x_final.x, plain.x_final.x)
+
+
+def test_accelerated_solve_checks_the_mixture_svd(pop50, monkeypatch):
+    # SVD calls: the first two certify the start and its plain update; the
+    # third projects the first mixture.
+    def tilt(u, sigma, vt):
+        u[0, 0] += 1e-6
+        return u, sigma, vt
+
+    calls = _svd_faulty_on_call(monkeypatch, 3, tilt)
+    start = random_stiefel(50, 3, RngStream(24))
+    with pytest.raises(RuntimeError, match="orthonormality"):
+        gpm_solve(pop50, start, SolverConfig(max_iters=50, accelerate=True))
+    assert len(calls) == 3
+
+
+def test_accelerated_solve_checks_the_accepted_mixture_is_orthonormal(pop50, monkeypatch):
+    import hppca.solver as solver_module
+
+    thin_svd = solver_module.thin_svd
+    calls = []
+
+    def doubled(m):
+        f = thin_svd(m)
+        calls.append(1)
+        return ThinSvd(u=f.u * 2.0, sigma=f.sigma, v=f.v) if len(calls) == 3 else f
+
+    monkeypatch.setattr(solver_module, "thin_svd", doubled)
+    start = random_stiefel(50, 3, RngStream(26))
+    with pytest.raises(ValueError, match="iterate 2 is not orthonormal"):
+        gpm_solve(pop50, start, SolverConfig(max_iters=50, accelerate=True))
