@@ -48,26 +48,50 @@ def read_config(path) -> dict[str, str]:
     return out
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--tol-step", dest="tol_step", type=float)
-    p.add_argument("--tol-residual", dest="tol_residual", type=float)
-    p.add_argument("--init", help="pca | random | file:PATH")
-    p.add_argument("--noise", choices=("gaussian", "uniform"))
-    p.add_argument("--trials", type=int)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--sweep", choices=("noise", "heterogeneity"))
-    p.add_argument("--out", help="output directory (default: out)")
-    p.add_argument("--config", help="flat key=value settings file; flags override")
-    p.add_argument("--d", type=int, help="ambient dimension")
-    p.add_argument("--k", type=int, help="subspace dimension")
-    p.add_argument("--sizes", help="comma-separated group sizes")
-    p.add_argument("--variances", help="comma-separated group noise variances")
-    p.add_argument("--lambdas", help="comma-separated signal strengths")
-    p.add_argument("--metric", choices=("dist-f", "sin-theta"))
-    p.add_argument("--svg", action="store_true", help="also render SVG charts")
+# argparse options of every shared flag, keyed by its destination.
+_FLAGS = {
+    "seed": dict(type=int),
+    "out": dict(help="output directory (default: out)"),
+    "config": dict(help="flat key=value settings file; flags override"),
+    "d": dict(type=int, help="ambient dimension"),
+    "k": dict(type=int, help="subspace dimension"),
+    "sizes": dict(help="comma-separated group sizes"),
+    "variances": dict(help="comma-separated group noise variances"),
+    "lambdas": dict(help="comma-separated signal strengths"),
+    "noise": dict(choices=("gaussian", "uniform")),
+    "alpha": dict(type=float),
+    "max_iters": dict(type=int),
+    "tol_step": dict(type=float),
+    "tol_residual": dict(type=float, help="fixed-point residual tolerance; below about "
+                         "1e-11 lower --tol-step too, or the solve stops step-converged first"),
+    "init": dict(help="pca | random | file:PATH"),
+    "trials": dict(type=int),
+    "levels": dict(type=int),
+    "sweep": dict(choices=("noise", "heterogeneity")),
+    "metric": dict(choices=("dist-f", "sin-theta")),
+    "svg": dict(action="store_true", help="also render SVG charts"),
+}
+
+# The shared flags each subcommand reads; argparse rejects the others. The
+# keys of a --config file stay shared by every subcommand.
+_MODEL = ("seed", "out", "config", "d", "k", "sizes", "variances", "lambdas", "noise")
+_SOLVER = ("alpha", "max_iters", "tol_step", "tol_residual")
+_COMMAND_FLAGS = {
+    "generate": _MODEL,
+    "solve": _MODEL + _SOLVER + ("init",),
+    "convergence": _MODEL + _SOLVER + ("svg",),
+    # Each sweep level sets the variances itself.
+    "robustness": tuple(name for name in _MODEL if name != "variances") + _SOLVER
+    + ("trials", "levels", "sweep", "metric", "svg"),
+    "diagnose": _MODEL + ("alpha",),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, command: str) -> None:
+    for name in _COMMAND_FLAGS[command]:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
+    # So that a flag the subcommand does not take is reported with its usage.
+    p.set_defaults(subparser=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,26 +103,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="draw a dataset and write it to disk")
-    _add_common(p)
+    _add_common(p, "generate")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", help="run the solver once and write its trace")
-    _add_common(p)
+    _add_common(p, "solve")
     p.add_argument("--data", help="directory of a previously generated dataset")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("convergence", help="solver traces from spectral and random starts")
-    _add_common(p)
+    _add_common(p, "convergence")
     p.add_argument("--population", action="store_true",
                    help="solve the infinite-sample problem instead of sampled data")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("robustness", help="error sweep against a spectral baseline")
-    _add_common(p)
+    _add_common(p, "robustness")
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("diagnose", help="estimate constants and check bounds")
-    _add_common(p)
+    _add_common(p, "diagnose")
     p.add_argument("--data", help="directory of a previously generated dataset")
     p.add_argument("--zero-residual", action="store_true",
                    help="report with the residual matrices replaced by zero")
@@ -275,7 +299,9 @@ def cmd_diagnose(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

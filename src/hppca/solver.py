@@ -23,7 +23,7 @@ An accelerated solve (``SolverConfig.accelerate``) replaces each update by
 a type-II Anderson mixture of the last ANDERSON_DEPTH updates (Walker &
 Ni, 2011), projected back onto the orthonormal frames. A monotone
 safeguard takes the plain update instead whenever the mixture's objective
-is below it.
+is below it; the mixing history survives such a fallback.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .stiefel import (ORTHO_TOL, RANK_TOL, StiefelPoint, aligned_distances,
 EIGENGAP_TOL = 1e-12
 
 # Differences of past fixed-point residuals an accelerated step mixes.
-ANDERSON_DEPTH = 5
+ANDERSON_DEPTH = 10
 
 TRACE_HEADER = "iter,f,g,dist_f,step_norm,rho_alpha,fixed_point_gap,wall_time_ms"
 
@@ -310,7 +310,9 @@ def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
     differences, weighted by the least-squares fit of the residual
     differences to the latest residual, and is projected through the
     checked thin SVD. If the mixture's objective is below the plain
-    update's, the plain update is taken and the history restarts from it.
+    update's, the plain update is taken. The history is kept either way:
+    each pair records one iterate's plain update, whichever successor was
+    taken from it.
 
     Returns the successor, its mapped matrix alpha * X + M(X) when it was
     computed (None otherwise) and whether the safeguard fell back.
@@ -328,7 +330,6 @@ def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
     # Both frames are orthonormal, so their objectives differ as these
     # alignments trace(X.T A) do.
     if (mixture * mapped_mixture).sum() < (g * mapped_g).sum():
-        del history[:-1]
         return g, mapped_g, True
     return mixture, mapped_mixture, False
 

@@ -208,6 +208,25 @@ def test_robustness_reads_sweep_and_metric_from_config(tmp_path):
     assert "heterogeneity sweep" in svg and "dist-f" in svg and "sin-theta" not in svg
 
 
+@pytest.mark.parametrize("command, unused", [
+    ("generate", ("--alpha", "3", "--max-iters", "5", "--svg")),
+    ("solve", ("--trials", "9", "--levels", "4", "--svg", "--metric", "sin-theta")),
+    ("convergence", ("--init", "random", "--metric", "sin-theta", "--trials", "7")),
+    ("robustness", ("--init", "random", "--variances", "1,2")),
+    ("diagnose", ("--max-iters", "5", "--tol-step", "1", "--trials", "9")),
+])
+def test_each_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, unused):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exited:
+        run_cli(command, *unused, "--out", str(out))
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hppca {command} ")
+    assert err.endswith(f"hppca {command}: error: unrecognized arguments: {' '.join(unused)}\n")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["diagnose", "solve"])
 def test_damaged_dataset_header_is_a_one_line_error(tmp_path, capsys, command):
     import json

@@ -434,10 +434,13 @@ def _sweep_problem(d, sizes, seed, level):
     return build_problem(ds, model.lambdas), pca_init(ds)
 
 
-@pytest.mark.parametrize("d, sizes, seed, level", [
+_SWEEP_PROBLEMS = [
     (20, (30, 90), 0, 0), (20, (30, 90), 2, 3),
     (30, (40, 160), 1, 5),  # the plain solve hits the cap here
-])
+]
+
+
+@pytest.mark.parametrize("d, sizes, seed, level", _SWEEP_PROBLEMS)
 def test_accelerated_solve_agrees_with_a_tight_plain_reference(d, sizes, seed, level):
     problem, start = _sweep_problem(d, sizes, seed, level)
     reference = gpm_solve(problem, start, SolverConfig(tol_residual=1e-13, tol_step=1e-300,
@@ -452,6 +455,37 @@ def test_accelerated_solve_agrees_with_a_tight_plain_reference(d, sizes, seed, l
     assert plain.termination in (Termination.RESIDUAL, Termination.MAX_ITERS)
     assert accelerated.iterations <= 100 < plain.iterations
     assert fixed_point_residual(problem, accelerated.x_final, 0.05) <= 1e-10
+
+
+@pytest.mark.parametrize("d, sizes, seed, level", _SWEEP_PROBLEMS)
+def test_accelerated_solve_needs_few_iterations(d, sizes, seed, level):
+    # 16, 17 and 21 iterations with a history that survives fallbacks; a
+    # history restarted at every fallback took 35, 29 and 57.
+    problem, start = _sweep_problem(d, sizes, seed, level)
+    result = gpm_solve(problem, start, SolverConfig(accelerate=True))
+    assert result.termination is Termination.RESIDUAL
+    assert result.iterations <= 25
+
+
+def test_anderson_history_survives_a_fallback():
+    from hppca.solver import ANDERSON_DEPTH, _anderson_step
+
+    rng = RngStream(31)
+    frames = [random_stiefel(20, 3, rng).x for _ in range(2 * ANDERSON_DEPTH + 4)]
+    history = []
+    for xa, g in zip(frames[::2], frames[1::2]):
+        # A map that projects onto span(G(X)) rates the plain update above
+        # any mixture that leaves that span, so the safeguard falls back.
+        problem = SimpleNamespace(columnwise_map=lambda x, g=g: 100.0 * g @ (g.T @ x))
+        before = list(history)
+        successor, mapped, fell_back = _anderson_step(problem, xa, g, 0.05, history)
+        assert successor is g
+        assert fell_back is (len(before) > 0)
+        assert len(history) == min(len(before) + 1, ANDERSON_DEPTH + 1)
+        kept = before[len(before) + 1 - len(history):]
+        assert all(np.array_equal(a, b) for a, b in zip(history[:-1], kept))
+        assert np.array_equal(history[-1], np.stack([g - xa, g]).reshape(2, -1))
+    assert len(history) == ANDERSON_DEPTH + 1
 
 
 def test_accelerated_safeguard_falls_back_and_keeps_the_ascent():
