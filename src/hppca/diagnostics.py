@@ -23,8 +23,7 @@ import numpy as np
 from .linalg import CHUNK, RngStream, check_symmetric, fro_norms, operator_norm, symmetrize
 from .model import (GroupedDataset, NoiseGroups, SignalModel, expected_covariance,
                     sample_covariance)
-from .problem import (HppcaProblem, PopulationProblem, ResidualSet, build_problem,
-                      build_residuals)
+from .problem import PopulationProblem, ResidualSet, build_problem, build_residuals
 from .solver import fixed_point_residuals, pca_init
 from .stiefel import StiefelPoint, aligned_distances, frame_distance, project_frames
 
@@ -313,7 +312,6 @@ class RatioSamples:
 def run_diagnostics(model: SignalModel, groups: NoiseGroups, dataset: GroupedDataset,
                     alpha: float = 0.05, n_samples: int = 500, radius: float = 0.3,
                     rng: RngStream = RngStream(0, 0), zero_residual: bool = False,
-                    problem: HppcaProblem | None = None,
                     ) -> tuple[DiagnosticsReport, RatioSamples]:
     """Assemble the full report for one model setting and dataset.
 
@@ -329,9 +327,7 @@ def run_diagnostics(model: SignalModel, groups: NoiseGroups, dataset: GroupedDat
     if zero_residual:
         norms = np.zeros(model.k)
     else:
-        if problem is None:
-            problem = build_problem(dataset, model.lambdas)
-        norms = residual_norms(build_residuals(problem, population))
+        norms = residual_norms(build_residuals(build_problem(dataset, model.lambdas), population))
     bound = optimum_distance_bound(float(np.max(norms)), growth, model.k) \
         if np.max(norms) > 0 else 0.0
     dk = davis_kahan_check(model, groups, dataset)

@@ -249,6 +249,8 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
     levels = spec.levels if levels is None else levels
     if levels < 1:
         raise ValueError("need at least one sweep level")
+    if spec.trials < 1:
+        raise ValueError("need at least one trial per sweep level")
     config = replace(spec.solver_config(), accelerate=True)
     stats: list[LevelStat] = []
     for level in range(levels):

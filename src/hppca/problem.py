@@ -17,7 +17,8 @@ S = Q diag(lambdas) Q.T, which gives the exact decomposition
     h(X) = sum_k x_k.T @ D_k @ x_k            (sampling residual)
 
 with D_k = M_k - gain_k * S. The solver only needs the column-wise map
-X -> [M_1 x_1, ..., M_K x_K], which both problem flavors expose.
+X -> [M_1 x_1, ..., M_K x_K], which the finite-sample and the population
+problems both expose.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_symmetric, frozen, symmetrize
+from .linalg import check_symmetric, frozen, matrix_transpose, symmetrize
 from .model import GroupedDataset, NoiseGroups, SignalModel, validate_lambdas
 from .stiefel import StiefelPoint, frame_array
 
@@ -94,99 +95,61 @@ def build_weights(lambdas, groups: NoiseGroups) -> WeightTable:
 class HppcaProblem:
     """Sum of per-column quadratic forms assembled from a grouped dataset.
 
-    Dense mode stores the K symmetric d-by-d matrices once, stacked in a
+    The K symmetric d-by-d matrices are stored once, stacked in a
     read-only (K, d, d) array; ``m_matrices[k]`` is column k's matrix.
-    Factored mode keeps the raw blocks and applies each form as a weighted
-    sum of data-projected columns, which avoids d-by-d storage for large
-    n; both modes implement the same map and agree to rounding.
+    Construction checks every matrix finite and symmetric.
     """
 
     weights: WeightTable
     d: int
     k: int
     n: int
-    m_matrices: np.ndarray | None = None
-    blocks: tuple[np.ndarray, ...] | None = None
-    block_coeffs: np.ndarray | None = None
+    m_matrices: np.ndarray
 
     def __post_init__(self):
-        if (self.m_matrices is None) == (self.blocks is None):
-            raise ValueError("exactly one of dense matrices or data blocks is required")
-        if self.m_matrices is not None:
-            mats = _frozen_stack(self.m_matrices, "column matrix")
-            if mats.shape != (self.k, self.d, self.d):
-                raise ValueError("need one d-by-d matrix per column")
-            object.__setattr__(self, "m_matrices", mats)
-
-    @property
-    def factored(self) -> bool:
-        return self.m_matrices is None
+        mats = _frozen_stack(self.m_matrices, "column matrix")
+        if mats.shape != (self.k, self.d, self.d):
+            raise ValueError("need one d-by-d matrix per column")
+        object.__setattr__(self, "m_matrices", mats)
 
     def columnwise_map(self, x) -> np.ndarray:
         """Apply column k's matrix to column k: returns [M_1 x_1, ..., M_K x_K]."""
         xa = frame_array(x)
-        if not self.factored:
-            # One batched matrix-vector product per column: (K,d,d) @ (K,d,1).
-            return np.matmul(self.m_matrices, xa.T[:, :, None])[:, :, 0].T
-        out = -xa * self.weights.shifts[None, :]
-        for block, coeffs in zip(self.blocks, self.block_coeffs):
-            out += block @ ((block.T @ xa) * coeffs[None, :])
-        return out
+        # One batched matrix-vector product per column: (K,d,d) @ (K,d,1).
+        return np.matmul(self.m_matrices, xa.T[:, :, None])[:, :, 0].T
 
     def objective(self, x) -> float:
         """f(X), the sum of the per-column quadratic forms."""
         xa = frame_array(x)
         return float(np.sum(xa * self.columnwise_map(xa)))
 
-    def materialized(self) -> "HppcaProblem":
-        """Dense-mode copy (no-op if already dense)."""
-        if not self.factored:
-            return self
-        mats = _column_matrices(self.blocks, self.block_coeffs, self.weights.shifts, self.d)
-        return HppcaProblem(weights=self.weights, d=self.d, k=self.k, n=self.n,
-                            m_matrices=mats)
-
     def ascent_alpha_floor(self) -> float:
         """Smallest step weight guaranteeing monotone ascent of f.
 
         Each matrix is bounded below by -shift_k * I, so adding
         max(shifts) * I makes every per-column form positive semidefinite.
+        A solve with alpha >= this floor ascends monotonically.
         """
         return float(np.max(self.weights.shifts))
 
     def __repr__(self) -> str:
-        mode = "factored" if self.factored else "dense"
-        return f"HppcaProblem(d={self.d}, k={self.k}, n={self.n}, {mode})"
+        return f"HppcaProblem(d={self.d}, k={self.k}, n={self.n})"
 
 
-def build_problem(dataset: GroupedDataset, lambdas, factored: bool = False) -> HppcaProblem:
-    """Assemble the per-column matrices (or their factored form) from data."""
+def build_problem(dataset: GroupedDataset, lambdas) -> HppcaProblem:
+    """Assemble the per-column matrices from data."""
     lam = validate_lambdas(lambdas, dataset.k)
     weights = build_weights(lam, dataset.groups)
     variances = np.asarray(dataset.groups.variances)
     # coeffs[l, k] scales block l inside column k's matrix.
     coeffs = weights.weights / (variances[:, None] * dataset.n)
-    if factored:
-        return HppcaProblem(
-            weights=weights, d=dataset.d, k=dataset.k, n=dataset.n,
-            blocks=dataset.blocks, block_coeffs=coeffs,
-        )
-    mats = _column_matrices(dataset.blocks, coeffs, weights.shifts, dataset.d)
+    # M_k = sum_l coeffs[l, k] Y_l Y_l.T - shifts[k] I, every column k at once.
+    mats = np.zeros((dataset.k, dataset.d, dataset.d))
+    for block, c in zip(dataset.blocks, coeffs):
+        mats += c[:, None, None] * symmetrize(block @ block.T)
+    mats -= weights.shifts[:, None, None] * np.eye(dataset.d)
     return HppcaProblem(weights=weights, d=dataset.d, k=dataset.k, n=dataset.n,
-                        m_matrices=mats)
-
-
-def _column_matrices(blocks, coeffs: np.ndarray, shifts: np.ndarray, d: int) -> list:
-    """M_k = sum_l coeffs[l, k] Y_l Y_l.T - shifts[k] I for every column k."""
-    group_covs = [symmetrize(block @ block.T) for block in blocks]
-    mats = []
-    for k in range(len(shifts)):
-        acc = np.zeros((d, d))
-        for cov, coeff in zip(group_covs, coeffs[:, k]):
-            acc += coeff * cov
-        acc -= shifts[k] * np.eye(d)
-        mats.append(symmetrize(acc))
-    return mats
+                        m_matrices=(mats + matrix_transpose(mats)) / 2.0)
 
 
 def _frozen_stack(mats, label: str) -> np.ndarray:
@@ -201,7 +164,7 @@ def _frozen_stack(mats, label: str) -> np.ndarray:
 class PopulationProblem:
     """Infinite-sample limit: g(X) = trace(X.T @ S @ X @ diag(gains)).
 
-    S = Q diag(lambdas) Q.T never needs to be materialized; the map is
+    S = Q diag(lambdas) Q.T never needs to be formed; the map is
     applied through the frame Q at O(d k^2) cost.
     """
 
@@ -288,12 +251,8 @@ def build_residuals(problem: HppcaProblem, population: PopulationProblem) -> Res
     """Exact residual matrices; needs the ground truth, so analysis only."""
     if problem.d != population.d or problem.k != population.k:
         raise ValueError("problem and population dimensions do not match")
-    dense = problem.materialized()
     signal = population.signal_covariance()
-    deltas = tuple(
-        dense.m_matrices[k] - population.gains[k] * signal for k in range(problem.k)
-    )
-    return ResidualSet(deltas=deltas)
+    return ResidualSet(deltas=problem.m_matrices - population.gains[:, None, None] * signal)
 
 
 def riemannian_gradient(population: PopulationProblem, x) -> np.ndarray:

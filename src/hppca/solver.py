@@ -64,18 +64,17 @@ class Termination(str, Enum):
 class SolverConfig:
     """Step weight, iteration budget and stopping tolerances.
 
-    With ascent_safeguard on, solving a finite-sample problem lifts the
-    effective step weight to at least the problem's ascent floor so the
-    objective is monotone; the population problem ascends for any
-    positive alpha already. With accelerate on, every step that does not
-    stop the solve is an Anderson mixture (see gpm_solve).
+    The solve uses alpha as given. A finite-sample solve ascends
+    monotonically once alpha is at least the problem's
+    ascent_alpha_floor(); the population problem ascends for any positive
+    alpha. With accelerate on, every step that does not stop the solve is
+    an Anderson mixture (see gpm_solve).
     """
 
     alpha: float = 0.05
     max_iters: int = 5000
     tol_step: float = 1e-12
     tol_residual: float = 1e-10
-    ascent_safeguard: bool = False
     accelerate: bool = False
 
     def __post_init__(self):
@@ -246,8 +245,6 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     its records built then. wall_time covers each iteration's own work.
     """
     alpha = config.alpha
-    if config.ascent_safeguard:
-        alpha = max(alpha, problem.ascent_alpha_floor())
     x = init.x
     records: list[IterationRecord] = []
     pending: list[tuple] = []

@@ -134,6 +134,20 @@ def quadratic_form_sum_naive(matrices, x) -> float:
     return total
 
 
+def blocks_map(blocks, coeffs, shifts):
+    """The column-wise map formed straight from the data blocks, never
+    from assembled d-by-d matrices:
+
+        X -> -X diag(shifts) + sum_l Y_l ((Y_l.T X) diag(coeffs[l])).
+    """
+    def apply(x):
+        out = -x * np.asarray(shifts)[None, :]
+        for block, c in zip(blocks, coeffs):
+            out = out + block @ ((block.T @ x) * c[None, :])
+        return out
+    return apply
+
+
 def plain_gpm(apply, x0, alpha: float, max_iters: int, tol_step: float,
               tol_residual: float, rank_tol: float = 1e-12):
     """The power-method loop in bare numpy, with no contract checks.

@@ -1,7 +1,11 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hppca.cli import build_parser, main, read_config, resolve_spec
 from hppca.solver import TRACE_HEADER, csv_cell
@@ -115,6 +119,14 @@ def test_robustness_command(tmp_path):
     assert (out / "robustness.svg").is_file()
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_robustness_without_trials_is_a_one_line_error(trials, tmp_path, capsys):
+    out = tmp_path / "rob0"
+    assert run_cli("robustness", "--trials", trials, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: need at least one trial per sweep level\n"
+    assert not (out / "robustness.csv").exists()
+
+
 def test_diagnose_command_deterministic(tmp_path):
     out = tmp_path / "diag"
     args = ("diagnose", "--d", "20", "--sizes", "30,90", "--out", str(out))
@@ -185,6 +197,24 @@ def test_read_config_parsing(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ValueError):
         read_config(bad)
+
+
+_CONFIG_KEYS = st.from_regex(r"[a-z][a-z0-9_-]{0,11}", fullmatch=True)
+# No '#' (a comment) and no line break; '=' may recur inside a value.
+_CONFIG_TEXT = st.text(alphabet="abcxyz019.,:+-=/ \t", max_size=12)
+
+
+@settings(deadline=None, max_examples=25)
+@given(entries=st.lists(st.tuples(_CONFIG_KEYS, _CONFIG_TEXT, _CONFIG_TEXT | st.none()),
+                        max_size=6, unique_by=lambda e: e[0].replace("-", "_")))
+def test_read_config_round_trips_key_value_lines(entries):
+    lines = [f"{key} = {value}" + ("" if note is None else f"  # {note}#=")
+             for key, value, note in entries]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.cfg"
+        path.write_text("\n".join(["# header", ""] + lines) + "\n")
+        parsed = read_config(path)
+    assert parsed == {key.replace("-", "_"): value.strip() for key, value, _ in entries}
 
 
 def test_missing_data_directory_fails_cleanly(tmp_path, capsys):

@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hppca import (GroupedDataset, NoiseGroups, NoiseKind, RngStream, SignalModel,
                    draw_noise, expected_covariance, expected_group_covariance,
@@ -104,6 +109,37 @@ def test_expected_group_covariance_values(ref_lambdas, ref_groups):
     assert np.allclose(total, expected_covariance(model, ref_groups), atol=1e-12)
     with pytest.raises(ValueError):
         expected_group_covariance(model, ref_groups, 2)
+
+
+@st.composite
+def _datasets(draw):
+    d = draw(st.integers(2, 8))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    variances = draw(st.lists(st.floats(1e-300, 1e300), min_size=len(sizes),
+                              max_size=len(sizes), unique=True))
+    # Bounded so that the finiteness check's norm does not overflow;
+    # subnormals and -0.0 stay in range.
+    entries = st.floats(-1e100, 1e100)
+    blocks = tuple(draw(hnp.arrays(np.float64, (d, size), elements=entries))
+                   for size in sizes)
+    return GroupedDataset(blocks=blocks, k=draw(st.integers(1, d - 1)),
+                          groups=NoiseGroups(tuple(sizes), tuple(variances)),
+                          noise=draw(st.sampled_from(NoiseKind)),
+                          seed=draw(st.none() | st.integers(0, 2**63 - 1)),
+                          stream=draw(st.none() | st.integers(0, 2**31 - 1)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(ds=_datasets())
+def test_dataset_save_load_round_trips_bit_exactly(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(ds, Path(tmp) / "ds")
+        loaded = load_dataset(Path(tmp) / "ds")
+    assert (loaded.k, loaded.noise, loaded.seed, loaded.stream) == (
+        ds.k, ds.noise, ds.seed, ds.stream)
+    assert loaded.groups == ds.groups
+    for left, right in zip(loaded.blocks, ds.blocks, strict=True):
+        assert left.dtype == np.float64 and left.tobytes() == right.tobytes()
 
 
 def test_dataset_roundtrip(tmp_path, ref_lambdas):

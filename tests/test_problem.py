@@ -11,7 +11,7 @@ from hppca import (HppcaProblem, NoiseGroups, NoiseKind, PopulationProblem, RngS
 from hppca.stiefel import project_stiefel
 
 from conftest import make_model
-from oracles import quadratic_form_sum_naive
+from oracles import blocks_map, quadratic_form_sum_naive
 
 
 def exact_weight_families(lambdas, sizes, variances):
@@ -89,18 +89,17 @@ def test_column_matrices_symmetric_and_shifted_psd(ref_lambdas, ref_groups):
         assert smallest_eig + table.shifts[k] >= -1e-8
 
 
-def test_factored_path_matches_dense(ref_lambdas, ref_groups):
+def test_dense_map_matches_raw_block_formula(ref_lambdas, ref_groups):
+    # The dense assembly against the map formed straight from the data blocks.
     model = make_model(25, ref_lambdas, seed=2)
     ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(2, 1))
-    dense = build_problem(ds, ref_lambdas)
-    factored = build_problem(ds, ref_lambdas, factored=True)
-    assert factored.factored and not dense.factored
+    problem = build_problem(ds, ref_lambdas)
+    table = problem.weights
+    coeffs = table.weights / (np.asarray(ref_groups.variances)[:, None] * ds.n)
     x = random_stiefel(25, 3, RngStream(2, 2))
-    assert np.allclose(factored.columnwise_map(x), dense.columnwise_map(x), atol=1e-12)
-    assert factored.objective(x) == pytest.approx(dense.objective(x), abs=1e-12)
-    rebuilt = factored.materialized()
-    for k in range(3):
-        assert np.allclose(rebuilt.m_matrices[k], dense.m_matrices[k], atol=1e-12)
+    expected = blocks_map(ds.blocks, coeffs, table.shifts)(x.x)
+    assert np.allclose(problem.columnwise_map(x), expected, atol=1e-12)
+    assert problem.objective(x) == pytest.approx(float(np.sum(x.x * expected)), abs=1e-12)
 
 
 def test_objective_matches_naive_summation(ref_lambdas):
@@ -271,8 +270,8 @@ def test_gpm_map_decomposes_linearly(ref_lambdas, ref_groups):
 
 def test_problem_constructor_validation(ref_lambdas, ref_groups):
     table = build_weights(ref_lambdas, ref_groups)
-    with pytest.raises(ValueError):
-        HppcaProblem(weights=table, d=5, k=3, n=10)  # neither mode
+    with pytest.raises(TypeError):
+        HppcaProblem(weights=table, d=5, k=3, n=10)  # no matrices
     asym = np.arange(25.0).reshape(5, 5)
     with pytest.raises(ValueError):
         HppcaProblem(weights=table, d=5, k=3, n=10,

@@ -117,7 +117,7 @@ def test_finite_sample_monotone_ascent_with_safeguard(ref_lambdas, ref_groups):
     model = make_model(40, ref_lambdas, seed=9)
     ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(9, 1))
     problem = build_problem(ds, ref_lambdas)
-    config = SolverConfig(alpha=0.05, max_iters=800, ascent_safeguard=True)
+    config = SolverConfig(alpha=max(0.05, problem.ascent_alpha_floor()), max_iters=800)
     result = gpm_solve(problem, pca_init(ds), config)
     assert result.alpha == pytest.approx(max(0.05, problem.ascent_alpha_floor()))
     objectives = result.objective_trace()
@@ -226,40 +226,17 @@ def test_degenerate_projection_reported_as_termination(pop50):
     assert result.x_final.nonunique
 
 
-def test_factored_problem_solves_identically(ref_lambdas, ref_groups):
-    model = make_model(35, ref_lambdas, seed=22)
-    ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(22, 1))
-    dense = build_problem(ds, ref_lambdas)
-    factored = build_problem(ds, ref_lambdas, factored=True)
-    start = pca_init(ds)
-    config = SolverConfig(max_iters=60)
-    dense_run = gpm_solve(dense, start, config)
-    factored_run = gpm_solve(factored, start, config)
-    assert np.allclose(dense_run.x_final.x, factored_run.x_final.x, atol=1e-9)
-    assert np.allclose(dense_run.objective_trace(), factored_run.objective_trace(),
-                       atol=1e-10)
-
-
 def _oracle_map(problem):
     """The column-wise map rebuilt from the problem's raw arrays: K
-    separate matrix-vector products for dense, blocks for factored."""
+    separate matrix-vector products for a finite-sample problem."""
     if isinstance(problem, PopulationProblem):
         q, lam, gains = problem.q_truth.x, problem.lambdas, problem.gains
         return lambda x: q @ (lam[:, None] * (q.T @ x)) * gains[None, :]
-    if problem.factored:
-        shifts = problem.weights.shifts
-
-        def apply(x):
-            out = -x * shifts[None, :]
-            for block, coeffs in zip(problem.blocks, problem.block_coeffs):
-                out += block @ ((block.T @ x) * coeffs[None, :])
-            return out
-        return apply
     mats = [np.array(m) for m in problem.m_matrices]
     return lambda x: np.column_stack([mats[k] @ x[:, k] for k in range(len(mats))])
 
 
-@pytest.mark.parametrize("kind", ["dense", "factored", "population"])
+@pytest.mark.parametrize("kind", ["dense", "population"])
 def test_gpm_solve_matches_plain_numpy_loop_exactly(kind, ref_lambdas, ref_groups):
     model = make_model(30, ref_lambdas, seed=23)
     if kind == "population":
@@ -268,7 +245,7 @@ def test_gpm_solve_matches_plain_numpy_loop_exactly(kind, ref_lambdas, ref_group
     else:
         groups = NoiseGroups((40, 160), (1.0, 6.0))
         ds = sample_dataset(model, groups, NoiseKind.GAUSSIAN, RngStream(23, 1))
-        problem = build_problem(ds, ref_lambdas, factored=kind == "factored")
+        problem = build_problem(ds, ref_lambdas)
         start = pca_init(ds)
     config = SolverConfig(max_iters=4000)
     result = gpm_solve(problem, start, config, truth=PopulationProblem.from_model(
@@ -318,13 +295,6 @@ def test_nan_operator_entry_is_rejected(ref_lambdas, ref_groups):
     mats[1, 3, 3] = np.nan
     with pytest.raises(ValueError):
         HppcaProblem(weights=dense.weights, d=20, k=3, n=dense.n, m_matrices=mats)
-    factored = build_problem(ds, ref_lambdas, factored=True)
-    blocks = [np.array(b) for b in factored.blocks]
-    blocks[0][2, 5] = np.nan
-    bad = HppcaProblem(weights=factored.weights, d=20, k=3, n=factored.n,
-                       blocks=tuple(blocks), block_coeffs=factored.block_coeffs)
-    with pytest.raises(ValueError, match="non-finite"):
-        gpm_solve(bad, pca_init(ds), SolverConfig(max_iters=10))
 
 
 @pytest.mark.parametrize("damage", [2.0, np.nan])
@@ -490,7 +460,8 @@ def test_anderson_history_survives_a_fallback():
 
 def test_accelerated_safeguard_falls_back_and_keeps_the_ascent():
     problem, start = _sweep_problem(20, (30, 90), 1, 5)
-    result = gpm_solve(problem, start, SolverConfig(accelerate=True, ascent_safeguard=True))
+    alpha = max(SolverConfig.alpha, problem.ascent_alpha_floor())
+    result = gpm_solve(problem, start, SolverConfig(alpha=alpha, accelerate=True))
     assert result.termination is Termination.RESIDUAL
     assert result.safeguard_steps > 0
     assert np.all(np.diff(result.objective_trace()) >= -1e-10)
