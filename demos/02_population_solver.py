@@ -28,7 +28,7 @@ print(f"\nrandom start, dist {result.trace[0].dist_to_truth:.4f}")
 print(f"terminated: {result.termination.value} after {result.iterations} iterations")
 print(f"final dist to truth: {result.trace[-1].dist_to_truth:.2e}")
 
-gaps = population.optimal_value() - result.population_trace()
+gaps = population.optimal_value() - result.trace.population_objective
 print(f"fitted geometric decay rate of the optimality gap: {fitted_rate(gaps):.4f}")
 
 ascent_ok = all(

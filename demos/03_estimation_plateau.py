@@ -28,8 +28,8 @@ for label in ("pca", "random"):
     if summary.rate is not None:
         print(f"  fitted objective-gap decay rate {summary.rate:.4f}")
 
-pca_dists = run.runs["pca"].distance_trace()
-rand_dists = run.runs["random"].distance_trace()
+pca_dists = run.runs["pca"].trace.dist_to_truth
+rand_dists = run.runs["random"].trace.dist_to_truth
 threshold = 1.02 * max(pca_dists[-1], rand_dists[-1])
 print(f"\niterations to reach the common plateau level {threshold:.4f}:")
 print(f"  pca    {iterations_to_reach(pca_dists, threshold)}")

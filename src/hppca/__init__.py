@@ -19,9 +19,9 @@ from .model import (GroupedDataset, NoiseGroups, NoiseKind, SignalModel, draw_no
 from .problem import (HppcaProblem, PopulationProblem, ResidualSet, WeightTable,
                       build_problem, build_residuals, build_weights, gpm_map,
                       riemannian_gradient)
-from .solver import (IterationRecord, SolveResult, SolverConfig, Termination,
-                     fixed_point_gap, fixed_point_residual, gpm_solve, gpm_step,
-                     pca_init, read_trace_csv, trace_csv, write_trace_csv)
+from .solver import (SolveResult, SolverConfig, Termination, fixed_point_gap,
+                     fixed_point_residual, gpm_solve, gpm_step, pca_init,
+                     read_trace_csv, trace_csv, write_trace_csv)
 from .diagnostics import (DavisKahanCheck, DiagnosticsReport, RatioSamples,
                           critical_point, davis_kahan_check, error_bound_samples,
                           estimate_error_bound_factor, estimate_quadratic_growth,

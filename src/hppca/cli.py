@@ -257,7 +257,7 @@ def cmd_convergence(args) -> int:
         summary_lines.extend(run.summaries[label].lines(label))
     (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
     if args.svg:
-        series = {label: (np.arange(len(res.trace)), res.distance_trace())
+        series = {label: (np.arange(len(res.trace)), res.trace.dist_to_truth)
                   for label, res in run.runs.items()}
         (out / "convergence.svg").write_text(svg_line_chart(
             series, title="distance to ground truth", x_label="iteration",

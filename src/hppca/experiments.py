@@ -149,16 +149,15 @@ class ConvergenceResult:
 
 def _summarize(result: SolveResult, population: PopulationProblem,
                population_mode: bool) -> RunSummary:
-    dists = result.distance_trace()
+    trace = result.trace
     if population_mode:
-        gaps = population.optimal_value() - result.population_trace()
+        gaps = population.optimal_value() - trace.population_objective
     else:
-        final = result.objective_trace()[-1]
-        gaps = final - result.objective_trace()
+        gaps = trace.objective[-1] - trace.objective
     return RunSummary(
-        init_dist=float(dists[0]),
-        final_dist=float(dists[-1]),
-        final_objective=float(result.objective_trace()[-1]),
+        init_dist=float(trace.dist_to_truth[0]),
+        final_dist=float(trace.dist_to_truth[-1]),
+        final_objective=float(trace.objective[-1]),
         iterations=result.iterations,
         termination=result.termination.value,
         rate=fitted_rate(gaps),

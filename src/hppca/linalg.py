@@ -40,9 +40,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {out.shape}")
     if out.shape[0] == 0 or out.shape[1] == 0:
         raise ValueError(f"{name} must have positive dimensions, got shape {out.shape}")
-    # A finite norm proves every entry finite, and is cheaper to take than
-    # the entrywise scan, which only an overflowing norm then needs.
-    if not math.isfinite(fro_norm(out)) and not np.isfinite(out).all():
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} has non-finite entries")
     return out
 

@@ -14,9 +14,9 @@ certificates:
 * the nuclear gap ||A||_* - trace(X.T A), nonnegative for every frame
   and zero precisely at fixed points.
 
-Every iteration is recorded; traces export to CSV at full precision. The
-records, and the truth metrics they may carry, are built once per chunk
-of iterates, while every check still fires in the iteration it concerns.
+Every iteration is one row of a columnar trace, exported to CSV at full
+precision. The truth metrics a row may carry are taken once per chunk of
+iterates, while every check still fires in the iteration it concerns.
 
 The plain update converges linearly, at a rate that can sit close to 1.
 An accelerated solve (``SolverConfig.accelerate``) replaces each update by
@@ -52,6 +52,12 @@ ANDERSON_DEPTH = 10
 
 TRACE_HEADER = "iter,f,g,dist_f,step_norm,rho_alpha,fixed_point_gap,wall_time_ms"
 
+# One trace row per iterate; step_norm is the plain update's step, which an
+# accelerated solve may replace by a mixture. Truth cells may be NaN.
+TRACE_DTYPE = np.dtype([("iteration", np.int64)] + [(name, np.float64) for name in (
+    "objective", "population_objective", "dist_to_truth", "step_norm", "residual",
+    "fixed_point_gap", "map_norm", "wall_time")])
+
 
 class Termination(str, Enum):
     RESIDUAL = "residual-converged"
@@ -86,40 +92,22 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Metrics of one iterate; step_norm is the plain update's step from it,
-    which an accelerated solve may replace by a mixture."""
-
-    iteration: int
-    objective: float
-    population_objective: float | None
-    dist_to_truth: float | None
-    step_norm: float
-    residual: float
-    fixed_point_gap: float
-    map_norm: float
-    wall_time: float
-
-    def __post_init__(self):
-        _check_certificates(self.residual, self.fixed_point_gap, self.wall_time)
-
-
-def _check_certificates(residual: float, gap: float, wall_time: float) -> None:
+def _check_certificates(residual: float, gap: float, wall_time: float,
+                        where: str = "iteration") -> None:
     """Raise ValueError unless an iteration's residual, gap and time are in
     range; NaN fails."""
     if not (residual >= 0 and gap >= -1e-9 and wall_time >= 0):
-        raise ValueError("iteration certificates out of range")
+        raise ValueError(f"{where} certificates out of range")
 
 
 @dataclass(eq=False)
 class SolveResult:
-    """Final frame, full per-iteration trace and why the loop stopped.
-    safeguard_steps counts the accelerated steps that fell back to the
-    plain update."""
+    """Final frame, full per-iteration trace (a recarray of TRACE_DTYPE)
+    and why the loop stopped. safeguard_steps counts the accelerated steps
+    that fell back to the plain update."""
 
     x_final: StiefelPoint
-    trace: list[IterationRecord]
+    trace: np.recarray
     termination: Termination
     alpha: float
     nonunique_steps: int = 0
@@ -128,15 +116,6 @@ class SolveResult:
     @property
     def iterations(self) -> int:
         return len(self.trace) - 1
-
-    def objective_trace(self) -> np.ndarray:
-        return np.array([r.objective for r in self.trace])
-
-    def population_trace(self) -> np.ndarray:
-        return np.array([r.population_objective for r in self.trace], dtype=np.float64)
-
-    def distance_trace(self) -> np.ndarray:
-        return np.array([r.dist_to_truth for r in self.trace], dtype=np.float64)
 
 
 class _Certificate(NamedTuple):
@@ -229,7 +208,7 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     Stops when the fixed-point residual or the step norm drops below its
     tolerance, or after max_iters updates. Non-convergence is reported in
     the termination field, never raised. When ``truth`` is supplied each
-    record also carries the infinite-sample objective and the
+    trace row also carries the infinite-sample objective and the
     sign-invariant distance to the ground truth.
 
     With ``config.accelerate`` every iteration whose stopping tests fail
@@ -239,15 +218,16 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
 
     The loop runs on plain arrays: thin_svd checks every SVD, each new
     iterate must be orthonormal within ORTHO_TOL and each iteration's
-    certificates must be in range, or the iteration raises. The iterates
-    and their scalars wait in a buffer of at most CHUNK entries; the
-    truth metrics of a full buffer are taken on one (B, d, k) stack and
-    its records built then. wall_time covers each iteration's own work.
+    certificates must be in range, or the iteration raises. With the
+    truth, the iterates wait in a buffer of at most CHUNK frames whose
+    truth metrics are taken on one (B, d, k) stack; the trace is built
+    once, at the end. wall_time covers each iteration's own work.
     """
     alpha = config.alpha
     x = init.x
-    records: list[IterationRecord] = []
-    pending: list[tuple] = []
+    rows: list[tuple] = []
+    frames: list[np.ndarray] = []
+    truth_cells: list[np.ndarray] = []
     termination = Termination.MAX_ITERS
     nonunique_steps = safeguard_steps = 0
     last_step_nonunique = False
@@ -265,9 +245,11 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
             x_next, mapped, fell_back = _anderson_step(problem, x, x_next, alpha, history)
             _check_iterate(x_next, t + 1)
             safeguard_steps += fell_back
-        _buffer(pending, x, t, c, step, time.perf_counter() - tic)
-        if len(pending) == CHUNK:
-            _flush(records, pending, truth)
+        rows.append(_row(t, c, step, tic))
+        if truth is not None:
+            frames.append(x)
+            if len(frames) == CHUNK:
+                _take_truth(truth, frames, truth_cells)
         last_step_nonunique = bool(c.svd.sigma[-1] <= RANK_TOL)
         nonunique_steps += last_step_nonunique
         x = x_next
@@ -280,12 +262,16 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
 
     tic = time.perf_counter()
     c = _certify(problem, x, alpha, mapped)
-    _buffer(pending, x, len(records) + len(pending), c, 0.0, time.perf_counter() - tic)
-    _flush(records, pending, truth)
+    rows.append(_row(len(rows), c, 0.0, tic))
+    trace = np.rec.fromrecords(rows, dtype=TRACE_DTYPE)
+    if truth is not None:
+        frames.append(x)
+        _take_truth(truth, frames, truth_cells)
+        trace.population_objective, trace.dist_to_truth = np.concatenate(truth_cells, axis=1)
     if last_step_nonunique:
         termination = Termination.PROJECTION_NONUNIQUE
-    x_final = StiefelPoint(x, nonunique=last_step_nonunique) if len(records) > 1 else init
-    return SolveResult(x_final=x_final, trace=records, termination=termination,
+    x_final = StiefelPoint(x, nonunique=last_step_nonunique) if len(rows) > 1 else init
+    return SolveResult(x_final=x_final, trace=trace, termination=termination,
                        alpha=alpha, nonunique_steps=nonunique_steps,
                        safeguard_steps=safeguard_steps)
 
@@ -331,59 +317,39 @@ def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
     return mixture, mapped_mixture, False
 
 
-def _buffer(pending: list[tuple], xa: np.ndarray, iteration: int, c: _Certificate,
-            step: float, elapsed: float) -> None:
-    """Check an iteration's certificates, then buffer its frame and scalars."""
+def _row(iteration: int, c: _Certificate, step: float, tic: float) -> tuple:
+    """Check an iteration's certificates; return its trace row, truth cells NaN."""
+    elapsed = time.perf_counter() - tic
     _check_certificates(c.residual, c.gap, elapsed)
-    pending.append((xa, iteration, c.objective, step, c.residual, c.gap,
-                    float(c.svd.sigma[0]), elapsed))
+    return (iteration, c.objective, math.nan, math.nan, step, c.residual, c.gap,
+            c.svd.sigma[0], elapsed)
 
 
-def _flush(records: list[IterationRecord], pending: list[tuple], truth) -> None:
-    """Append the records of the pending (frame, iteration, objective, step,
-    residual, gap, map norm, wall time) entries and empty the buffer. With
-    ``truth``, the population objective and the distance of every pending
-    frame come from one stack."""
-    if truth is None:
-        truth_cells = [(None, None)] * len(pending)
-    else:
-        stack = np.stack([entry[0] for entry in pending])
-        truth_cells = zip(truth.frame_objective(stack).tolist(),
-                          aligned_distances(stack, truth.q_truth.x).tolist())
-    for (_, t, objective, step, residual, gap, map_norm, elapsed), (pop_value, dist) in zip(
-            pending, truth_cells):
-        records.append(IterationRecord(
-            iteration=t,
-            objective=objective,
-            population_objective=pop_value,
-            dist_to_truth=dist,
-            step_norm=step,
-            residual=residual,
-            fixed_point_gap=gap,
-            map_norm=map_norm,
-            wall_time=elapsed,
-        ))
-    pending.clear()
+def _take_truth(truth: PopulationProblem, frames: list[np.ndarray],
+                truth_cells: list[np.ndarray]) -> None:
+    """Append the population objectives and the distances to the truth of
+    the buffered frames, from one stack, to ``truth_cells``; empty the buffer."""
+    stack = np.stack(frames)
+    truth_cells.append(np.stack([truth.frame_objective(stack),
+                                 aligned_distances(stack, truth.q_truth.x)]))
+    frames.clear()
 
 
-# %-templates of a trace row, keyed by which truth cells are None: "%.17g"
-# formats a float as csv_cell does and "%.0s" turns a None into its empty cell.
-_ROW_TEMPLATES = {
-    (pop, dist): ",".join(["%d", "%.17g", "%.0s" if pop else "%.17g",
-                           "%.0s" if dist else "%.17g", "%.17g", "%.17g", "%.17g", "%.17g"])
-    for pop in (False, True) for dist in (False, True)
-}
+def _cells(column: np.ndarray) -> list[str]:
+    """CSV cells of a truth column: a NaN is an empty cell."""
+    return ["" if math.isnan(value) else "%.17g" % value for value in column.tolist()]
 
 
-def trace_csv(trace: list[IterationRecord]) -> str:
-    """Render a trace as CSV, 17 significant digits so floats round-trip."""
-    lines = [TRACE_HEADER]
-    for r in trace:
-        pop_value, dist = r.population_objective, r.dist_to_truth
-        lines.append(_ROW_TEMPLATES[pop_value is None, dist is None] % (
-            r.iteration, r.objective, pop_value, dist, r.step_norm, r.residual,
-            r.fixed_point_gap, r.wall_time * 1e3))
-    return "\n".join(lines) + "\n"
+def trace_csv(trace: np.recarray) -> str:
+    """Render a trace as CSV, 17 significant digits so floats round-trip;
+    a NaN truth cell is an empty cell."""
+    # "%.17g" formats a float as csv_cell does; the truth cells come rendered.
+    template = "%d,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g"
+    rows = zip(trace.iteration.tolist(), trace.objective.tolist(),
+               _cells(trace.population_objective), _cells(trace.dist_to_truth),
+               trace.step_norm.tolist(), trace.residual.tolist(),
+               trace.fixed_point_gap.tolist(), (trace.wall_time * 1e3).tolist())
+    return "\n".join([TRACE_HEADER, *(template % row for row in rows)]) + "\n"
 
 
 def csv_cell(value: float | None) -> str:
@@ -391,30 +357,27 @@ def csv_cell(value: float | None) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-def write_trace_csv(trace: list[IterationRecord], path) -> Path:
+def write_trace_csv(trace: np.recarray, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(trace_csv(trace))
     return path
 
 
-def read_trace_csv(path) -> list[IterationRecord]:
-    """Parse a trace CSV back into records (the map norm is not stored)."""
+def read_trace_csv(path) -> np.recarray:
+    """Parse a trace CSV back into a trace: empty cells and the map norm,
+    which is not stored, are NaN. Every row must have the header's cells
+    and in-range certificates, or ValueError names its line."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise OSError(f"{path} is not a solver trace (unexpected header)")
-
-    def parse(cellval: str) -> float | None:
-        return None if cellval == "" else float(cellval)
-
-    records = []
-    for line in lines[1:]:
+    width = TRACE_HEADER.count(",") + 1
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        records.append(IterationRecord(
-            iteration=int(cells[0]), objective=parse(cells[1]),
-            population_objective=parse(cells[2]), dist_to_truth=parse(cells[3]),
-            step_norm=parse(cells[4]), residual=parse(cells[5]),
-            fixed_point_gap=parse(cells[6]), map_norm=math.nan,
-            wall_time=parse(cells[7]) / 1e3,
-        ))
-    return records
+        if len(cells) != width:
+            raise ValueError(f"{path} line {number}: {len(cells)} cells, expected {width}")
+        *values, wall_ms = (math.nan if cell == "" else float(cell) for cell in cells[1:])
+        _check_certificates(values[4], values[5], wall_ms / 1e3, f"{path} line {number}:")
+        rows.append((int(cells[0]), *values, math.nan, wall_ms / 1e3))
+    return np.rec.fromrecords(rows, dtype=TRACE_DTYPE)

@@ -64,10 +64,10 @@ def qpoc_runs(population_50, ref_groups):
 def test_criterion_01_population_linear_convergence(population_50, qpoc_runs):
     _, population = population_50
     literal, companion, elapsed = qpoc_runs
-    dists = literal.distance_trace()
+    dists = literal.trace.dist_to_truth
     converged = bool(np.any(dists <= 1e-8)) and literal.iterations <= 500
-    literal_rate = fitted_rate(population.optimal_value() - literal.population_trace())
-    companion_rate = fitted_rate(population.optimal_value() - companion.population_trace())
+    literal_rate = fitted_rate(population.optimal_value() - literal.trace.population_objective)
+    companion_rate = fitted_rate(population.optimal_value() - companion.trace.population_objective)
     rates_ok = (literal_rate is None or literal_rate <= 0.999) \
         and companion_rate is not None and companion_rate <= 0.999
     _report(1, "population solve reaches dist 1e-8 within 500 iterations with a "
@@ -79,7 +79,7 @@ def test_criterion_02_sufficient_ascent(qpoc_runs):
     literal, companion, _ = qpoc_runs
     violations = 0
     for run in (literal, companion):
-        values = run.population_trace()
+        values = run.trace.population_objective
         for t in range(len(run.trace) - 1):
             ascent = values[t + 1] - values[t]
             if ascent < run.alpha * run.trace[t].step_norm ** 2 - 1e-10:
@@ -212,7 +212,7 @@ def _plateau_seed_passes(seed: int, noise: NoiseKind,
     population = PopulationProblem.from_model(model, spec.groups())
     result = gpm_solve(problem, pca_init(ds), spec.solver_config(), truth=population)
     elapsed = perf_counter() - tic
-    dists = result.distance_trace()
+    dists = result.trace.dist_to_truth
     trend_ok = count_trend_violations(dists, window=5, slack_fraction=0.01) == 0
     return bool(trend_ok and dists[-1] < dists[0]), elapsed
 

@@ -68,8 +68,8 @@ def test_run_convergence_population_mode():
 def test_run_convergence_data_mode_reference_setting():
     spec = ExperimentSpec(seed=0)
     run = run_convergence(spec)
-    pca = run.runs["pca"].distance_trace()
-    rand = run.runs["random"].distance_trace()
+    pca = run.runs["pca"].trace.dist_to_truth
+    rand = run.runs["random"].trace.dist_to_truth
     # The spectral start reaches the common plateau level in fewer iterations.
     threshold = 1.02 * max(pca[-1], rand[-1])
     pca_hit = iterations_to_reach(pca, threshold)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,16 @@ def test_as_matrix_and_check_symmetric():
     with pytest.raises(ValueError):
         check_symmetric(np.ones((2, 3)))
     assert check_symmetric(np.eye(2)) is not None
+
+
+@pytest.mark.parametrize("big", [1e200, 1.7e308, -1.7e308])
+def test_as_matrix_accepts_huge_finite_entries_without_warning(big):
+    block = np.ones((100, 3))
+    block[17, 1] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(as_matrix(block, "block"), block)
+    for bad in (np.nan, np.inf, -np.inf):
+        block[42, 2] = bad
+        with pytest.raises(ValueError, match="block has non-finite entries"):
+            as_matrix(block, "block")

@@ -16,7 +16,7 @@ from hppca.diagnostics import critical_point
 from hppca.experiments import ExperimentSpec, sweep_variances
 from hppca.linalg import CHUNK, ThinSvd
 from hppca.problem import HppcaProblem
-from hppca.solver import TRACE_HEADER, csv_cell
+from hppca.solver import TRACE_DTYPE, TRACE_HEADER, csv_cell
 
 from conftest import make_model, make_population
 from oracles import plain_gpm, plain_trace
@@ -108,7 +108,7 @@ def test_population_gap_decays_geometrically(pop50):
 
     start = random_stiefel(50, 3, RngStream(8))
     result = gpm_solve(pop50, start, SolverConfig(max_iters=3000), truth=pop50)
-    gaps = pop50.optimal_value() - result.population_trace()
+    gaps = pop50.optimal_value() - result.trace.population_objective
     rate = fitted_rate(gaps)
     assert rate is not None and rate < 0.999
 
@@ -120,7 +120,7 @@ def test_finite_sample_monotone_ascent_with_safeguard(ref_lambdas, ref_groups):
     config = SolverConfig(alpha=max(0.05, problem.ascent_alpha_floor()), max_iters=800)
     result = gpm_solve(problem, pca_init(ds), config)
     assert result.alpha == pytest.approx(max(0.05, problem.ascent_alpha_floor()))
-    objectives = result.objective_trace()
+    objectives = result.trace.objective
     assert np.all(np.diff(objectives) >= -1e-10)
 
 
@@ -130,7 +130,7 @@ def test_reference_scale_solve_reduces_distance(ref_lambdas, ref_groups):
     problem = build_problem(ds, ref_lambdas)
     population = PopulationProblem.from_model(model, ref_groups)
     result = gpm_solve(problem, pca_init(ds), SolverConfig(), truth=population)
-    dists = result.distance_trace()
+    dists = result.trace.dist_to_truth
     assert dists[-1] < dists[0]
     assert result.termination in (Termination.RESIDUAL, Termination.STEP)
 
@@ -194,8 +194,23 @@ def test_trace_csv_without_analysis_context(pop50, tmp_path):
     start = random_stiefel(50, 3, RngStream(14))
     result = gpm_solve(pop50, start, SolverConfig(max_iters=3))
     parsed = read_trace_csv(write_trace_csv(result.trace, tmp_path / "t.csv"))
-    assert parsed[0].population_objective is None
-    assert parsed[0].dist_to_truth is None
+    assert math.isnan(parsed[0].population_objective)
+    assert math.isnan(parsed[0].dist_to_truth)
+
+
+@pytest.mark.parametrize("cells", ["0,1,,,0,0", "0,1,,,0,0,0,1,2"])
+def test_read_trace_csv_rejects_a_row_with_the_wrong_cell_count(tmp_path, cells):
+    path = tmp_path / "t.csv"
+    path.write_text(f"{TRACE_HEADER}\n0,1,,,0,0,0,1\n{cells}\n")
+    with pytest.raises(ValueError, match="line 3"):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_rejects_a_negative_residual(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(f"{TRACE_HEADER}\n0,1,,,0.5,-1e-3,0,1\n")
+    with pytest.raises(ValueError, match="line 2: certificates out of range"):
+        read_trace_csv(path)
 
 
 def test_solver_config_validation():
@@ -316,8 +331,9 @@ def test_iterate_orthonormality_is_checked_every_iteration(pop50, monkeypatch, d
 
 
 def _trace_rows(result) -> list[tuple]:
-    return [(r.iteration, r.objective, r.population_objective, r.dist_to_truth,
-             r.step_norm, r.residual, r.fixed_point_gap, r.map_norm) for r in result.trace]
+    """Trace rows without the wall time, NaN truth cells as None."""
+    return [(t, f, *(None if math.isnan(v) else v for v in (pop_value, dist)), *rest)
+            for t, f, pop_value, dist, *rest, _ in result.trace.tolist()]
 
 
 @pytest.mark.parametrize("max_iters", [0, 1, 63, 64, 65, 200])
@@ -382,17 +398,14 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True
 
 @settings(deadline=None)
 @given(iteration=st.integers(min_value=0, max_value=10**9),
-       cells=st.tuples(_ANY_FLOAT, st.none() | _ANY_FLOAT, st.none() | _ANY_FLOAT,
-                       _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT))
+       cells=st.tuples(*[_ANY_FLOAT] * 8))
 def test_trace_row_template_matches_csv_cell(iteration, cells):
-    objective, pop_value, dist, step, residual, gap, wall_time = cells
-    row = SimpleNamespace(iteration=iteration, objective=objective,
-                          population_objective=pop_value, dist_to_truth=dist,
-                          step_norm=step, residual=residual, fixed_point_gap=gap,
-                          wall_time=wall_time)
-    expected = ",".join([str(iteration), *map(csv_cell, (objective, pop_value, dist, step,
+    objective, pop_value, dist, step, residual, gap, _, wall_time = cells
+    trace = np.rec.fromrecords([(iteration, *cells)], dtype=TRACE_DTYPE)
+    truth_cells = [None if math.isnan(value) else value for value in (pop_value, dist)]
+    expected = ",".join([str(iteration), *map(csv_cell, (objective, *truth_cells, step,
                                                          residual, gap, wall_time * 1e3))])
-    assert trace_csv([row]) == f"{TRACE_HEADER}\n{expected}\n"
+    assert trace_csv(trace) == f"{TRACE_HEADER}\n{expected}\n"
 
 
 def _sweep_problem(d, sizes, seed, level):
@@ -464,7 +477,7 @@ def test_accelerated_safeguard_falls_back_and_keeps_the_ascent():
     result = gpm_solve(problem, start, SolverConfig(alpha=alpha, accelerate=True))
     assert result.termination is Termination.RESIDUAL
     assert result.safeguard_steps > 0
-    assert np.all(np.diff(result.objective_trace()) >= -1e-10)
+    assert np.all(np.diff(result.trace.objective) >= -1e-10)
 
 
 @pytest.mark.parametrize("max_iters", [0, 1, 3])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hppca import (RngStream, StiefelPoint, ThinSvd, frame_distance, project_stiefel,
                    random_gaussian, random_stiefel, sign_align, sin_theta_distance)
@@ -81,6 +83,44 @@ def test_frame_distance_zero_and_sign_invariance():
     assert frame_distance(q, q) == 0.0
     flipped = StiefelPoint(q.x * np.array([-1.0, 1.0, -1.0]))
     assert frame_distance(flipped, q) <= 1e-12
+
+
+@st.composite
+def _frames(draw):
+    """Two random orthonormal (d, k) frames and a Gaussian (d, k) matrix,
+    d from 2 to 8."""
+    d = draw(st.integers(2, 8))
+    k = draw(st.integers(1, d - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return (random_stiefel(d, k, RngStream(seed)), random_stiefel(d, k, RngStream(seed, 1)),
+            random_gaussian(d, k, RngStream(seed, 2)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(frames=_frames(), scale=st.floats(1e-3, 1e3))
+def test_projection_attains_the_nuclear_norm(frames, scale):
+    # trace(polar(m).T m) = ||m||_*, the maximum of trace(Y.T m) over all
+    # orthonormal Y.
+    y, other, gaussian = frames
+    m = scale * gaussian
+    value = float(np.sum(project_stiefel(m).x * m))
+    nuclear = float(np.linalg.svd(m, compute_uv=False).sum())
+    assert value == pytest.approx(nuclear, rel=1e-12)
+    for frame in (y, other):
+        assert value >= float(np.sum(frame.x * m)) - 1e-12 * nuclear
+
+
+@settings(deadline=None, max_examples=25)
+@given(frames=_frames(), flips=st.lists(st.booleans(), min_size=16, max_size=16))
+def test_frame_distance_sign_invariant_symmetric_and_bounded(frames, flips):
+    x, ref, _ = frames
+    signs = np.where(flips, -1.0, 1.0)
+    dist = frame_distance(x, ref)
+    assert 0.0 <= dist <= np.sqrt(2 * x.k)
+    assert frame_distance(ref, x) == pytest.approx(dist, abs=1e-12)
+    assert frame_distance(StiefelPoint(x.x * signs[:x.k]), ref) == pytest.approx(dist, abs=1e-12)
+    assert frame_distance(x, StiefelPoint(ref.x * signs[8:8 + x.k])) == pytest.approx(
+        dist, abs=1e-12)
 
 
 def test_frame_distance_cyclic_permutation_is_sqrt6():
