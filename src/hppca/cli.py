@@ -163,15 +163,17 @@ def resolve_spec(args) -> tuple[ExperimentSpec, dict[str, str]]:
 
 
 def _outdir(spec: ExperimentSpec) -> Path:
+    """The output directory, made only once the outputs are ready to write,
+    so a rejected run leaves none behind."""
     spec.out.mkdir(parents=True, exist_ok=True)
     return spec.out
 
 
 def cmd_generate(args) -> int:
     spec, _ = resolve_spec(args)
-    out = _outdir(spec)
     model = spec.make_model()
     dataset = spec.make_dataset(model)
+    out = _outdir(spec)
     data_dir = save_dataset(dataset, out / "dataset")
     np.save(out / "dataset" / "qtruth.npy", model.q_truth.x)
     np.save(out / "dataset" / "lambdas.npy", model.lambdas)
@@ -225,12 +227,12 @@ def _initial_point(spec: ExperimentSpec, dataset) -> StiefelPoint:
 def cmd_solve(args) -> int:
     spec, _ = resolve_spec(args)
     dataset, model = _load_or_generate(args, spec)
-    out = _outdir(spec)
     population = None if model is None else PopulationProblem.from_model(model, dataset.groups)
     lambdas = population.lambdas if population is not None else np.asarray(spec.lambdas)
     problem = build_problem(dataset, lambdas)
     start = _initial_point(spec, dataset)
     result = gpm_solve(problem, start, spec.solver_config(), truth=population)
+    out = _outdir(spec)
     write_trace_csv(result.trace, out / "trace.csv")
     np.save(out / "x_final.npy", result.x_final.x)
     lines = [
@@ -249,8 +251,8 @@ def cmd_solve(args) -> int:
 
 def cmd_convergence(args) -> int:
     spec, _ = resolve_spec(args)
-    out = _outdir(spec)
     run = run_convergence(spec, population_mode=bool(getattr(args, "population", False)))
+    out = _outdir(spec)
     summary_lines: list[str] = []
     for label, result in run.runs.items():
         write_trace_csv(result.trace, out / f"trace_{label}.csv")
@@ -269,9 +271,9 @@ def cmd_convergence(args) -> int:
 
 def cmd_robustness(args) -> int:
     spec, extras = resolve_spec(args)
-    out = _outdir(spec)
     sweep, metric = extras["sweep"], extras["metric"]
     stats = run_robustness(spec, sweep=sweep, metric=metric)
+    out = _outdir(spec)
     (out / "robustness.csv").write_text(robustness_csv(stats))
     if args.svg:
         series = {}
@@ -289,10 +291,9 @@ def cmd_diagnose(args) -> int:
     dataset, model = _load_or_generate(args, spec)
     if model is None:
         raise ValueError(f"{args.data} has no qtruth.npy and lambdas.npy, which diagnose needs")
-    out = _outdir(spec)
     report, samples = run_diagnose(spec, zero_residual=args.zero_residual,
                                    data=(model, dataset))
-    write_report(report, samples, out)
+    write_report(report, samples, spec.out)
     print(report_text(report), end="")
     return 0
 

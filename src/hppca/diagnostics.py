@@ -76,27 +76,19 @@ def critical_point(population: PopulationProblem, columns, signs,
     return StiefelPoint(qbar[:, cols] * sgn[None, :])
 
 
-def sample_near(q: StiefelPoint, radius: float, gen: np.random.Generator,
-                max_tries: int = 200) -> StiefelPoint:
-    """Random frame within ``radius`` of q (in sign-invariant distance).
-
-    Perturb-and-project: q plus a Gaussian direction of Frobenius norm
-    ``radius``, projected back to the manifold, rejected if it lands
-    outside the ball. Each try consumes one d-by-k draw from ``gen``.
-    """
-    frames, _ = next(_near_chunks(q, radius, gen, 1, max_tries))
-    return StiefelPoint(frames[0])
-
-
 def _near_chunks(q: StiefelPoint, radius: float, gen: np.random.Generator,
                  n: int, max_tries: int = 200):
-    """sample_near n times over, CHUNK tries at a time: yields the accepted
-    frames of each chunk with their distances from q, in draw order.
+    """n random frames within ``radius`` of q (in sign-invariant distance),
+    CHUNK tries at a time: yields the accepted frames of each chunk with
+    their distances from q, in draw order.
 
-    A chunk makes at most as many tries as frames are still needed, so the
-    stream is consumed exactly as n sample_near calls would consume it.
-    Raises RuntimeError after max_tries consecutive rejections, counted
-    across chunk boundaries.
+    Perturb-and-project: each try is q plus a Gaussian direction of
+    Frobenius norm ``radius``, projected back to the manifold and rejected
+    if it lands outside the ball. Each try consumes one d-by-k draw from
+    ``gen``, and a chunk makes at most as many tries as frames are still
+    needed, so the stream is consumed exactly as n one-frame samplers
+    would consume it. Raises RuntimeError after max_tries consecutive
+    rejections, counted across chunk boundaries.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
@@ -165,12 +157,6 @@ def _growth_rate(near: np.ndarray, far: np.ndarray) -> float:
     return float(np.min(ratios))
 
 
-def estimate_quadratic_growth(population: PopulationProblem, n_samples: int,
-                              radius: float, rng: RngStream) -> float:
-    """Empirical quadratic growth constant: min sampled gap / distance^2."""
-    return _growth_rate(*growth_ratio_samples(population, n_samples, radius, rng))
-
-
 def error_bound_samples(population: PopulationProblem, alpha: float, n_samples: int,
                         radius: float, rng: RngStream) -> np.ndarray:
     """Sampled (distance, distance / fixed-point residual) pairs near the optimum.
@@ -196,12 +182,6 @@ def _error_bound_factor(rows: np.ndarray) -> float:
     if rows.size == 0:
         raise RuntimeError("no usable error-bound samples")
     return float(np.max(rows[:, 1]))
-
-
-def estimate_error_bound_factor(population: PopulationProblem, alpha: float,
-                                n_samples: int, radius: float, rng: RngStream) -> float:
-    """Empirical error-bound constant: max sampled distance / residual."""
-    return _error_bound_factor(error_bound_samples(population, alpha, n_samples, radius, rng))
 
 
 def residual_norms(residuals: ResidualSet) -> np.ndarray:

@@ -72,19 +72,14 @@ class ExperimentSpec:
                               trial_stream(self.seed, trial, _ROLE_DATA))
 
 
-def moving_average(values, window: int = 5) -> np.ndarray:
-    """Trailing boxcar average; output length len(values) - window + 1."""
+def count_trend_violations(values, window: int = 5, slack_fraction: float = 0.01) -> int:
+    """Steps where the trailing boxcar average over ``window`` values rises by
+    more than a fraction of the total raw descent; zero means the series
+    decreases monotonically in trend."""
     arr = np.asarray(values, dtype=np.float64)
     if window < 1 or arr.size < window:
         raise ValueError("window must be positive and no longer than the series")
-    return np.convolve(arr, np.ones(window) / window, mode="valid")
-
-
-def count_trend_violations(values, window: int = 5, slack_fraction: float = 0.01) -> int:
-    """Steps where the moving average rises by more than a fraction of the
-    total raw descent; zero means the series decreases monotonically in trend."""
-    arr = np.asarray(values, dtype=np.float64)
-    ma = moving_average(arr, window)
+    ma = np.convolve(arr, np.ones(window) / window, mode="valid")
     slack = slack_fraction * max(float(arr[0] - arr[-1]), 1e-12)
     return int(np.sum(np.diff(ma) > slack))
 

@@ -21,6 +21,10 @@ import numpy as np
 # Deviation allowed for orthonormal factors and reconstruction residuals.
 FACTOR_TOL = 1e-10
 
+# Largest singular value above which the squares a Frobenius norm sums
+# may overflow.
+HUGE_SIGMA = 1e150
+
 # Most frames in any temporary (B, d, k) stack: the diagnostics samplers'
 # chunks of random frames and the solver's buffer of iterates.
 CHUNK = 64
@@ -131,21 +135,9 @@ class RngStream:
 
 def random_gaussian(rows: int, cols: int, rng: RngStream) -> np.ndarray:
     """Matrix of iid standard normal draws, deterministic per stream."""
-    _check_dims(rows, cols)
-    return rng.generator().standard_normal((rows, cols))
-
-
-def random_uniform_sym(rows: int, cols: int, half_width: float, rng: RngStream) -> np.ndarray:
-    """Matrix of iid uniform draws on the symmetric interval [-half_width, half_width]."""
-    _check_dims(rows, cols)
-    if not half_width > 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    return rng.generator().uniform(-half_width, half_width, size=(rows, cols))
-
-
-def _check_dims(rows: int, cols: int) -> None:
     if rows < 1 or cols < 1:
         raise ValueError(f"dimensions must be positive, got ({rows}, {cols})")
+    return rng.generator().standard_normal((rows, cols))
 
 
 class ThinSvd(NamedTuple):
@@ -189,10 +181,27 @@ def thin_svd(m) -> ThinSvd:
         raise RuntimeError("svd right factor lost orthogonality")
     if not ((sigma[:-1] >= sigma[1:]).all() and sigma[-1] >= 0):
         raise RuntimeError("singular values are not sorted nonnegative")
-    resid = fro_norm(f.reconstruct() - mat)
+    diff = f.reconstruct() - mat
+    if sigma[0] > HUGE_SIGMA:
+        scale = _norm_scale(sigma[0])
+        diff, mat = diff * scale, mat * scale
+    resid = fro_norm(diff)
     if not resid <= FACTOR_TOL * max(1.0, fro_norm(mat)):
         raise RuntimeError(f"svd reconstruction residual too large ({resid:.3e})")
     return f
+
+
+def _norm_scale(sigma_max):
+    """Power of two that takes a largest singular value into [1, 2).
+
+    Scaling a matrix and its reconstruction error by it is exact and keeps
+    ||m||_F >= 1, so the reconstruction test decides as it would unscaled,
+    without the overflow of squaring entries above HUGE_SIGMA. A finite
+    matrix whose norm exceeds the float range has no such scale.
+    """
+    if np.isinf(sigma_max).any():
+        raise ValueError("matrix norm exceeds the floating-point range")
+    return np.ldexp(1.0, 1 - np.frexp(sigma_max)[1])
 
 
 def _thin_svd_stack(stack: np.ndarray) -> ThinSvd:
@@ -205,7 +214,8 @@ def _thin_svd_stack(stack: np.ndarray) -> ThinSvd:
         raise ValueError(f"matrix stack must have positive dimensions, got shape {stack.shape}")
     if stack.shape[1] < stack.shape[2]:
         raise ValueError(f"need at least as many rows as columns, got shape {stack.shape}")
-    norms = fro_norms(stack)
+    with np.errstate(over="ignore"):  # a huge finite matrix is told apart below
+        norms = fro_norms(stack)
     if not np.isfinite(norms).all() and not np.isfinite(stack).all():
         raise ValueError("matrix stack has non-finite entries")
     u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
@@ -216,7 +226,12 @@ def _thin_svd_stack(stack: np.ndarray) -> ThinSvd:
         raise RuntimeError("svd right factor lost orthogonality")
     if not ((sigma[:, :-1] >= sigma[:, 1:]).all() and (sigma[:, -1] >= 0).all()):
         raise RuntimeError("singular values are not sorted nonnegative")
-    resid = fro_norms(f.reconstruct() - stack)
+    diff = f.reconstruct() - stack
+    huge = sigma[:, 0] > HUGE_SIGMA
+    if huge.any():
+        scales = np.where(huge, _norm_scale(sigma[:, 0]), 1.0)[:, None, None]
+        diff, norms = diff * scales, fro_norms(stack * scales)
+    resid = fro_norms(diff)
     if not (resid <= FACTOR_TOL * np.maximum(1.0, norms)).all():
         raise RuntimeError(f"svd reconstruction residual too large ({np.max(resid):.3e})")
     return f

@@ -71,14 +71,6 @@ class WeightTable:
         for name, arr in (("weights", w), ("gains", gains), ("shifts", shifts)):
             object.__setattr__(self, name, frozen(arr))
 
-    @property
-    def k(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def l(self) -> int:
-        return self.weights.shape[0]
-
 
 def build_weights(lambdas, groups: NoiseGroups) -> WeightTable:
     """Compute the weight, gain and shift families for a model setting."""
@@ -219,11 +211,6 @@ class PopulationProblem:
         overlap = self.q_truth.x.T @ xa
         return (self.gains * (self.lambdas[:, None] * overlap**2).sum(axis=-2)).sum(axis=-1)
 
-    def ascent_alpha_floor(self) -> float:
-        # The signal covariance is positive semidefinite, so any positive
-        # step weight already ascends.
-        return 0.0
-
     def __repr__(self) -> str:
         return f"PopulationProblem(d={self.d}, k={self.k})"
 
@@ -237,14 +224,10 @@ class ResidualSet:
     def __post_init__(self):
         object.__setattr__(self, "deltas", _frozen_stack(self.deltas, "residual"))
 
-    @property
-    def k(self) -> int:
-        return len(self.deltas)
-
     def value(self, x) -> float:
         """h(X), the residual part of the objective."""
         xa = frame_array(x)
-        return float(sum(xa[:, k] @ (self.deltas[k] @ xa[:, k]) for k in range(self.k)))
+        return float(sum(xa[:, k] @ (delta @ xa[:, k]) for k, delta in enumerate(self.deltas)))
 
 
 def build_residuals(problem: HppcaProblem, population: PopulationProblem) -> ResidualSet:
@@ -265,18 +248,3 @@ def riemannian_gradient(population: PopulationProblem, x) -> np.ndarray:
     ambient = 2.0 * population.columnwise_map(xa)
     skew = ambient - xa @ (ambient.T @ xa)
     return skew - 0.5 * xa @ (xa.T @ skew)
-
-
-def gpm_map(problem, x, alpha: float) -> np.ndarray:
-    """Matrix whose orthonormal projection is the next power-method iterate:
-    alpha * X + [M_1 x_1, ..., M_K x_K] (finite-sample) or
-    alpha * X + S X diag(gains) (population)."""
-    xa = frame_array(x)
-    return check_step_weight(alpha) * xa + problem.columnwise_map(xa)
-
-
-def check_step_weight(alpha: float) -> float:
-    """Return alpha if it is a valid step weight: nonnegative, not NaN."""
-    if not alpha >= 0:
-        raise ValueError(f"step weight must be nonnegative, got {alpha}")
-    return alpha

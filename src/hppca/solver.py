@@ -40,9 +40,8 @@ import numpy as np
 from .linalg import (CHUNK, ThinSvd, check_symmetric, fro_norm, fro_norms,
                      matrix_transpose, orthonormality_defect, sym_eig_topk, thin_svd)
 from .model import GroupedDataset, sample_covariance
-from .problem import PopulationProblem, check_step_weight, gpm_map
-from .stiefel import (ORTHO_TOL, RANK_TOL, StiefelPoint, aligned_distances,
-                      frame_array, project_stiefel)
+from .problem import PopulationProblem
+from .stiefel import ORTHO_TOL, RANK_TOL, StiefelPoint, aligned_distances, frame_array
 
 # Eigengap below which the top-k eigenvector frame is not well determined.
 EIGENGAP_TOL = 1e-12
@@ -71,10 +70,10 @@ class SolverConfig:
     """Step weight, iteration budget and stopping tolerances.
 
     The solve uses alpha as given. A finite-sample solve ascends
-    monotonically once alpha is at least the problem's
-    ascent_alpha_floor(); the population problem ascends for any positive
-    alpha. With accelerate on, every step that does not stop the solve is
-    an Anderson mixture (see gpm_solve).
+    monotonically once alpha is at least HppcaProblem.ascent_alpha_floor();
+    the population problem, whose signal covariance is positive
+    semidefinite, ascends for any positive alpha. With accelerate on, every
+    step that does not stop the solve is an Anderson mixture (see gpm_solve).
     """
 
     alpha: float = 0.05
@@ -147,11 +146,6 @@ def _residual_matrix(xa: np.ndarray, f: ThinSvd, mapped: np.ndarray) -> np.ndarr
     return xa @ (f.v @ (f.sigma[..., None] * matrix_transpose(f.v))) - mapped
 
 
-def gpm_step(problem, x: StiefelPoint, alpha: float) -> StiefelPoint:
-    """One update: project the mapped frame back onto orthonormal frames."""
-    return project_stiefel(gpm_map(problem, x, alpha))
-
-
 def fixed_point_residual(problem, x: StiefelPoint, alpha: float) -> float:
     """||X V Sigma V.T - A(X)||_F from the thin SVD of the mapped frame.
 
@@ -169,13 +163,11 @@ def fixed_point_residuals(population: PopulationProblem, frames: np.ndarray,
     return fro_norms(_residual_matrix(frames, thin_svd(mapped), mapped))
 
 
-def fixed_point_gap(problem, x: StiefelPoint, alpha: float) -> float:
-    """Nuclear norm of the mapped frame minus its trace alignment with X.
-
-    Nonnegative for every frame by the trace inequality for singular
-    values, and zero exactly when X is a fixed point of the update.
-    """
-    return _certify(problem, frame_array(x), check_step_weight(alpha)).gap
+def check_step_weight(alpha: float) -> float:
+    """Return alpha if it is a valid step weight: nonnegative, not NaN."""
+    if not alpha >= 0:
+        raise ValueError(f"step weight must be nonnegative, got {alpha}")
+    return alpha
 
 
 def pca_init(data, k: int | None = None) -> StiefelPoint:
@@ -344,11 +336,12 @@ def trace_csv(trace: np.recarray) -> str:
     """Render a trace as CSV, 17 significant digits so floats round-trip;
     a NaN truth cell is an empty cell."""
     # "%.17g" formats a float as csv_cell does; the truth cells come rendered.
+    # The milliseconds are Python floats, which overflow to inf without a warning.
     template = "%d,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g"
     rows = zip(trace.iteration.tolist(), trace.objective.tolist(),
                _cells(trace.population_objective), _cells(trace.dist_to_truth),
                trace.step_norm.tolist(), trace.residual.tolist(),
-               trace.fixed_point_gap.tolist(), (trace.wall_time * 1e3).tolist())
+               trace.fixed_point_gap.tolist(), [t * 1e3 for t in trace.wall_time.tolist()])
     return "\n".join([TRACE_HEADER, *(template % row for row in rows)]) + "\n"
 
 

@@ -93,16 +93,12 @@ def _frame_pair(x, ref) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _signs(xa: np.ndarray, ra: np.ndarray) -> np.ndarray:
-    return np.where((xa * ra).sum(axis=-2) >= 0, 1.0, -1.0)
-
-
-def sign_align(x, ref) -> np.ndarray:
-    """Column signs q in {-1, +1}^k minimizing ||x - ref * q||_F.
+    """Column signs q in {-1, +1}^k minimizing ||xa - ra * q||_F.
 
     The objective separates over columns, so q_k is the sign of the inner
     product of the k-th columns, with exact ties resolved to +1.
     """
-    return _signs(*_frame_pair(x, ref))
+    return np.where((xa * ra).sum(axis=-2) >= 0, 1.0, -1.0)
 
 
 def frame_distance(x, ref) -> float:
@@ -111,16 +107,12 @@ def frame_distance(x, ref) -> float:
     Minimum of ||x - ref @ diag(q)||_F over all column sign flips q.
     Always in [0, sqrt(2k)].
     """
-    return aligned_distance(*_frame_pair(x, ref))
-
-
-def aligned_distance(xa: np.ndarray, ra: np.ndarray) -> float:
-    """frame_distance of two validated frame arrays of equal shape."""
+    xa, ra = _frame_pair(x, ref)
     return fro_norm(xa - ra * _signs(xa, ra))
 
 
 def aligned_distances(stack: np.ndarray, ra: np.ndarray) -> np.ndarray:
-    """aligned_distance of each frame of a (B, d, k) stack from one frame array."""
+    """frame_distance of each frame of a (B, d, k) stack from one frame array."""
     return fro_norms(stack - ra * _signs(stack, ra)[:, None, :])
 
 
@@ -129,9 +121,7 @@ def sin_theta_distance(x, ref) -> float:
 
     Computed as ||(I - X X.T) ref||_F, which stays accurate near zero.
     """
-    xa, ra = frame_array(x), frame_array(ref)
-    if xa.shape != ra.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {ra.shape}")
+    xa, ra = _frame_pair(x, ref)
     residual = ra - xa @ (xa.T @ ra)
     return float(np.linalg.norm(residual))
 

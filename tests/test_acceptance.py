@@ -14,7 +14,7 @@ import pytest
 from hppca import (ExperimentSpec, NoiseGroups, NoiseKind, PopulationProblem,
                    RngStream, SolverConfig, StiefelPoint, Termination, build_problem,
                    build_residuals, davis_kahan_check, expected_covariance,
-                   fixed_point_gap, fixed_point_residual, frame_distance, gpm_solve,
+                   fixed_point_residual, frame_distance, gpm_solve,
                    pca_init, random_stiefel, riemannian_gradient, sample_dataset)
 from hppca.diagnostics import critical_point, residual_norms
 from hppca.experiments import count_trend_violations, fitted_rate, run_robustness
@@ -105,9 +105,11 @@ def test_criterion_04_fixed_point_certificate(population_50, qpoc_runs):
         for run in qpoc_runs[:2] if run.termination is Termination.RESIDUAL
     )
     converged_runs = sum(run.termination is Termination.RESIDUAL for run in qpoc_runs[:2])
+    # Row 0 of a trace is the nuclear gap at the starting frame.
+    no_steps = SolverConfig(alpha=0.05, max_iters=0)
     random_ok = all(
-        fixed_point_gap(population, random_stiefel(50, 3, RngStream(31000 + i)), 0.05)
-        >= -1e-10
+        gpm_solve(population, random_stiefel(50, 3, RngStream(31000 + i)), no_steps)
+        .trace.fixed_point_gap[0] >= -1e-10
         for i in range(500)
     )
     _report(4, "nuclear gap at most 1e-8 at residual-converged terminal points and "

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hppca
 from hppca.cli import build_parser, main, read_config, resolve_spec
 from hppca.solver import TRACE_HEADER, csv_cell
 
@@ -125,6 +129,15 @@ def test_robustness_without_trials_is_a_one_line_error(trials, tmp_path, capsys)
     assert run_cli("robustness", "--trials", trials, "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: need at least one trial per sweep level\n"
     assert not (out / "robustness.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "solve --alpha nan", "solve --max-iters -1", "solve --init file:/nonexistent/x.npy",
+    "solve --tol-step 0", "robustness --levels 0", "diagnose --alpha -1"])
+def test_rejected_run_leaves_no_output_directory(argv, tmp_path):
+    out = tmp_path / "rejected"
+    assert run_cli(*argv.split(), "--d", "20", "--sizes", "30,90", "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_diagnose_command_deterministic(tmp_path):
@@ -404,3 +417,22 @@ def test_data_rejects_shape_settings_from_flags_and_config(small_dataset, tmp_pa
     assert capsys.readouterr().err.startswith(
         "error: lambdas (in --config) cannot be used with --data")
     assert not out.exists()
+
+
+def test_solve_agrees_across_blas_thread_counts(tmp_path):
+    # Outputs are byte-identical per seed only for one BLAS build and thread
+    # count; across thread counts the rounding differs, but not the solve.
+    path = os.pathsep.join([str(Path(hppca.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "hppca.cli", "solve", "--seed", "0",
+                        "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=300)
+        summary = dict(line.split("=", 1) for line in (out / "summary.txt").read_text().split())
+        runs.append((summary, np.load(out / "x_final.npy")))
+    (one, x_one), (two, x_two) = runs
+    assert (one["termination"], one["iterations"]) == (two["termination"], two["iterations"])
+    assert np.max(np.abs(x_one - x_two)) <= 1e-12

@@ -3,15 +3,13 @@ import pytest
 
 from hppca import (NoiseGroups, NoiseKind, PopulationProblem, ResidualSet, RngStream,
                    build_problem, build_residuals, davis_kahan_check,
-                   error_bound_samples, estimate_error_bound_factor,
-                   estimate_quadratic_growth, expected_covariance, frame_distance,
+                   error_bound_samples, expected_covariance, frame_distance,
                    gpm_solve, optimum_distance_bound, orthogonal_completion, pca_init,
                    residual_norms, riemannian_gradient, run_diagnostics,
                    sample_dataset, SolverConfig)
 import hppca.diagnostics as diagnostics
 from hppca import growth_ratio_samples, project_stiefel
-from hppca.diagnostics import (CHUNK, _near_chunks, critical_point, report_text,
-                               sample_near, write_report)
+from hppca.diagnostics import CHUNK, _near_chunks, critical_point, report_text, write_report
 
 from conftest import make_model, make_population
 from oracles import (jacobi_eigh, population_critical_values,
@@ -78,8 +76,19 @@ def test_critical_point_validation(pop20):
         critical_point(pop20, (0, 1), (1.0, 1.0), RngStream(5))
 
 
+def _growth_rate(population, n_samples, radius, rng) -> float:
+    """Quadratic growth constant: the least sampled growth ratio."""
+    near, far = growth_ratio_samples(population, n_samples, radius, rng)
+    return float(np.min(np.concatenate([near, far])[:, 1]))
+
+
+def _error_bound_factor(population, alpha, n_samples, radius, rng) -> float:
+    """Error-bound constant: the largest sampled error-bound ratio."""
+    return float(np.max(error_bound_samples(population, alpha, n_samples, radius, rng)[:, 1]))
+
+
 def test_quadratic_growth_estimate_positive(pop20):
-    growth = estimate_quadratic_growth(pop20, 500, 0.3, RngStream(6))
+    growth = _growth_rate(pop20, 500, 0.3, RngStream(6))
     assert growth > 0
 
 
@@ -111,8 +120,8 @@ def test_error_bound_samples_all_finite(pop20):
 
 
 def test_error_bound_factor_stable_across_batches(pop20):
-    first = estimate_error_bound_factor(pop20, 0.05, 500, 0.3, RngStream(8))
-    second = estimate_error_bound_factor(pop20, 0.05, 500, 0.3, RngStream(9))
+    first = _error_bound_factor(pop20, 0.05, 500, 0.3, RngStream(8))
+    second = _error_bound_factor(pop20, 0.05, 500, 0.3, RngStream(9))
     assert first <= 2.0 * second and second <= 2.0 * first
 
 
@@ -123,11 +132,11 @@ def test_error_bound_radius_validation(pop20):
 
 def test_sample_near_respects_radius(pop20):
     gen = RngStream(10).generator()
-    for _ in range(50):
-        point = sample_near(pop20.q_truth, 0.25, gen)
-        assert frame_distance(point, pop20.q_truth) <= 0.25
+    for frames, _ in _near_chunks(pop20.q_truth, 0.25, gen, 50):
+        for frame in frames:
+            assert frame_distance(frame, pop20.q_truth) <= 0.25
     with pytest.raises(ValueError, match="max_tries"):
-        sample_near(pop20.q_truth, 0.25, gen, max_tries=0)
+        next(_near_chunks(pop20.q_truth, 0.25, gen, 1, max_tries=0))
 
 
 @pytest.mark.parametrize("d, seed", [(20, 0), (20, 1), (100, 2)])
@@ -252,7 +261,7 @@ def test_final_iterate_within_distance_bound(ref_lambdas, ref_groups):
         problem = build_problem(ds, ref_lambdas)
         population = PopulationProblem.from_model(model, ref_groups)
         norms = residual_norms(build_residuals(problem, population))
-        growth = estimate_quadratic_growth(population, 300, 0.3, RngStream(600 + seed, 3))
+        growth = _growth_rate(population, 300, 0.3, RngStream(600 + seed, 3))
         bound = optimum_distance_bound(float(np.max(norms)), growth, 3)
         result = gpm_solve(problem, pca_init(ds), SolverConfig())
         if frame_distance(result.x_final, model.q_truth) <= bound:
@@ -361,11 +370,7 @@ def test_run_diagnostics_shares_the_estimators_checks(ref_lambdas, monkeypatch):
     monkeypatch.setattr(diagnostics, "ZERO_DIST", 10.0)
     with pytest.raises(RuntimeError, match="no usable growth samples"):
         run_diagnostics(model, groups, ds, n_samples=5)
-    with pytest.raises(RuntimeError, match="no usable growth samples"):
-        estimate_quadratic_growth(population, 5, 0.3, RngStream(0))
     monkeypatch.setattr(diagnostics, "ZERO_DIST", 1e-6)
     monkeypatch.setattr(diagnostics, "ZERO_RESIDUAL", np.inf)
     with pytest.raises(RuntimeError, match="no usable error-bound samples"):
         run_diagnostics(model, groups, ds, n_samples=5)
-    with pytest.raises(RuntimeError, match="no usable error-bound samples"):
-        estimate_error_bound_factor(population, 0.05, 5, 0.3, RngStream(0))

@@ -5,16 +5,9 @@ import pytest
 
 from hppca import ExperimentSpec, NoiseKind
 from hppca.experiments import (count_trend_violations, fitted_rate,
-                               iterations_to_reach, moving_average, robustness_csv,
+                               iterations_to_reach, robustness_csv,
                                run_convergence, run_diagnose, run_robustness,
                                svg_line_chart, sweep_variances)
-
-
-def test_moving_average_basic():
-    out = moving_average([4.0, 2.0, 0.0], window=2)
-    assert np.allclose(out, [3.0, 1.0])
-    with pytest.raises(ValueError):
-        moving_average([1.0], window=2)
 
 
 def test_count_trend_violations_synthetic():
@@ -26,6 +19,12 @@ def test_count_trend_violations_synthetic():
     # Tiny wiggles below the slack do not count.
     wiggly = falling + 0.001 * np.sin(np.arange(50))
     assert count_trend_violations(wiggly) == 0
+    # The window-2 average of [4, 0, 2, 0] is [2, 1, 1]: the raw rise is gone.
+    assert count_trend_violations([4.0, 0.0, 2.0, 0.0], window=2) == 0
+    assert count_trend_violations([4.0, 0.0, 2.0, 0.0], window=1) == 1
+    for window in (0, 2):
+        with pytest.raises(ValueError, match="window"):
+            count_trend_violations([1.0], window=window)
 
 
 def test_fitted_rate_on_synthetic_decay():

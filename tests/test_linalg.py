@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hppca import (PowerIterationError, RngStream, operator_norm, random_gaussian,
-                   random_uniform_sym, sym_eig_topk, thin_svd)
+from hppca import (PowerIterationError, RngStream, operator_norm, project_stiefel,
+                   random_gaussian, sym_eig_topk, thin_svd)
 from hppca.linalg import as_matrix, check_symmetric, fro_norm, fro_norms, symmetrize
 
 from oracles import jacobi_eigh
@@ -101,6 +101,33 @@ def test_thin_svd_accepts_finite_input_whose_norm_overflows():
         thin_svd(np.array([[np.inf, 0.0], [0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_thin_svd_checks_huge_finite_input_without_warning(monkeypatch, stacked):
+    m = np.arange(1.0, 11.0).reshape(5, 2)
+    m[3, 1] = 1e200
+    if stacked:
+        m = np.stack([np.eye(5, 2), m])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = thin_svd(m)
+        assert np.all(np.abs(f.reconstruct() - m) <= 1e-14 * 1e200)
+        if not stacked:
+            assert project_stiefel(m).k == 2
+        svd = np.linalg.svd
+
+        def doubled_sigma(a, **kwargs):
+            u, sigma, vt = svd(a, **kwargs)
+            return u, 2.0 * sigma, vt
+
+        # A norm beyond the float range, or a wrong factorization of a huge
+        # matrix, still fails a test.
+        with pytest.raises(ValueError, match="exceeds the floating-point range"):
+            thin_svd(np.full_like(m, 1.7e308))
+        monkeypatch.setattr(np.linalg, "svd", doubled_sigma)
+        with pytest.raises(RuntimeError, match="reconstruction residual"):
+            thin_svd(m)
+
+
 def test_fro_norm_is_bit_identical_to_numpy():
     base = random_gaussian(40, 7, RngStream(13))
     for a in (base, base.T, base[::3, 1:5], base[:, :1], np.zeros((2, 2))):
@@ -190,20 +217,6 @@ def test_random_gaussian_moments():
 def test_random_gaussian_rejects_bad_dimensions():
     with pytest.raises(ValueError):
         random_gaussian(3, 0, RngStream(0))
-
-
-def test_random_uniform_sym_variance_and_support():
-    half_width = np.sqrt(3.0)
-    draws = random_uniform_sym(100, 100, half_width, RngStream(9))
-    assert abs(draws.var() - 1.0) < 0.1
-    assert np.all(np.abs(draws) <= half_width)
-    again = random_uniform_sym(100, 100, half_width, RngStream(9))
-    assert np.array_equal(draws, again)
-
-
-def test_random_uniform_sym_rejects_nonpositive_width():
-    with pytest.raises(ValueError):
-        random_uniform_sym(2, 2, 0.0, RngStream(0))
 
 
 def test_rng_stream_validation():

@@ -6,8 +6,8 @@ import pytest
 
 from hppca import (HppcaProblem, NoiseGroups, NoiseKind, PopulationProblem, RngStream,
                    StiefelPoint, build_problem, build_residuals, build_weights,
-                   gpm_map, random_stiefel, riemannian_gradient, sample_dataset,
-                   sym_eig_topk)
+                   fixed_point_residual, random_stiefel, riemannian_gradient,
+                   sample_dataset, sym_eig_topk)
 from hppca.stiefel import project_stiefel
 
 from conftest import make_model
@@ -244,13 +244,13 @@ def test_gpm_map_population_cases(ref_lambdas, ref_groups):
     population = PopulationProblem.from_model(model, ref_groups)
     q = model.q_truth
     alpha = 0.05
-    mapped = gpm_map(population, q, alpha)
+    mapped = alpha * q.x + population.columnwise_map(q)
     scales = ref_lambdas * population.gains + alpha
     assert np.allclose(mapped, q.x * scales[None, :], atol=1e-12)
-    no_step = gpm_map(population, q, 0.0)
+    no_step = 0.0 * q.x + population.columnwise_map(q)
     assert np.allclose(no_step, q.x * (ref_lambdas * population.gains)[None, :], atol=1e-12)
-    with pytest.raises(ValueError):
-        gpm_map(population, q, -0.1)
+    with pytest.raises(ValueError, match="step weight must be nonnegative"):
+        fixed_point_residual(population, q, -0.1)
 
 
 def test_gpm_map_decomposes_linearly(ref_lambdas, ref_groups):
@@ -263,8 +263,8 @@ def test_gpm_map_decomposes_linearly(ref_lambdas, ref_groups):
     alpha = 0.05
     residual_columns = np.column_stack(
         [residuals.deltas[k] @ x.x[:, k] for k in range(3)])
-    lhs = gpm_map(problem, x, alpha)
-    rhs = gpm_map(population, x, alpha) + residual_columns
+    lhs = alpha * x.x + problem.columnwise_map(x)
+    rhs = alpha * x.x + population.columnwise_map(x) + residual_columns
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 

@@ -3,13 +3,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hppca import (GroupedDataset, NoiseGroups, NoiseKind, PopulationProblem,
                    RngStream, SolverConfig, Termination, build_problem,
-                   expected_covariance, fixed_point_gap, fixed_point_residual,
-                   frame_distance, gpm_solve, gpm_step, pca_init, random_stiefel,
+                   expected_covariance, fixed_point_residual,
+                   frame_distance, gpm_solve, pca_init, random_stiefel,
                    read_trace_csv, riemannian_gradient, sample_dataset, trace_csv,
                    write_trace_csv)
 from hppca.diagnostics import critical_point
@@ -19,7 +19,7 @@ from hppca.problem import HppcaProblem
 from hppca.solver import TRACE_DTYPE, TRACE_HEADER, csv_cell
 
 from conftest import make_model, make_population
-from oracles import plain_gpm, plain_trace
+from oracles import plain_gpm, plain_trace, reference_sample_near
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +27,18 @@ def pop50(ref_lambdas, ref_groups):
     return make_population(50, ref_lambdas, ref_groups, seed=42)
 
 
+def _gpm_step(problem, x, alpha: float):
+    """One solver update from x: the polar factor of alpha * X + M(X)."""
+    return gpm_solve(problem, x, SolverConfig(alpha=alpha, max_iters=1)).x_final
+
+
+def _fixed_point_gap(problem, x, alpha: float) -> float:
+    """The nuclear gap at x, row 0 of a solve's trace."""
+    return gpm_solve(problem, x, SolverConfig(alpha=alpha, max_iters=0)).trace.fixed_point_gap[0]
+
+
 def test_gpm_step_fixes_the_truth(pop50):
-    stepped = gpm_step(pop50, pop50.q_truth, alpha=0.05)
+    stepped = _gpm_step(pop50, pop50.q_truth, alpha=0.05)
     assert np.linalg.norm(stepped.x - pop50.q_truth.x) <= 1e-12
 
 
@@ -43,7 +53,7 @@ def test_gpm_step_fixes_every_critical_point(ref_lambdas, ref_groups):
     signs = [(1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, -1.0, -1.0)]
     for i, sel in enumerate(selections):
         point = critical_point(population, sel, signs[i % 4], RngStream(99))
-        stepped = gpm_step(population, point, alpha=0.05)
+        stepped = _gpm_step(population, point, alpha=0.05)
         assert np.linalg.norm(stepped.x - point.x) <= 1e-10
         assert fixed_point_residual(population, point, 0.05) <= 1e-10
 
@@ -52,7 +62,7 @@ def test_gpm_step_alpha_zero_is_pure_power_step(pop50):
     from hppca.stiefel import project_stiefel
 
     x = random_stiefel(50, 3, RngStream(3))
-    stepped = gpm_step(pop50, x, alpha=0.0)
+    stepped = _gpm_step(pop50, x, alpha=0.0)
     direct = project_stiefel(pop50.columnwise_map(x))
     assert np.allclose(stepped.x, direct.x, atol=1e-13)
 
@@ -60,17 +70,15 @@ def test_gpm_step_alpha_zero_is_pure_power_step(pop50):
 def test_fixed_point_residual_zero_at_truth_positive_nearby(pop50):
     assert fixed_point_residual(pop50, pop50.q_truth, 0.05) <= 1e-10
     gen = RngStream(4).generator()
-    from hppca.diagnostics import sample_near
-
-    near = sample_near(pop50.q_truth, 0.1, gen)
+    near = reference_sample_near(pop50.q_truth, 0.1, gen)
     assert fixed_point_residual(pop50, near, 0.05) > 0
 
 
 def test_fixed_point_gap_nonnegative_at_500_random_points(pop50):
-    assert fixed_point_gap(pop50, pop50.q_truth, 0.05) <= 1e-10
+    assert _fixed_point_gap(pop50, pop50.q_truth, 0.05) <= 1e-10
     for seed in range(500):
         x = random_stiefel(50, 3, RngStream(5000 + seed))
-        assert fixed_point_gap(pop50, x, 0.05) >= -1e-10
+        assert _fixed_point_gap(pop50, x, 0.05) >= -1e-10
 
 
 def test_solve_population_from_exact_spectral_start(pop50, ref_groups, ref_lambdas):
@@ -399,6 +407,8 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True
 @settings(deadline=None)
 @given(iteration=st.integers(min_value=0, max_value=10**9),
        cells=st.tuples(*[_ANY_FLOAT] * 8))
+# A finite wall time whose milliseconds overflow to inf.
+@example(iteration=0, cells=(0.0,) * 7 + (1.797693134862316e305,))
 def test_trace_row_template_matches_csv_cell(iteration, cells):
     objective, pop_value, dist, step, residual, gap, _, wall_time = cells
     trace = np.rec.fromrecords([(iteration, *cells)], dtype=TRACE_DTYPE)
