@@ -100,8 +100,8 @@ def main() -> int:
         moved_ok = fast.termination is plain.termination or (
             plain.termination is Termination.MAX_ITERS
             and fast.termination is Termination.RESIDUAL)
-        residual_ok = fast.termination is not Termination.RESIDUAL or \
-            fixed_point_residual(problem, fast.x_final, 0.05) <= 1e-10
+        residual_ok = fast.termination is not Termination.RESIDUAL or fixed_point_residual(
+            problem, fast.x_final, SolverConfig.alpha) <= SolverConfig.tol_residual
         ok = (reference.termination is Termination.RESIDUAL and d_fast <= 1e-7
               and d_fast <= d_plain + 1e-9 and moved_ok and residual_ok)
         outcomes.append(Outcome(group, ok, fast.termination is Termination.RESIDUAL, d_plain,

@@ -11,8 +11,8 @@ initialization against its eigengap bound.
 
 from types import ModuleType as _ModuleType
 
-from .linalg import (PowerIterationError, RngStream, ThinSvd, operator_norm,
-                     random_gaussian, sym_eig_topk, thin_svd)
+from .linalg import (RngStream, ThinSvd, operator_norm, random_gaussian, sym_eig_topk,
+                     thin_svd)
 from .stiefel import (StiefelPoint, frame_distance, project_stiefel, random_stiefel,
                       sin_theta_distance)
 from .model import (GroupedDataset, NoiseGroups, NoiseKind, SignalModel, draw_noise,

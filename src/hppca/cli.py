@@ -72,8 +72,8 @@ _FLAGS = {
     "svg": dict(action="store_true", help="also render SVG charts"),
 }
 
-# The shared flags each subcommand reads; argparse rejects the others. The
-# keys of a --config file stay shared by every subcommand.
+# The shared flags each subcommand reads; argparse rejects the others, and
+# resolve_spec rejects a --config key that names none of them.
 _MODEL = ("seed", "out", "config", "d", "k", "sizes", "variances", "lambdas", "noise")
 _SOLVER = ("alpha", "max_iters", "tol_step", "tol_residual")
 _COMMAND_FLAGS = {
@@ -143,9 +143,9 @@ def resolve_spec(args) -> tuple[ExperimentSpec, dict[str, str]]:
     settings = dict(defaults)
     if getattr(args, "config", None):
         file_values = read_config(args.config)
-        unknown = set(file_values) - set(defaults)
+        unknown = set(file_values) - (set(defaults) & set(_COMMAND_FLAGS[args.command]))
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         settings.update(file_values)
     for key in defaults:
         value = getattr(args, key, None)

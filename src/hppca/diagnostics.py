@@ -20,11 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import CHUNK, RngStream, check_symmetric, fro_norms, operator_norm, symmetrize
+from .linalg import CHUNK, RngStream, check_symmetric, fro_norms, operator_norm
 from .model import (GroupedDataset, NoiseGroups, SignalModel, expected_covariance,
                     sample_covariance)
 from .problem import PopulationProblem, ResidualSet, build_problem, build_residuals
-from .solver import fixed_point_residuals, pca_init
+from .solver import SolverConfig, fixed_point_residuals, pca_init
 from .stiefel import StiefelPoint, aligned_distances, frame_distance, project_frames
 
 # Distances below this are treated as "at the optimum" when forming ratios.
@@ -218,27 +218,21 @@ class DavisKahanCheck(NamedTuple):
     holds: bool
 
 
-def davis_kahan_check(model: SignalModel, groups: NoiseGroups, data,
-                      eigengaps=None, tol: float = 1e-9) -> DavisKahanCheck:
+def davis_kahan_check(model: SignalModel, groups: NoiseGroups, data) -> DavisKahanCheck:
     """Check the spectral initialization against its eigengap bound.
 
-    ``data`` is a grouped dataset or a covariance matrix. Eigengaps
-    default to min(lambda_{j-1} - lambda_j, lambda_j - lambda_{j+1}) with
-    the strengths extended by +inf above and 0 below.
+    ``data`` is a grouped dataset or a covariance matrix. The eigengaps
+    are min(lambda_{j-1} - lambda_j, lambda_j - lambda_{j+1}) with the
+    strengths extended by +inf above and 0 below; they are positive
+    because SignalModel's strengths are positive and strictly decreasing.
     """
     if isinstance(data, GroupedDataset):
         cov = sample_covariance(data)
     else:
         cov = check_symmetric(data, "covariance")
-    expected = expected_covariance(model, groups)
-    diff = cov - expected
-    deviation = float(np.sqrt(max(operator_norm(symmetrize(diff @ diff), tol), 0.0)))
-    if eigengaps is None:
-        padded = np.concatenate([[np.inf], model.lambdas, [0.0]])
-        eigengaps = np.minimum(padded[:-2] - padded[1:-1], padded[1:-1] - padded[2:])
-    gaps = np.asarray(eigengaps, dtype=np.float64)
-    if gaps.shape != (model.k,) or np.any(gaps <= 0):
-        raise ValueError("need one positive eigengap per column")
+    deviation = operator_norm(cov - expected_covariance(model, groups))
+    padded = np.concatenate([[np.inf], model.lambdas, [0.0]])
+    gaps = np.minimum(padded[:-2] - padded[1:-1], padded[1:-1] - padded[2:])
     per_column = 2.0**1.5 * deviation / gaps
     rhs = float(np.sum(per_column**2))
     init = pca_init(cov, k=model.k)
@@ -290,7 +284,7 @@ class RatioSamples:
 
 
 def run_diagnostics(model: SignalModel, groups: NoiseGroups, dataset: GroupedDataset,
-                    alpha: float = 0.05, n_samples: int = 500, radius: float = 0.3,
+                    alpha: float = SolverConfig.alpha, n_samples: int = 500, radius: float = 0.3,
                     rng: RngStream = RngStream(0, 0), zero_residual: bool = False,
                     ) -> tuple[DiagnosticsReport, RatioSamples]:
     """Assemble the full report for one model setting and dataset.

@@ -45,10 +45,10 @@ class ExperimentSpec:
     sizes: tuple[int, ...] = (200, 800)
     variances: tuple[float, ...] = (1.0, 6.0)
     lambdas: tuple[float, ...] = (5.0, 3.5, 2.0)
-    alpha: float = 0.05
-    max_iters: int = 5000
-    tol_step: float = 1e-12
-    tol_residual: float = 1e-10
+    alpha: float = SolverConfig.alpha
+    max_iters: int = SolverConfig.max_iters
+    tol_step: float = SolverConfig.tol_step
+    tol_residual: float = SolverConfig.tol_residual
     seed: int = 0
     trials: int = 20
     levels: int = 6
@@ -84,14 +84,15 @@ def count_trend_violations(values, window: int = 5, slack_fraction: float = 0.01
     return int(np.sum(np.diff(ma) > slack))
 
 
-def fitted_rate(gaps, burn_in: int = 10, floor_rel: float = 1e-12) -> float | None:
+def fitted_rate(gaps) -> float | None:
     """Least-squares geometric decay rate of a gap sequence.
 
-    Fits log(gap) against iteration over the segment after ``burn_in``
-    where the gap is still above floor_rel times its starting value, and
-    returns exp(slope). None when fewer than three points qualify (for
-    example when the run starts at the optimum).
+    Fits log(gap) against iteration over the segment after the first 10
+    iterations where the gap is still above 1e-12 times its starting
+    value, and returns exp(slope). None when fewer than three points
+    qualify (for example when the run starts at the optimum).
     """
+    burn_in, floor_rel = 10, 1e-12
     arr = np.asarray(gaps, dtype=np.float64)
     positive = arr[np.isfinite(arr) & (arr > 0)]
     if positive.size == 0:
@@ -187,13 +188,14 @@ def run_convergence(spec: ExperimentSpec, population_mode: bool = False) -> Conv
     return out
 
 
-def sweep_variances(sweep: str, level: int,
-                    base: tuple[float, float] = (0.1, 0.6)) -> tuple[float, float]:
-    """Noise-variance pair for one sweep level (levels are 0-based).
+def sweep_variances(sweep: str, level: int) -> tuple[float, float]:
+    """Noise-variance pair for one sweep level (levels are 0-based), from
+    the level-0 pair (0.1, 0.6).
 
     noise sweep:          scale both variances by (1 + level / 10);
     heterogeneity sweep:  keep the first, raise the second by level / 10.
     """
+    base = (0.1, 0.6)
     if level < 0:
         raise ValueError("level must be nonnegative")
     if sweep == "noise":
@@ -304,17 +306,12 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def svg_line_chart(series: dict[str, tuple], title: str = "", x_label: str = "",
-                   y_label: str = "", log_y: bool = False,
-                   width: int = 640, height: int = 420) -> str:
-    """Minimal static SVG line chart; one polyline per named series."""
-    margin = 56
+                   y_label: str = "") -> str:
+    """Minimal static SVG line chart, 640 by 420 on a linear scale; one
+    polyline per named series."""
+    width, height, margin = 640, 420, 56
     xs_all = np.concatenate([np.asarray(xs, dtype=np.float64) for xs, _ in series.values()])
     ys_all = np.concatenate([np.asarray(ys, dtype=np.float64) for _, ys in series.values()])
-    if log_y:
-        ys_all = ys_all[ys_all > 0]
-        if ys_all.size == 0:
-            raise ValueError("log scale needs positive values")
-        ys_all = np.log10(ys_all)
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     x_span = (x_hi - x_lo) or 1.0
@@ -343,16 +340,13 @@ def svg_line_chart(series: dict[str, tuple], title: str = "", x_label: str = "",
         f'<text x="{width - margin}" y="{height - margin + 16}" text-anchor="end" '
         f'font-size="10">{x_hi:.4g}</text>',
         f'<text x="{margin - 4}" y="{height - margin}" text-anchor="end" '
-        f'font-size="10">{(10 ** y_lo if log_y else y_lo):.4g}</text>',
+        f'font-size="10">{y_lo:.4g}</text>',
         f'<text x="{margin - 4}" y="{margin + 4}" text-anchor="end" '
-        f'font-size="10">{(10 ** y_hi if log_y else y_hi):.4g}</text>',
+        f'font-size="10">{y_hi:.4g}</text>',
     ]
     for i, (name, (xs, ys)) in enumerate(series.items()):
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        if log_y:
-            keep = ys > 0
-            xs, ys = xs[keep], np.log10(ys[keep])
         pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(xs, ys))
         color = _COLORS[i % len(_COLORS)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

@@ -5,8 +5,6 @@ dense problems: up to a few thousand rows with a small number of columns.
 The singular value and symmetric eigenvalue routines are thin wrappers
 around LAPACK that enforce the contracts the rest of the package relies
 on (orthonormal factors, sorted spectra, exact reconstruction bounds).
-The operator norm is an explicit power iteration so it stays independent
-of the eigendecomposition path and can be cross-checked against it.
 """
 
 from __future__ import annotations
@@ -28,14 +26,6 @@ HUGE_SIGMA = 1e150
 # Most frames in any temporary (B, d, k) stack: the diagnostics samplers'
 # chunks of random frames and the solver's buffer of iterates.
 CHUNK = 64
-
-# Internal entropy for the deterministic power-iteration start vector.
-_POWER_START_ENTROPY = 0x5D2C0F1A
-
-
-class PowerIterationError(RuntimeError):
-    """Raised when power iteration does not reach its tolerance in time."""
-
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate ``m`` as a dense 2-d float64 matrix with finite entries."""
@@ -253,33 +243,7 @@ def sym_eig_topk(s, k: int) -> tuple[np.ndarray, np.ndarray]:
     return values[order].copy(), vectors[:, order].copy()
 
 
-def operator_norm(s, tol: float = 1e-9, max_iters: int = 20000) -> float:
-    """Largest eigenvalue of a symmetric positive semidefinite matrix.
-
-    Power iteration from a deterministic seeded start vector. Convergence
-    is declared when the eigenpair residual ||s v - lam v|| drops below
-    tol * lam; if that never happens within max_iters a
-    PowerIterationError is raised. For an indefinite symmetric matrix,
-    apply this to its square and take a square root.
-    """
-    mat = check_symmetric(s)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    d = mat.shape[0]
-    start = np.random.SeedSequence(entropy=_POWER_START_ENTROPY, spawn_key=(d,))
-    v = np.random.Generator(np.random.PCG64(start)).standard_normal(d)
-    v /= np.linalg.norm(v)
-    for iteration in range(max_iters):
-        w = mat @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        lam = float(v @ w)
-        # Require one full power step before trusting the residual test,
-        # so the seeded start cannot satisfy it by accident.
-        if iteration >= 1 and np.linalg.norm(w - lam * v) <= tol * max(abs(lam), 1e-30):
-            return max(lam, 0.0)
-        v = w / norm_w
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iters} iterations (tol {tol:g})"
-    )
+def operator_norm(s) -> float:
+    """Spectral norm of a symmetric, possibly indefinite matrix: its largest
+    eigenvalue magnitude, from one symmetric eigensolve."""
+    return float(np.abs(np.linalg.eigvalsh(check_symmetric(s))).max())

@@ -153,16 +153,15 @@ def test_diagnose_command_deterministic(tmp_path):
 
 def test_runtime_error_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     import hppca.diagnostics as diagnostics
-    from hppca import PowerIterationError
 
-    def stalled(*args, **kwargs):
-        raise PowerIterationError("power iteration did not converge in 3 iterations")
+    def failing(*args, **kwargs):
+        raise RuntimeError("eigensolver did not converge")
 
-    monkeypatch.setattr(diagnostics, "operator_norm", stalled)
+    monkeypatch.setattr(diagnostics, "operator_norm", failing)
     code = run_cli("diagnose", "--d", "20", "--sizes", "30,90", "--out", str(tmp_path))
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "error: power iteration did not converge in 3 iterations\n"
+    assert err == "error: eigensolver did not converge\n"
 
 
 def test_diagnose_zero_residual(tmp_path):
@@ -180,7 +179,6 @@ def test_config_file_and_flag_precedence(tmp_path):
         "d = 18\n"
         "sizes = 20,60\n"
         "seed = 9\n"
-        "max_iters = 40\n"
     )
     out = tmp_path / "cfg"
     assert run_cli("generate", "--config", str(config), "--out", str(out)) == 0
@@ -192,6 +190,9 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert run_cli("generate", "--config", str(config), "--d", "22",
                    "--out", str(out2)) == 0
     assert '"d": 22' in (out2 / "dataset" / "meta.json").read_text()
+    # A setting generate does not read is rejected, not ignored.
+    config.write_text("max_iters = 40\n")
+    assert run_cli("generate", "--config", str(config), "--out", str(tmp_path / "cfg3")) == 2
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -199,6 +200,20 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     config.write_text("dee = 18\n")
     assert run_cli("generate", "--config", str(config), "--out", str(tmp_path)) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("convergence", "init = random\ntrials = 3\n"),
+    ("robustness", "variances = 1,2\n"),
+])
+def test_config_file_rejects_keys_the_subcommand_does_not_read(tmp_path, capsys, command,
+                                                                 lines):
+    config = tmp_path / "other.cfg"
+    config.write_text(lines)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(config), "--out", str(out)) == 2
+    assert f"unknown config keys for {command}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_read_config_parsing(tmp_path):
