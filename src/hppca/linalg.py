@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,9 +35,13 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {out.shape}")
     if out.shape[0] == 0 or out.shape[1] == 0:
         raise ValueError(f"{name} must have positive dimensions, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} has non-finite entries")
+    _check_finite(out, name)
     return out
+
+
+def _check_finite(a: np.ndarray, name: str = "matrix") -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -72,7 +77,7 @@ def matrix_transpose(a: np.ndarray) -> np.ndarray:
 
 def orthonormality_defect(a: np.ndarray) -> float:
     """||a.T a - I||_F; NaN when ``a`` has a non-finite entry."""
-    return fro_norm(a.T @ a - _identity(a.shape[1]))
+    return fro_norm(a.T.dot(a) - _identity(a.shape[1]))
 
 
 def orthonormality_defects(stack: np.ndarray) -> np.ndarray:
@@ -136,18 +141,30 @@ class ThinSvd(NamedTuple):
     u has orthonormal columns (d-by-k), v is k-by-k orthogonal and sigma
     is nonnegative and nonincreasing. The SVD of a (B, d, k) stack holds
     one such factorization per matrix: u (B, d, k), sigma (B, k), v (B, k, k).
+    thin_svd of one matrix also carries the polar factors m = p @ h; without
+    them (a stack, or u, sigma and v alone) the methods form them.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
+    p: np.ndarray | None = None
+    h: np.ndarray | None = None
 
     def reconstruct(self) -> np.ndarray:
         return self.u @ (self.sigma[..., None] * matrix_transpose(self.v))
 
     def polar_factor(self) -> np.ndarray:
         """Orthonormal polar factor u @ v.T, the closest orthonormal frame."""
+        if self.p is not None:
+            return self.p
         return self.u @ matrix_transpose(self.v)
+
+    def symmetric_factor(self) -> np.ndarray:
+        """Symmetric polar factor v @ diag(sigma) @ v.T."""
+        if self.h is not None:
+            return self.h
+        return self.v @ (self.sigma[..., None] * matrix_transpose(self.v))
 
 
 def thin_svd(m) -> ThinSvd:
@@ -156,27 +173,37 @@ def thin_svd(m) -> ThinSvd:
 
     The input must be finite and the factors must meet the orthonormality
     and reconstruction tolerances; every tolerance test fails on NaN. A
-    stack passes only if each of its matrices passes every test.
+    stack passes only if each of its matrices passes every test. One matrix
+    has its polar factors p, h formed once and tested as ||p @ h - m||_F; its
+    entries are scanned for a non-finite one only when ||m||_F is not finite.
     """
     if getattr(m, "ndim", 2) == 3:
         return _thin_svd_stack(np.asarray(m, dtype=np.float64))
-    mat = as_matrix(m)
-    if mat.shape[0] < mat.shape[1]:
-        raise ValueError(f"need at least as many rows as columns, got shape {mat.shape}")
-    u, sigma, vt = np.linalg.svd(mat, full_matrices=False)
-    f = ThinSvd(u=u, sigma=sigma, v=vt.T)
+    mat = np.asarray(m, dtype=np.float64)
+    if mat.ndim != 2 or not 0 < mat.shape[1] <= mat.shape[0]:
+        raise ValueError(f"need a nonempty matrix with at least as many rows as columns, "
+                         f"got shape {mat.shape}")
+    try:
+        u, sigma, vt = np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError:
+        _check_finite(mat)
+        raise
+    s = sigma.tolist()
+    scale = _norm_scale(sigma[0]) if s[0] > HUGE_SIGMA else None
+    norm = fro_norm(mat if scale is None else mat * scale)
+    if not math.isfinite(norm):
+        _check_finite(mat)
+    v = vt.T
+    f = ThinSvd(u=u, sigma=sigma, v=v, p=u @ vt, h=v @ (sigma[:, None] * vt))
     if not orthonormality_defect(u) <= FACTOR_TOL:
         raise RuntimeError("svd left factor lost orthonormality")
-    if not orthonormality_defect(f.v) <= FACTOR_TOL:
+    if not fro_norm(vt.dot(v) - _identity(len(s))) <= FACTOR_TOL:
         raise RuntimeError("svd right factor lost orthogonality")
-    if not ((sigma[:-1] >= sigma[1:]).all() and sigma[-1] >= 0):
+    if not (all(map(operator.ge, s, s[1:])) and s[-1] >= 0):
         raise RuntimeError("singular values are not sorted nonnegative")
-    diff = f.reconstruct() - mat
-    if sigma[0] > HUGE_SIGMA:
-        scale = _norm_scale(sigma[0])
-        diff, mat = diff * scale, mat * scale
-    resid = fro_norm(diff)
-    if not resid <= FACTOR_TOL * max(1.0, fro_norm(mat)):
+    diff = f.p @ f.h - mat
+    resid = fro_norm(diff if scale is None else diff * scale)
+    if not resid <= FACTOR_TOL * max(1.0, norm):
         raise RuntimeError(f"svd reconstruction residual too large ({resid:.3e})")
     return f
 

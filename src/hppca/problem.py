@@ -106,7 +106,10 @@ class HppcaProblem:
 
     def columnwise_map(self, x) -> np.ndarray:
         """Apply column k's matrix to column k: returns [M_1 x_1, ..., M_K x_K]."""
-        xa = frame_array(x)
+        return self.frame_map(frame_array(x))
+
+    def frame_map(self, xa: np.ndarray) -> np.ndarray:
+        """columnwise_map() of a validated frame array; the input is not re-checked."""
         # One batched matrix-vector product per column: (K,d,d) @ (K,d,1).
         return np.matmul(self.m_matrices, xa.T[:, :, None])[:, :, 0].T
 

@@ -6,10 +6,10 @@ onto the orthonormal frames:
 
     X_next = polar(alpha * X + [M_1 x_1, ..., M_K x_K]).
 
-The thin SVD computed for the projection is reused for two per-iteration
-certificates:
+The thin SVD computed for the projection, A = P H with P = U V.T and
+H = V Sigma V.T, is reused for two per-iteration certificates:
 
-* the fixed-point residual ||X V Sigma V.T - A||_F, which vanishes
+* the fixed-point residual ||X H - A||_F, which vanishes
   exactly at fixed points of the update and doubles as the stopping rule;
 * the nuclear gap ||A||_* - trace(X.T A), nonnegative for every frame
   and zero precisely at fixed points.
@@ -28,6 +28,7 @@ is below it; the mixing history survives such a fallback.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (CHUNK, ThinSvd, check_symmetric, fro_norm, fro_norms,
-                     matrix_transpose, orthonormality_defect, sym_eig_topk, thin_svd)
+                     orthonormality_defect, sym_eig_topk, thin_svd)
 from .model import GroupedDataset, sample_covariance
 from .problem import PopulationProblem
 from .stiefel import ORTHO_TOL, RANK_TOL, StiefelPoint, aligned_distances, frame_array
@@ -83,12 +84,13 @@ class SolverConfig:
     accelerate: bool = False
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not (self.tol_step > 0 and self.tol_residual > 0):
-            raise ValueError("tolerances must be positive")
+        for name in ("tol_step", "tol_residual"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 def _check_certificates(residual: float, gap: float, wall_time: float,
@@ -129,21 +131,16 @@ class _Certificate(NamedTuple):
 def _certify(problem, xa: np.ndarray, alpha: float,
              mapped: np.ndarray | None = None) -> _Certificate:
     """Map a frame array (alpha already checked), take the checked thin SVD
-    and derive the fixed-point residual, the nuclear gap and the objective
-    trace(X.T A) - alpha * k from them, without a second map. ``mapped``
-    is the frame's mapped matrix when it is already known."""
+    and derive the fixed-point residual ||X H - A||_F from its symmetric
+    polar factor H = V Sigma V.T, the nuclear gap and the objective
+    trace(X.T A) - alpha * k, without a second map. ``mapped`` is the
+    frame's mapped matrix when it is already known."""
     if mapped is None:
-        mapped = alpha * xa + problem.columnwise_map(xa)
+        mapped = alpha * xa + problem.frame_map(xa)
     f = thin_svd(mapped)
-    residual = fro_norm(_residual_matrix(xa, f, mapped))
+    residual = fro_norm(xa @ f.symmetric_factor() - mapped)
     inner = float((xa * mapped).sum())
     return _Certificate(f, residual, float(f.sigma.sum()) - inner, inner - alpha * xa.shape[1])
-
-
-def _residual_matrix(xa: np.ndarray, f: ThinSvd, mapped: np.ndarray) -> np.ndarray:
-    """X V Sigma V.T - A, whose Frobenius norm is the fixed-point residual,
-    for one frame or for each frame of a (B, d, k) stack."""
-    return xa @ (f.v @ (f.sigma[..., None] * matrix_transpose(f.v))) - mapped
 
 
 def fixed_point_residual(problem, x: StiefelPoint, alpha: float) -> float:
@@ -160,13 +157,13 @@ def fixed_point_residuals(population: PopulationProblem, frames: np.ndarray,
     """fixed_point_residual of each frame of a (B, d, k) stack of checked
     frame arrays, from one checked SVD of the stacked mapped frames."""
     mapped = check_step_weight(alpha) * frames + population.frame_map(frames)
-    return fro_norms(_residual_matrix(frames, thin_svd(mapped), mapped))
+    return fro_norms(frames @ thin_svd(mapped).symmetric_factor() - mapped)
 
 
 def check_step_weight(alpha: float) -> float:
-    """Return alpha if it is a valid step weight: nonnegative, not NaN."""
-    if not alpha >= 0:
-        raise ValueError(f"step weight must be nonnegative, got {alpha}")
+    """Return alpha if it is a valid step weight: nonnegative and finite."""
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"step weight must be nonnegative and finite, got {alpha}")
     return alpha
 
 
@@ -208,12 +205,16 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     update; the tests themselves, and the plain update returned when one
     of them fires, are the plain solver's.
 
-    The loop runs on plain arrays: thin_svd checks every SVD, each new
-    iterate must be orthonormal within ORTHO_TOL and each iteration's
-    certificates must be in range, or the iteration raises. With the
-    truth, the iterates wait in a buffer of at most CHUNK frames whose
-    truth metrics are taken on one (B, d, k) stack; the trace is built
-    once, at the end. wall_time covers each iteration's own work.
+    The loop runs on plain arrays and maps its own iterates with
+    ``problem.frame_map``, which does not re-validate them. Each row, the
+    last one too, takes one thin_svd call: thin_svd checks the SVD and forms
+    the polar factors P and H once; P is the next iterate and H gives the
+    fixed-point residual. Each new iterate must be orthonormal within
+    ORTHO_TOL and each iteration's certificates must be in range, or the
+    iteration raises. With the truth, the iterates wait in a buffer of at
+    most CHUNK frames whose truth metrics are taken on one (B, d, k) stack;
+    the trace is built once, at the end. wall_time covers each iteration's
+    own work.
     """
     alpha = config.alpha
     x = init.x
@@ -226,39 +227,40 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     history: list[np.ndarray] = []
     mapped = None
 
-    for t in range(config.max_iters):
+    for t in itertools.count():
         tic = time.perf_counter()
         c = _certify(problem, x, alpha, mapped)
-        x_next = c.svd.polar_factor()
-        _check_iterate(x_next, t + 1)
-        step = fro_norm(x_next - x)
-        mapped = None
-        if config.accelerate and c.residual > config.tol_residual and step > config.tol_step:
-            x_next, mapped, fell_back = _anderson_step(problem, x, x_next, alpha, history)
+        final = t == config.max_iters or termination is not Termination.MAX_ITERS
+        step = 0.0
+        if not final:
+            x_next = c.svd.polar_factor()
             _check_iterate(x_next, t + 1)
-            safeguard_steps += fell_back
-        rows.append(_row(t, c, step, tic))
+            step = fro_norm(x_next - x)
+            mapped = None
+            if config.accelerate and c.residual > config.tol_residual and step > config.tol_step:
+                x_next, mapped, fell_back = _anderson_step(problem, x, x_next, alpha, history)
+                _check_iterate(x_next, t + 1)
+                safeguard_steps += fell_back
+        elapsed = time.perf_counter() - tic
+        _check_certificates(c.residual, c.gap, elapsed)
+        rows.append((t, c.objective, math.nan, math.nan, step, c.residual, c.gap,
+                     c.svd.sigma[0], elapsed))
         if truth is not None:
             frames.append(x)
-            if len(frames) == CHUNK:
+            if final or len(frames) == CHUNK:
                 _take_truth(truth, frames, truth_cells)
+        if final:
+            break
         last_step_nonunique = bool(c.svd.sigma[-1] <= RANK_TOL)
         nonunique_steps += last_step_nonunique
         x = x_next
         if c.residual <= config.tol_residual:
             termination = Termination.RESIDUAL
-            break
-        if step <= config.tol_step:
+        elif step <= config.tol_step:
             termination = Termination.STEP
-            break
 
-    tic = time.perf_counter()
-    c = _certify(problem, x, alpha, mapped)
-    rows.append(_row(len(rows), c, 0.0, tic))
     trace = np.rec.fromrecords(rows, dtype=TRACE_DTYPE)
     if truth is not None:
-        frames.append(x)
-        _take_truth(truth, frames, truth_cells)
         trace.population_objective, trace.dist_to_truth = np.concatenate(truth_cells, axis=1)
     if last_step_nonunique:
         termination = Termination.PROJECTION_NONUNIQUE
@@ -307,14 +309,6 @@ def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
     if (mixture * mapped_mixture).sum() < (g * mapped_g).sum():
         return g, mapped_g, True
     return mixture, mapped_mixture, False
-
-
-def _row(iteration: int, c: _Certificate, step: float, tic: float) -> tuple:
-    """Check an iteration's certificates; return its trace row, truth cells NaN."""
-    elapsed = time.perf_counter() - tic
-    _check_certificates(c.residual, c.gap, elapsed)
-    return (iteration, c.objective, math.nan, math.nan, step, c.residual, c.gap,
-            c.svd.sigma[0], elapsed)
 
 
 def _take_truth(truth: PopulationProblem, frames: list[np.ndarray],

@@ -96,9 +96,10 @@ def _signs(xa: np.ndarray, ra: np.ndarray) -> np.ndarray:
     """Column signs q in {-1, +1}^k minimizing ||xa - ra * q||_F.
 
     The objective separates over columns, so q_k is the sign of the inner
-    product of the k-th columns, with exact ties resolved to +1.
+    product of the k-th columns, the k-th diagonal entry of ra.T @ xa, with
+    exact ties resolved to +1. A (B, d, k) stack ``xa`` gives (B, k) signs.
     """
-    return np.where((xa * ra).sum(axis=-2) >= 0, 1.0, -1.0)
+    return np.where(np.diagonal(ra.T @ xa, axis1=-2, axis2=-1) >= 0, 1.0, -1.0)
 
 
 def frame_distance(x, ref) -> float:
@@ -113,7 +114,10 @@ def frame_distance(x, ref) -> float:
 
 def aligned_distances(stack: np.ndarray, ra: np.ndarray) -> np.ndarray:
     """frame_distance of each frame of a (B, d, k) stack from one frame array."""
-    return fro_norms(stack - ra * _signs(stack, ra)[:, None, :])
+    signs = _signs(stack, ra)
+    if signs.min() > 0:  # the usual case near ra; multiplying by 1.0 is exact
+        return fro_norms(stack - ra)
+    return fro_norms(stack - ra * signs[:, None, :])
 
 
 def sin_theta_distance(x, ref) -> float:

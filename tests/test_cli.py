@@ -133,7 +133,7 @@ def test_robustness_without_trials_is_a_one_line_error(trials, tmp_path, capsys)
 
 @pytest.mark.parametrize("argv", [
     "solve --alpha nan", "solve --max-iters -1", "solve --init file:/nonexistent/x.npy",
-    "solve --tol-step 0", "robustness --levels 0", "diagnose --alpha -1"])
+    "solve --tol-step 0", "robustness --levels 0", "diagnose --alpha -1", "solve --alpha inf"])
 def test_rejected_run_leaves_no_output_directory(argv, tmp_path):
     out = tmp_path / "rejected"
     assert run_cli(*argv.split(), "--d", "20", "--sizes", "30,90", "--out", str(out)) == 2

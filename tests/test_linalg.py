@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hppca import (RngStream, operator_norm, project_stiefel, random_gaussian, sym_eig_topk,
-                   thin_svd)
+from hppca import (RngStream, ThinSvd, operator_norm, project_stiefel, random_gaussian,
+                   sym_eig_topk, thin_svd)
 from hppca.linalg import as_matrix, check_symmetric, fro_norm, fro_norms, symmetrize
 
 from oracles import jacobi_eigh
@@ -126,6 +126,42 @@ def test_thin_svd_checks_huge_finite_input_without_warning(monkeypatch, stacked)
         monkeypatch.setattr(np.linalg, "svd", doubled_sigma)
         with pytest.raises(RuntimeError, match="reconstruction residual"):
             thin_svd(m)
+
+
+def test_thin_svd_carries_its_polar_factors():
+    for seed in range(20):
+        f = thin_svd(random_gaussian(7 + seed % 5, 1 + seed % 4, RngStream(300 + seed)))
+        assert np.array_equal(f.p, f.u @ f.v.T)
+        assert np.array_equal(f.h, f.v @ (f.sigma[:, None] * f.v.T))
+        assert f.polar_factor() is f.p and f.symmetric_factor() is f.h
+    stacked = thin_svd(np.stack([random_gaussian(7, 3, RngStream(320 + i)) for i in range(2)]))
+    assert stacked.p is None and stacked.h is None
+
+
+def test_thin_svd_built_from_its_factors_forms_its_own_polar_factors():
+    f = thin_svd(random_gaussian(9, 3, RngStream(330)))
+    rebuilt = ThinSvd(u=f.u, sigma=f.sigma, v=f.v)
+    assert rebuilt.p is None and rebuilt.h is None
+    assert np.array_equal(rebuilt.polar_factor(), f.p)
+    assert np.array_equal(rebuilt.symmetric_factor(), f.h)
+    damaged = ThinSvd(u=2.0 * f.u, sigma=f.sigma / 2.0, v=f.v)
+    assert np.array_equal(damaged.polar_factor(), (2.0 * f.u) @ f.v.T)
+    assert np.array_equal(damaged.symmetric_factor(), f.v @ (f.sigma[:, None] / 2.0 * f.v.T))
+
+
+@pytest.mark.parametrize("big", [1e149, 1e151, 1e154, -1e154])
+def test_thin_svd_takes_finiteness_from_the_norm(big):
+    m = np.arange(1.0, 11.0).reshape(5, 2)
+    m[2, 0] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = thin_svd(m)
+        assert np.all(np.abs(f.reconstruct() - m) <= 1e-14 * abs(big))
+        for bad in (np.nan, np.inf, -np.inf):
+            damaged = m.copy()
+            damaged[4, 1] = bad
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                thin_svd(damaged)
 
 
 def test_fro_norm_is_bit_identical_to_numpy():

@@ -102,6 +102,15 @@ def test_dense_map_matches_raw_block_formula(ref_lambdas, ref_groups):
     assert problem.objective(x) == pytest.approx(float(np.sum(x.x * expected)), abs=1e-12)
 
 
+def test_frame_map_equals_columnwise_map(ref_lambdas, ref_groups):
+    model = make_model(25, ref_lambdas, seed=3)
+    ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(3, 1))
+    problem = build_problem(ds, ref_lambdas)
+    for i in range(5):
+        x = random_stiefel(25, 3, RngStream(3, 2 + i))
+        assert np.array_equal(problem.frame_map(x.x), problem.columnwise_map(x))
+
+
 def test_objective_matches_naive_summation(ref_lambdas):
     groups = NoiseGroups((15, 25), (1.0, 6.0))
     model = make_model(8, ref_lambdas, seed=3)

@@ -230,6 +230,9 @@ def test_solver_config_validation():
         SolverConfig(max_iters=-1)
     with pytest.raises(ValueError):
         SolverConfig(tol_step=0.0)
+    for name in ("alpha", "tol_step", "tol_residual"):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            SolverConfig(**{name: math.inf})
 
 
 def test_degenerate_projection_reported_as_termination(pop50):
@@ -296,6 +299,31 @@ def _svd_faulty_on_call(monkeypatch, call: int, corrupt):
 
     monkeypatch.setattr(np.linalg, "svd", faulty)
     return calls
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+def test_each_certificate_and_each_mixture_takes_one_thin_svd(accelerate, monkeypatch):
+    import hppca.solver as solver_module
+
+    thin_svd = solver_module.thin_svd
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return thin_svd(m)
+
+    monkeypatch.setattr(solver_module, "thin_svd", counted)
+    problem, start = _sweep_problem(20, (30, 90), 0, 3)
+    config = SolverConfig(max_iters=300, accelerate=accelerate)
+    result = gpm_solve(problem, start, config)
+    trace = result.trace[:-1]
+    # Accelerated iterations are those whose stopping tests fail; the first
+    # of them has no history to mix.
+    stepped = int(np.sum((trace.residual > config.tol_residual)
+                         & (trace.step_norm > config.tol_step)))
+    mixtures = max(stepped - 1, 0) if accelerate else 0
+    assert len(calls) == result.iterations + 1 + mixtures
+    assert (mixtures if accelerate else result.iterations) > 10
 
 
 def test_svd_corrupted_at_iteration_5_stops_the_solve(pop50, monkeypatch):

@@ -168,6 +168,19 @@ def test_sin_theta_distance():
     assert sin_theta_distance(x, q) == pytest.approx(residual, abs=1e-10)
 
 
+def test_aligned_distances_match_frame_distance_with_and_without_flips():
+    from hppca.stiefel import aligned_distances
+
+    ref = random_stiefel(30, 3, RngStream(40))
+    near = np.stack([project_stiefel(ref.x + 0.05 * random_gaussian(30, 3, RngStream(41 + i))).x
+                     for i in range(4)])
+    flipped = near * np.array([1.0, -1.0, 1.0])
+    for stack in (near, flipped, np.concatenate([near, flipped])):
+        dists = aligned_distances(stack, ref.x)
+        assert np.array_equal(dists, [frame_distance(x, ref) for x in stack])
+    assert np.array_equal(aligned_distances(flipped, ref.x), aligned_distances(near, ref.x))
+
+
 @pytest.mark.parametrize("damage", [2.0, np.nan])
 def test_project_frames_matches_and_checks_each_frame(monkeypatch, damage):
     import hppca.stiefel as stiefel
