@@ -30,12 +30,18 @@ CHUNK = 64
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate ``m`` as a dense 2-d float64 matrix with finite entries."""
+    out = _as_2d(m, name)
+    _check_finite(out, name)
+    return out
+
+
+def _as_2d(m, name: str = "matrix") -> np.ndarray:
+    """``m`` as a 2-d float64 array with positive dimensions; entries unchecked."""
     out = np.asarray(m, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {out.shape}")
     if out.shape[0] == 0 or out.shape[1] == 0:
         raise ValueError(f"{name} must have positive dimensions, got shape {out.shape}")
-    _check_finite(out, name)
     return out
 
 
@@ -179,10 +185,9 @@ def thin_svd(m) -> ThinSvd:
     """
     if getattr(m, "ndim", 2) == 3:
         return _thin_svd_stack(np.asarray(m, dtype=np.float64))
-    mat = np.asarray(m, dtype=np.float64)
-    if mat.ndim != 2 or not 0 < mat.shape[1] <= mat.shape[0]:
-        raise ValueError(f"need a nonempty matrix with at least as many rows as columns, "
-                         f"got shape {mat.shape}")
+    mat = _as_2d(m)
+    if mat.shape[0] < mat.shape[1]:
+        raise ValueError(f"need at least as many rows as columns, got shape {mat.shape}")
     try:
         u, sigma, vt = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError:

@@ -114,10 +114,7 @@ def frame_distance(x, ref) -> float:
 
 def aligned_distances(stack: np.ndarray, ra: np.ndarray) -> np.ndarray:
     """frame_distance of each frame of a (B, d, k) stack from one frame array."""
-    signs = _signs(stack, ra)
-    if signs.min() > 0:  # the usual case near ra; multiplying by 1.0 is exact
-        return fro_norms(stack - ra)
-    return fro_norms(stack - ra * signs[:, None, :])
+    return fro_norms(stack - ra * _signs(stack, ra)[:, None, :])
 
 
 def sin_theta_distance(x, ref) -> float:

@@ -128,6 +128,18 @@ def test_thin_svd_checks_huge_finite_input_without_warning(monkeypatch, stacked)
             thin_svd(m)
 
 
+@pytest.mark.parametrize("m, message", [
+    (np.ones(3), "matrix must be 2-dimensional"),
+    (np.ones((0, 2)), "matrix must have positive dimensions"),
+    (np.ones((2, 3)), "need at least as many rows as columns"),
+])
+def test_thin_svd_names_what_is_wrong_with_the_shape(m, message):
+    with pytest.raises(ValueError, match=message):
+        thin_svd(m)
+    with pytest.raises(ValueError, match=message):
+        project_stiefel(m)
+
+
 def test_thin_svd_carries_its_polar_factors():
     for seed in range(20):
         f = thin_svd(random_gaussian(7 + seed % 5, 1 + seed % 4, RngStream(300 + seed)))
