@@ -16,13 +16,12 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .experiments import (ExperimentSpec, robustness_csv, run_convergence,
-                          run_diagnose, run_robustness, svg_line_chart,
-                          trial_stream)
+                          run_diagnose, run_robustness, svg_line_chart)
 from .diagnostics import report_text, write_report
 from .model import GroupedDataset, SignalModel, load_dataset, save_dataset
 from .problem import PopulationProblem, build_problem
 from .solver import gpm_solve, pca_init, write_trace_csv
-from .stiefel import StiefelPoint, frame_distance, random_stiefel
+from .stiefel import StiefelPoint, frame_distance
 
 # Settings that are not ExperimentSpec fields; the spec supplies the rest.
 _EXTRA_DEFAULTS = {"sweep": "heterogeneity", "metric": "dist-f"}
@@ -218,7 +217,7 @@ def _initial_point(spec: ExperimentSpec, dataset) -> StiefelPoint:
     if spec.init == "pca":
         return pca_init(dataset)
     if spec.init == "random":
-        return random_stiefel(dataset.d, dataset.k, trial_stream(spec.seed, 0, 2))
+        return spec.random_start(dataset.d, dataset.k)
     if spec.init.startswith("file:"):
         return StiefelPoint(np.load(spec.init[len("file:"):]))
     raise ValueError(f"unknown init {spec.init!r} (expected pca, random or file:PATH)")

@@ -20,12 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import CHUNK, RngStream, check_symmetric, fro_norms, operator_norm
+from .linalg import CHUNK, RngStream, check_symmetric, fro_norms, operator_norm, thin_svd
 from .model import (GroupedDataset, NoiseGroups, SignalModel, expected_covariance,
                     sample_covariance)
 from .problem import PopulationProblem, ResidualSet, build_problem, build_residuals
 from .solver import SolverConfig, fixed_point_residuals, pca_init
-from .stiefel import StiefelPoint, aligned_distances, frame_distance, project_frames
+from .stiefel import StiefelPoint, aligned_distances, frame_distance
 
 # Distances below this are treated as "at the optimum" when forming ratios.
 ZERO_DIST = 1e-6
@@ -96,7 +96,7 @@ def _near_chunks(q: StiefelPoint, radius: float, gen: np.random.Generator,
     while needed > 0:
         directions = gen.standard_normal((min(CHUNK, needed), q.d, q.k))
         directions *= (radius / fro_norms(directions))[:, None, None]
-        frames = project_frames(q.x + directions)
+        frames = thin_svd(q.x + directions).p
         dists = aligned_distances(frames, q.x)
         inside = dists <= radius
         for hit in inside.tolist():
@@ -144,7 +144,7 @@ def growth_ratio_samples(population: PopulationProblem, n_samples: int,
     far = []
     for start in range(0, n_samples, CHUNK):
         draws = gen.standard_normal((min(CHUNK, n_samples - start), population.d, population.k))
-        frames = project_frames(draws)
+        frames = thin_svd(draws).p
         far += ratio_rows(frames, aligned_distances(frames, population.q_truth.x))
     return _rows(near), _rows(far)
 

@@ -20,7 +20,7 @@ from .model import (GroupedDataset, NoiseGroups, NoiseKind, SignalModel,
 from .problem import PopulationProblem, build_problem
 from .solver import (SolveResult, SolverConfig, Termination, csv_cell, gpm_solve,
                      pca_init)
-from .stiefel import frame_distance, random_stiefel, sin_theta_distance
+from .stiefel import StiefelPoint, frame_distance, random_stiefel, sin_theta_distance
 
 # Role offsets inside a trial's stream block.
 _ROLE_TRUTH = 0
@@ -70,6 +70,11 @@ class ExperimentSpec:
     def make_dataset(self, model: SignalModel, trial: int = 0) -> GroupedDataset:
         return sample_dataset(model, self.groups(), self.noise,
                               trial_stream(self.seed, trial, _ROLE_DATA))
+
+    def random_start(self, d: int, k: int) -> StiefelPoint:
+        """The random d-by-k start frame of trial 0; d and k are passed
+        because a loaded dataset may fix them."""
+        return random_stiefel(d, k, trial_stream(self.seed, 0, _ROLE_INIT))
 
 
 def count_trend_violations(values, window: int = 5, slack_fraction: float = 0.01) -> int:
@@ -179,9 +184,8 @@ def run_convergence(spec: ExperimentSpec, population_mode: bool = False) -> Conv
         dataset = spec.make_dataset(model)
         problem = build_problem(dataset, model.lambdas)
         spectral = pca_init(dataset)
-    random_start = random_stiefel(spec.d, spec.k, trial_stream(spec.seed, 0, _ROLE_INIT))
     out = ConvergenceResult(model=model, population=population, dataset=dataset)
-    for label, start in (("pca", spectral), ("random", random_start)):
+    for label, start in (("pca", spectral), ("random", spec.random_start(spec.d, spec.k))):
         result = gpm_solve(problem, start, config, truth=population)
         out.runs[label] = result
         out.summaries[label] = _summarize(result, population, population_mode)

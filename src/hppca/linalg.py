@@ -142,35 +142,21 @@ def random_gaussian(rows: int, cols: int, rng: RngStream) -> np.ndarray:
 
 
 class ThinSvd(NamedTuple):
-    """Thin SVD m = u @ diag(sigma) @ v.T of a tall d-by-k matrix.
+    """Thin SVD m = u @ diag(sigma) @ v.T of a tall d-by-k matrix, with its
+    polar factors m = p @ h.
 
-    u has orthonormal columns (d-by-k), v is k-by-k orthogonal and sigma
-    is nonnegative and nonincreasing. The SVD of a (B, d, k) stack holds
-    one such factorization per matrix: u (B, d, k), sigma (B, k), v (B, k, k).
-    thin_svd of one matrix also carries the polar factors m = p @ h; without
-    them (a stack, or u, sigma and v alone) the methods form them.
+    u has orthonormal columns (d-by-k), v is k-by-k orthogonal, sigma is
+    nonnegative and nonincreasing, p = u @ v.T is the closest orthonormal
+    frame and h = v @ diag(sigma) @ v.T is symmetric. The SVD of a (B, d, k)
+    stack holds one such factorization per matrix: u and p (B, d, k), sigma
+    (B, k), v and h (B, k, k).
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    p: np.ndarray | None = None
-    h: np.ndarray | None = None
-
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ (self.sigma[..., None] * matrix_transpose(self.v))
-
-    def polar_factor(self) -> np.ndarray:
-        """Orthonormal polar factor u @ v.T, the closest orthonormal frame."""
-        if self.p is not None:
-            return self.p
-        return self.u @ matrix_transpose(self.v)
-
-    def symmetric_factor(self) -> np.ndarray:
-        """Symmetric polar factor v @ diag(sigma) @ v.T."""
-        if self.h is not None:
-            return self.h
-        return self.v @ (self.sigma[..., None] * matrix_transpose(self.v))
+    p: np.ndarray
+    h: np.ndarray
 
 
 def thin_svd(m) -> ThinSvd:
@@ -178,10 +164,11 @@ def thin_svd(m) -> ThinSvd:
     (B, d, k) stack array in one np.linalg.svd call.
 
     The input must be finite and the factors must meet the orthonormality
-    and reconstruction tolerances; every tolerance test fails on NaN. A
-    stack passes only if each of its matrices passes every test. One matrix
-    has its polar factors p, h formed once and tested as ||p @ h - m||_F; its
-    entries are scanned for a non-finite one only when ||m||_F is not finite.
+    and reconstruction tolerances; every tolerance test fails on NaN. The
+    polar factors p, h are formed once and the reconstruction is tested as
+    ||p @ h - m||_F. A stack passes only if each of its matrices passes every
+    test. One matrix has its entries scanned for a non-finite one only when
+    ||m||_F is not finite.
     """
     if getattr(m, "ndim", 2) == 3:
         return _thin_svd_stack(np.asarray(m, dtype=np.float64))
@@ -241,19 +228,21 @@ def _thin_svd_stack(stack: np.ndarray) -> ThinSvd:
     if not np.isfinite(norms).all() and not np.isfinite(stack).all():
         raise ValueError("matrix stack has non-finite entries")
     u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
-    f = ThinSvd(u=u, sigma=sigma, v=matrix_transpose(vt))
+    v = matrix_transpose(vt)
     if not (orthonormality_defects(u) <= FACTOR_TOL).all():
         raise RuntimeError("svd left factor lost orthonormality")
-    if not (orthonormality_defects(f.v) <= FACTOR_TOL).all():
+    if not (orthonormality_defects(v) <= FACTOR_TOL).all():
         raise RuntimeError("svd right factor lost orthogonality")
     if not ((sigma[:, :-1] >= sigma[:, 1:]).all() and (sigma[:, -1] >= 0).all()):
         raise RuntimeError("singular values are not sorted nonnegative")
-    diff = f.reconstruct() - stack
+    # The scales are taken first: an infinite sigma raises here, before the
+    # stacked products would warn on it.
     huge = sigma[:, 0] > HUGE_SIGMA
+    scales = _norm_scale(np.where(huge, sigma[:, 0], 1.0))[:, None, None]
+    f = ThinSvd(u=u, sigma=sigma, v=v, p=u @ vt, h=v @ (sigma[:, :, None] * vt))
+    resid = fro_norms((f.p @ f.h - stack) * scales)
     if huge.any():
-        scales = np.where(huge, _norm_scale(sigma[:, 0]), 1.0)[:, None, None]
-        diff, norms = diff * scales, fro_norms(stack * scales)
-    resid = fro_norms(diff)
+        norms = fro_norms(stack * scales)
     if not (resid <= FACTOR_TOL * np.maximum(1.0, norms)).all():
         raise RuntimeError(f"svd reconstruction residual too large ({np.max(resid):.3e})")
     return f
@@ -271,8 +260,7 @@ def sym_eig_topk(s, k: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     values, vectors = np.linalg.eigh(mat)
-    order = slice(d - 1, d - 1 - k, -1)
-    return values[order].copy(), vectors[:, order].copy()
+    return values[::-1][:k].copy(), vectors[:, ::-1][:, :k].copy()
 
 
 def operator_norm(s) -> float:

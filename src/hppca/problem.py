@@ -116,7 +116,7 @@ class HppcaProblem:
     def objective(self, x) -> float:
         """f(X), the sum of the per-column quadratic forms."""
         xa = frame_array(x)
-        return float(np.sum(xa * self.columnwise_map(xa)))
+        return float(np.sum(xa * self.frame_map(xa)))
 
     def ascent_alpha_floor(self) -> float:
         """Smallest step weight guaranteeing monotone ascent of f.
@@ -248,6 +248,6 @@ def riemannian_gradient(population: PopulationProblem, x) -> np.ndarray:
     gradient G = 2 S X diag(gains); zero exactly at critical points.
     """
     xa = frame_array(x)
-    ambient = 2.0 * population.columnwise_map(xa)
+    ambient = 2.0 * population.frame_map(xa)
     skew = ambient - xa @ (ambient.T @ xa)
     return skew - 0.5 * xa @ (xa.T @ skew)

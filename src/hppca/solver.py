@@ -38,11 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (CHUNK, ThinSvd, check_symmetric, fro_norm, fro_norms,
-                     orthonormality_defect, sym_eig_topk, thin_svd)
+from .linalg import CHUNK, ThinSvd, check_symmetric, fro_norm, fro_norms, sym_eig_topk, thin_svd
 from .model import GroupedDataset, sample_covariance
 from .problem import PopulationProblem
-from .stiefel import ORTHO_TOL, RANK_TOL, StiefelPoint, aligned_distances, frame_array
+from .stiefel import RANK_TOL, StiefelPoint, aligned_distances, frame_array
 
 # Eigengap below which the top-k eigenvector frame is not well determined.
 EIGENGAP_TOL = 1e-12
@@ -84,8 +83,7 @@ class SolverConfig:
     accelerate: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
+        check_step_weight(self.alpha)
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         for name in ("tol_step", "tol_residual"):
@@ -138,7 +136,7 @@ def _certify(problem, xa: np.ndarray, alpha: float,
     if mapped is None:
         mapped = alpha * xa + problem.frame_map(xa)
     f = thin_svd(mapped)
-    residual = fro_norm(xa @ f.symmetric_factor() - mapped)
+    residual = fro_norm(xa @ f.h - mapped)
     inner = float((xa * mapped).sum())
     return _Certificate(f, residual, float(f.sigma.sum()) - inner, inner - alpha * xa.shape[1])
 
@@ -157,13 +155,13 @@ def fixed_point_residuals(population: PopulationProblem, frames: np.ndarray,
     """fixed_point_residual of each frame of a (B, d, k) stack of checked
     frame arrays, from one checked SVD of the stacked mapped frames."""
     mapped = check_step_weight(alpha) * frames + population.frame_map(frames)
-    return fro_norms(frames @ thin_svd(mapped).symmetric_factor() - mapped)
+    return fro_norms(frames @ thin_svd(mapped).h - mapped)
 
 
 def check_step_weight(alpha: float) -> float:
     """Return alpha if it is a valid step weight: nonnegative and finite."""
     if not 0 <= alpha < math.inf:
-        raise ValueError(f"step weight must be nonnegative and finite, got {alpha}")
+        raise ValueError(f"alpha: step weight must be nonnegative and finite, got {alpha}")
     return alpha
 
 
@@ -185,8 +183,8 @@ def pca_init(data, k: int | None = None) -> StiefelPoint:
     d = cov.shape[0]
     if not 1 <= k < d:
         raise ValueError(f"k must be in [1, {d}), got {k}")
-    values, vectors = sym_eig_topk(cov, min(k + 1, d))
-    degenerate = values[k - 1] - values[k] <= EIGENGAP_TOL if k < d else False
+    values, vectors = sym_eig_topk(cov, k + 1)
+    degenerate = values[k - 1] - values[k] <= EIGENGAP_TOL
     return StiefelPoint(vectors[:, :k], nonunique=bool(degenerate))
 
 
@@ -209,13 +207,17 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     ``problem.frame_map``, which does not re-validate them. Each row, the
     last one too, takes one thin_svd call: thin_svd checks the SVD and forms
     the polar factors P and H once; P is the next iterate and H gives the
-    fixed-point residual. Each new iterate must be orthonormal within
-    ORTHO_TOL and each iteration's certificates must be in range, or the
-    iteration raises. With the truth, the iterates wait in a buffer of at
+    fixed-point residual. P needs no check of its own: with U and V
+    orthonormal within FACTOR_TOL, ||P.T P - I||_F stays near 2 * FACTOR_TOL,
+    far below ORTHO_TOL. Each iteration's certificates must be in range, or
+    the iteration raises. With the truth, the iterates wait in a buffer of at
     most CHUNK frames whose truth metrics are taken on one (B, d, k) stack;
     the trace is built once, at the end. wall_time covers each iteration's
     own work.
     """
+    if init.x.shape != (problem.d, problem.k):
+        raise ValueError(f"initial frame has shape {init.x.shape}, "
+                         f"the problem needs ({problem.d}, {problem.k})")
     alpha = config.alpha
     x = init.x
     rows: list[tuple] = []
@@ -233,13 +235,11 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
         final = t == config.max_iters or termination is not Termination.MAX_ITERS
         step = 0.0
         if not final:
-            x_next = c.svd.polar_factor()
-            _check_iterate(x_next, t + 1)
+            x_next = c.svd.p
             step = fro_norm(x_next - x)
             mapped = None
             if config.accelerate and c.residual > config.tol_residual and step > config.tol_step:
                 x_next, mapped, fell_back = _anderson_step(problem, x, x_next, alpha, history)
-                _check_iterate(x_next, t + 1)
                 safeguard_steps += fell_back
         elapsed = time.perf_counter() - tic
         _check_certificates(c.residual, c.gap, elapsed)
@@ -270,13 +270,6 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
                        safeguard_steps=safeguard_steps)
 
 
-def _check_iterate(xa: np.ndarray, iteration: int) -> None:
-    """Raise ValueError unless a new iterate is orthonormal within ORTHO_TOL."""
-    dev = orthonormality_defect(xa)
-    if not dev <= ORTHO_TOL:
-        raise ValueError(f"iterate {iteration} is not orthonormal (deviation {dev:.3e})")
-
-
 def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
                    history: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None, bool]:
     """Accelerated successor of frame ``xa``, whose plain update is ``g``.
@@ -301,9 +294,9 @@ def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
     pairs = np.array(history)
     diffs = np.diff(pairs, axis=0)
     gamma = np.linalg.lstsq(diffs[:, 0].T, pairs[-1, 0], rcond=None)[0]
-    mixture = thin_svd((pairs[-1, 1] - gamma @ diffs[:, 1]).reshape(g.shape)).polar_factor()
-    mapped_mixture = alpha * mixture + problem.columnwise_map(mixture)
-    mapped_g = alpha * g + problem.columnwise_map(g)
+    mixture = thin_svd((pairs[-1, 1] - gamma @ diffs[:, 1]).reshape(g.shape)).p
+    mapped_mixture = alpha * mixture + problem.frame_map(mixture)
+    mapped_g = alpha * g + problem.frame_map(g)
     # Both frames are orthonormal, so their objectives differ as these
     # alignments trace(X.T A) do.
     if (mixture * mapped_mixture).sum() < (g * mapped_g).sum():

@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (RngStream, as_matrix, fro_norm, fro_norms, frozen,
-                     orthonormality_defect, orthonormality_defects, random_gaussian,
-                     thin_svd)
+                     orthonormality_defect, random_gaussian, thin_svd)
 
 # Orthonormality slack for points, checked on construction.
 ORTHO_TOL = 1e-8
@@ -68,21 +67,7 @@ def project_stiefel(m) -> StiefelPoint:
     ``nonunique`` flag set.
     """
     f = thin_svd(m)
-    return StiefelPoint(f.polar_factor(), nonunique=bool(f.sigma[-1] <= RANK_TOL))
-
-
-def project_frames(stack) -> np.ndarray:
-    """project_stiefel of each matrix of a (B, d, k) stack, as a stack of
-    frame arrays, from one checked SVD of the whole stack.
-
-    Each frame is checked orthonormal within ORTHO_TOL, as a StiefelPoint
-    is; the nonunique flags are not kept.
-    """
-    frames = thin_svd(stack).polar_factor()
-    dev = orthonormality_defects(frames)
-    if not (dev <= ORTHO_TOL).all():
-        raise ValueError(f"columns are not orthonormal (deviation {np.max(dev):.3e})")
-    return frames
+    return StiefelPoint(f.p, nonunique=bool(f.sigma[-1] <= RANK_TOL))
 
 
 def _frame_pair(x, ref) -> tuple[np.ndarray, np.ndarray]:

@@ -133,11 +133,28 @@ def test_robustness_without_trials_is_a_one_line_error(trials, tmp_path, capsys)
 
 @pytest.mark.parametrize("argv", [
     "solve --alpha nan", "solve --max-iters -1", "solve --init file:/nonexistent/x.npy",
-    "solve --tol-step 0", "robustness --levels 0", "diagnose --alpha -1", "solve --alpha inf"])
-def test_rejected_run_leaves_no_output_directory(argv, tmp_path):
+    "solve --tol-step 0", "robustness --levels 0", "diagnose --alpha -1", "solve --alpha inf",
+    "solve --init file:{tmp}/frame_50x3.npy", "solve --init file:{tmp}/frame_20x2.npy"])
+def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys):
+    # Orthonormal start frames of the wrong shape for --d 20 with k = 3.
+    for d, k in ((50, 3), (20, 2)):
+        np.save(tmp_path / f"frame_{d}x{k}.npy", np.eye(d, k))
     out = tmp_path / "rejected"
-    assert run_cli(*argv.split(), "--d", "20", "--sizes", "30,90", "--out", str(out)) == 2
+    args = argv.format(tmp=tmp_path).split()
+    assert run_cli(*args, "--d", "20", "--sizes", "30,90", "--out", str(out)) == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if "frame_" in argv:
+        assert "initial frame has shape" in err and "the problem needs (20, 3)" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_one_more_dimension_than_columns_runs(command, tmp_path):
+    # d = k + 1 leaves one eigenvalue below the kept ones: pca_init's gap
+    # test reads the whole spectrum.
+    out = tmp_path / command
+    assert run_cli(command, "--d", "4", "--k", "3", "--sizes", "10,20", "--out", str(out)) == 0
 
 
 def test_diagnose_command_deterministic(tmp_path):

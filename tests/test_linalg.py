@@ -2,12 +2,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from hppca import (RngStream, ThinSvd, operator_norm, project_stiefel, random_gaussian,
+from hppca import (RngStream, operator_norm, project_stiefel, random_gaussian,
                    sym_eig_topk, thin_svd)
-from hppca.linalg import as_matrix, check_symmetric, fro_norm, fro_norms, symmetrize
+from hppca.linalg import (as_matrix, check_symmetric, fro_norm, fro_norms,
+                          orthonormality_defects, symmetrize)
+from hppca.stiefel import ORTHO_TOL
 
 from oracles import jacobi_eigh
+
+
+def _product(f):
+    """u @ diag(sigma) @ v.T of a thin SVD or of each SVD of a stack."""
+    return f.u @ (f.sigma[..., None] * np.swapaxes(f.v, -1, -2))
 
 
 def test_thin_svd_orthonormal_input_has_unit_singular_values():
@@ -43,7 +53,7 @@ def test_thin_svd_reconstruction_and_orthonormality_many_seeds():
         cols = 1 + seed % min(rows, 4)
         m = random_gaussian(rows, cols, RngStream(100 + seed))
         f = thin_svd(m)
-        assert np.linalg.norm(f.reconstruct() - m) <= 1e-10 * max(1.0, np.linalg.norm(m))
+        assert np.linalg.norm(_product(f) - m) <= 1e-10 * max(1.0, np.linalg.norm(m))
         assert np.linalg.norm(f.u.T @ f.u - np.eye(cols)) <= 1e-10
         assert np.linalg.norm(f.v.T @ f.v - np.eye(cols)) <= 1e-10
         assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
@@ -71,8 +81,8 @@ def test_thin_svd_of_a_stack_matches_each_matrix():
         one = thin_svd(m)
         assert np.array_equal(f.u[i], one.u) and np.array_equal(f.sigma[i], one.sigma)
         assert np.array_equal(f.v[i], one.v)
-        assert np.array_equal(f.polar_factor()[i], one.polar_factor())
-    assert np.allclose(f.reconstruct(), stack, atol=1e-12)
+        assert np.array_equal(f.p[i], one.p) and np.array_equal(f.h[i], one.h)
+    assert np.allclose(_product(f), stack, atol=1e-12)
 
 
 @pytest.mark.parametrize("factor", ["u", "sigma", "v"])
@@ -110,7 +120,7 @@ def test_thin_svd_checks_huge_finite_input_without_warning(monkeypatch, stacked)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         f = thin_svd(m)
-        assert np.all(np.abs(f.reconstruct() - m) <= 1e-14 * 1e200)
+        assert np.all(np.abs(_product(f) - m) <= 1e-14 * 1e200)
         if not stacked:
             assert project_stiefel(m).k == 2
         svd = np.linalg.svd
@@ -140,25 +150,29 @@ def test_thin_svd_names_what_is_wrong_with_the_shape(m, message):
         project_stiefel(m)
 
 
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), b=st.integers(1, 4), d=st.integers(1, 9), k=st.integers(1, 5),
+       stacked=st.booleans(), exponent=st.integers(-100, 149))
+def test_polar_factor_is_orthonormal_far_inside_the_frame_tolerance(data, b, d, k, stacked,
+                                                                    exponent):
+    # thin_svd passes U and V within FACTOR_TOL = 1e-10, which bounds the
+    # defect of P = U V.T near 2e-10; no caller re-checks P against ORTHO_TOL.
+    k = min(k, d)
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    m = data.draw(hnp.arrays(np.float64, (b, d, k), elements=entries)) * 10.0**exponent
+    p = thin_svd(m if stacked else m[0]).p
+    assert np.all(orthonormality_defects(p.reshape(-1, d, k)) <= ORTHO_TOL / 100)
+
+
 def test_thin_svd_carries_its_polar_factors():
     for seed in range(20):
         f = thin_svd(random_gaussian(7 + seed % 5, 1 + seed % 4, RngStream(300 + seed)))
         assert np.array_equal(f.p, f.u @ f.v.T)
         assert np.array_equal(f.h, f.v @ (f.sigma[:, None] * f.v.T))
-        assert f.polar_factor() is f.p and f.symmetric_factor() is f.h
     stacked = thin_svd(np.stack([random_gaussian(7, 3, RngStream(320 + i)) for i in range(2)]))
-    assert stacked.p is None and stacked.h is None
-
-
-def test_thin_svd_built_from_its_factors_forms_its_own_polar_factors():
-    f = thin_svd(random_gaussian(9, 3, RngStream(330)))
-    rebuilt = ThinSvd(u=f.u, sigma=f.sigma, v=f.v)
-    assert rebuilt.p is None and rebuilt.h is None
-    assert np.array_equal(rebuilt.polar_factor(), f.p)
-    assert np.array_equal(rebuilt.symmetric_factor(), f.h)
-    damaged = ThinSvd(u=2.0 * f.u, sigma=f.sigma / 2.0, v=f.v)
-    assert np.array_equal(damaged.polar_factor(), (2.0 * f.u) @ f.v.T)
-    assert np.array_equal(damaged.symmetric_factor(), f.v @ (f.sigma[:, None] / 2.0 * f.v.T))
+    assert np.array_equal(stacked.p, stacked.u @ np.swapaxes(stacked.v, 1, 2))
+    assert np.array_equal(stacked.h, stacked.v @ (stacked.sigma[:, :, None]
+                                                  * np.swapaxes(stacked.v, 1, 2)))
 
 
 @pytest.mark.parametrize("big", [1e149, 1e151, 1e154, -1e154])
@@ -168,7 +182,7 @@ def test_thin_svd_takes_finiteness_from_the_norm(big):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         f = thin_svd(m)
-        assert np.all(np.abs(f.reconstruct() - m) <= 1e-14 * abs(big))
+        assert np.all(np.abs(_product(f) - m) <= 1e-14 * abs(big))
         for bad in (np.nan, np.inf, -np.inf):
             damaged = m.copy()
             damaged[4, 1] = bad
@@ -212,6 +226,19 @@ def test_sym_eig_topk_matches_jacobi_oracle():
     assert np.allclose(values, oracle_values[:3], atol=1e-9)
     assert np.linalg.norm(s @ vectors - vectors * values[None, :]) <= 1e-8
     assert np.linalg.norm(vectors.T @ vectors - np.eye(3)) <= 1e-10
+
+
+def test_sym_eig_topk_returns_the_whole_spectrum_at_k_equal_d():
+    for d in (1, 2, 4, 8):
+        g = random_gaussian(d, d, RngStream(22 + d))
+        s = symmetrize(g @ g.T)
+        oracle_values, oracle_vectors = jacobi_eigh(s)
+        values, vectors = sym_eig_topk(s, d)
+        assert values.shape == (d,) and vectors.shape == (d, d)
+        assert np.allclose(values, oracle_values, atol=1e-9)
+        # Distinct eigenvalues fix each eigenvector up to its sign.
+        assert np.allclose(np.abs(np.sum(vectors * oracle_vectors, axis=0)), 1.0, atol=1e-9)
+        assert np.linalg.norm(s @ vectors - vectors * values[None, :]) <= 1e-8
 
 
 def test_sym_eig_topk_validation():

@@ -14,7 +14,7 @@ from hppca import (GroupedDataset, NoiseGroups, NoiseKind, PopulationProblem,
                    write_trace_csv)
 from hppca.diagnostics import critical_point
 from hppca.experiments import ExperimentSpec, sweep_variances
-from hppca.linalg import CHUNK, ThinSvd
+from hppca.linalg import CHUNK
 from hppca.problem import HppcaProblem
 from hppca.solver import TRACE_DTYPE, TRACE_HEADER, csv_cell
 
@@ -230,7 +230,11 @@ def test_solver_config_validation():
         SolverConfig(max_iters=-1)
     with pytest.raises(ValueError):
         SolverConfig(tol_step=0.0)
-    for name in ("alpha", "tol_step", "tol_residual"):
+    # The config and fixed_point_residual share one alpha check and message.
+    with pytest.raises(ValueError, match="^alpha: step weight must be nonnegative and finite, "
+                                         "got inf$"):
+        SolverConfig(alpha=math.inf)
+    for name in ("tol_step", "tol_residual"):
         with pytest.raises(ValueError, match=f"{name} must be"):
             SolverConfig(**{name: math.inf})
 
@@ -350,20 +354,15 @@ def test_nan_operator_entry_is_rejected(ref_lambdas, ref_groups):
 
 @pytest.mark.parametrize("damage", [2.0, np.nan])
 def test_iterate_orthonormality_is_checked_every_iteration(pop50, monkeypatch, damage):
-    import hppca.solver as solver_module
+    # The third SVD projects the third iterate; thin_svd rejects its factors.
+    def scaled(u, sigma, vt):
+        return u * damage, sigma, vt
 
-    thin_svd = solver_module.thin_svd
-    calls = []
-
-    def damaged(m):
-        f = thin_svd(m)
-        calls.append(1)
-        return ThinSvd(u=f.u * damage, sigma=f.sigma, v=f.v) if len(calls) == 3 else f
-
-    monkeypatch.setattr(solver_module, "thin_svd", damaged)
+    calls = _svd_faulty_on_call(monkeypatch, 3, scaled)
     start = random_stiefel(50, 3, RngStream(26))
-    with pytest.raises(ValueError, match="iterate 3 is not orthonormal"):
+    with pytest.raises(RuntimeError, match="left factor lost orthonormality"):
         gpm_solve(pop50, start, SolverConfig(max_iters=50))
+    assert len(calls) == 3
 
 
 def _trace_rows(result) -> list[tuple]:
@@ -418,7 +417,7 @@ def test_negative_gap_raises_in_the_iteration_that_produced_it(pop50, monkeypatc
     def halved(m):
         f = thin_svd(m)
         calls.append(1)
-        return ThinSvd(u=f.u, sigma=f.sigma / 2, v=f.v) if len(calls) == 3 else f
+        return f._replace(sigma=f.sigma / 2) if len(calls) == 3 else f
 
     monkeypatch.setattr(solver_module, "thin_svd", halved)
     start = random_stiefel(50, 3, RngStream(28))
@@ -497,7 +496,7 @@ def test_anderson_history_survives_a_fallback():
     for xa, g in zip(frames[::2], frames[1::2]):
         # A map that projects onto span(G(X)) rates the plain update above
         # any mixture that leaves that span, so the safeguard falls back.
-        problem = SimpleNamespace(columnwise_map=lambda x, g=g: 100.0 * g @ (g.T @ x))
+        problem = SimpleNamespace(frame_map=lambda x, g=g: 100.0 * g @ (g.T @ x))
         before = list(history)
         successor, mapped, fell_back = _anderson_step(problem, xa, g, 0.05, history)
         assert successor is g
@@ -547,17 +546,13 @@ def test_accelerated_solve_checks_the_mixture_svd(pop50, monkeypatch):
 
 
 def test_accelerated_solve_checks_the_accepted_mixture_is_orthonormal(pop50, monkeypatch):
-    import hppca.solver as solver_module
+    # The third SVD projects the first mixture, which would be the second
+    # iterate; thin_svd rejects its doubled left factor.
+    def doubled(u, sigma, vt):
+        return 2.0 * u, sigma, vt
 
-    thin_svd = solver_module.thin_svd
-    calls = []
-
-    def doubled(m):
-        f = thin_svd(m)
-        calls.append(1)
-        return ThinSvd(u=f.u * 2.0, sigma=f.sigma, v=f.v) if len(calls) == 3 else f
-
-    monkeypatch.setattr(solver_module, "thin_svd", doubled)
+    calls = _svd_faulty_on_call(monkeypatch, 3, doubled)
     start = random_stiefel(50, 3, RngStream(26))
-    with pytest.raises(ValueError, match="iterate 2 is not orthonormal"):
+    with pytest.raises(RuntimeError, match="left factor lost orthonormality"):
         gpm_solve(pop50, start, SolverConfig(max_iters=50, accelerate=True))
+    assert len(calls) == 3

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hppca import (RngStream, StiefelPoint, ThinSvd, frame_distance, project_stiefel,
-                   random_gaussian, random_stiefel, sin_theta_distance)
+from hppca import (RngStream, StiefelPoint, frame_distance, project_stiefel,
+                   random_gaussian, random_stiefel, sin_theta_distance, thin_svd)
+from hppca.stiefel import aligned_distances
 
 from oracles import best_trace_by_search, exhaustive_sign_distance
 
@@ -169,8 +170,6 @@ def test_sin_theta_distance():
 
 
 def test_aligned_distances_match_frame_distance_with_and_without_flips():
-    from hppca.stiefel import aligned_distances
-
     ref = random_stiefel(30, 3, RngStream(40))
     near = np.stack([project_stiefel(ref.x + 0.05 * random_gaussian(30, 3, RngStream(41 + i))).x
                      for i in range(4)])
@@ -182,24 +181,24 @@ def test_aligned_distances_match_frame_distance_with_and_without_flips():
 
 
 @pytest.mark.parametrize("damage", [2.0, np.nan])
-def test_project_frames_matches_and_checks_each_frame(monkeypatch, damage):
-    import hppca.stiefel as stiefel
-
+def test_stacked_polar_factors_match_and_damage_raises_on_the_call(monkeypatch, damage):
+    # The diagnostics samplers project a stack of frames as thin_svd(stack).p
+    # with no check of their own; thin_svd's checks cover every frame.
     stack = np.stack([random_gaussian(8, 3, RngStream(30 + i)) for i in range(3)])
-    frames = stiefel.project_frames(stack)
+    frames = thin_svd(stack).p
     ref = random_stiefel(8, 3, RngStream(33))
-    dists = stiefel.aligned_distances(frames, ref.x)
+    dists = aligned_distances(frames, ref.x)
     for m, x, dist in zip(stack, frames, dists):
         assert np.array_equal(x, project_stiefel(m).x)
         assert dist == frame_distance(x, ref)
-    thin_svd = stiefel.thin_svd
+    svd = np.linalg.svd
 
-    def damaged(m):
-        f = thin_svd(m)
-        u = f.u.copy()
+    def damaged(a, **kwargs):
+        u, sigma, vt = svd(a, **kwargs)
+        u = u.copy()
         u[1] *= damage  # only the middle frame
-        return ThinSvd(u=u, sigma=f.sigma, v=f.v)
+        return u, sigma, vt
 
-    monkeypatch.setattr(stiefel, "thin_svd", damaged)
-    with pytest.raises(ValueError, match="not orthonormal"):
-        stiefel.project_frames(stack)
+    monkeypatch.setattr(np.linalg, "svd", damaged)
+    with pytest.raises(RuntimeError, match="left factor lost orthonormality"):
+        thin_svd(stack)
