@@ -18,8 +18,8 @@ from .stiefel import (StiefelPoint, frame_distance, project_stiefel, random_stie
 from .model import (GroupedDataset, NoiseGroups, NoiseKind, SignalModel, draw_noise,
                     expected_covariance, expected_group_covariance, load_dataset,
                     sample_covariance, sample_dataset, save_dataset)
-from .problem import (HppcaProblem, PopulationProblem, ResidualSet, WeightTable,
-                      build_problem, build_residuals, build_weights, riemannian_gradient)
+from .problem import (HppcaProblem, PopulationProblem, WeightTable, build_problem,
+                      build_residuals, build_weights, riemannian_gradient)
 from .solver import (SolveResult, SolverConfig, Termination, fixed_point_residual,
                      gpm_solve, pca_init, read_trace_csv, trace_csv, write_trace_csv)
 from .diagnostics import (DavisKahanCheck, DiagnosticsReport, RatioSamples,

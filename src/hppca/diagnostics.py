@@ -23,7 +23,7 @@ import numpy as np
 from .linalg import CHUNK, RngStream, check_symmetric, fro_norms, operator_norm, thin_svd
 from .model import (GroupedDataset, NoiseGroups, SignalModel, expected_covariance,
                     sample_covariance)
-from .problem import PopulationProblem, ResidualSet, build_problem, build_residuals
+from .problem import HppcaProblem, PopulationProblem, build_problem, build_residuals
 from .solver import SolverConfig, fixed_point_residuals, pca_init
 from .stiefel import StiefelPoint, aligned_distances, frame_distance
 
@@ -184,13 +184,13 @@ def _error_bound_factor(rows: np.ndarray) -> float:
     return float(np.max(rows[:, 1]))
 
 
-def residual_norms(residuals: ResidualSet) -> np.ndarray:
-    """Operator norm of each residual matrix.
+def residual_norms(residuals: HppcaProblem) -> np.ndarray:
+    """Operator norm of each residual matrix D_k (see build_residuals).
 
     The matrices are symmetric but possibly indefinite, so the norm is the
     largest eigenvalue magnitude, from one eigensolve of the whole stack.
     """
-    return np.abs(np.linalg.eigvalsh(residuals.deltas)).max(axis=1)
+    return np.abs(np.linalg.eigvalsh(residuals.m_matrices)).max(axis=1)
 
 
 def optimum_distance_bound(max_residual_norm: float, growth_rate: float, k: int) -> float:

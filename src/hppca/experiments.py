@@ -236,9 +236,10 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
     Each level runs ``spec.trials`` seeded replicates; each replicate
     draws a fresh ground truth and dataset, measures the spectral
     initialization's subspace error and the solver's final error. Trials
-    that fail are excluded and counted, and so are solves that hit the
-    iteration cap. Only the final frame counts here, so the solves are
-    accelerated (SolverConfig.accelerate).
+    whose start or solve fails are excluded and counted, and so are solves
+    that hit the iteration cap; a setting no trial can draw raises. Only the
+    final frame counts here, so the solves are accelerated
+    (SolverConfig.accelerate).
     """
     if metric == "dist-f":
         error = frame_distance
@@ -260,9 +261,9 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
         failed = capped = 0
         for trial in range(spec.trials):
             trial_id = level * 1_000_003 + trial + 1
+            model = level_spec.make_model(trial_id)
+            dataset = level_spec.make_dataset(model, trial_id)
             try:
-                model = level_spec.make_model(trial_id)
-                dataset = level_spec.make_dataset(model, trial_id)
                 start = pca_init(dataset)
                 errors["pca"].append(error(start, model.q_truth))
                 problem = build_problem(dataset, model.lambdas)

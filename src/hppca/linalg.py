@@ -91,11 +91,6 @@ def orthonormality_defects(stack: np.ndarray) -> np.ndarray:
     return fro_norms(matrix_transpose(stack) @ stack - _identity(stack.shape[2]))
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (m + m.T) / 2."""
-    return (m + m.T) / 2.0
-
-
 def check_symmetric(m, name: str = "matrix", tol: float = FACTOR_TOL) -> np.ndarray:
     """Validate that ``m`` is symmetric within an entrywise tolerance."""
     out = as_matrix(m, name)

@@ -18,6 +18,7 @@ per block plus a small JSON header) and round-trip losslessly.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import RngStream, as_matrix, frozen, symmetrize
+from .linalg import RngStream, as_matrix, frozen
 from .stiefel import StiefelPoint
 
 
@@ -150,6 +151,15 @@ class GroupedDataset:
     def d(self) -> int:
         return self.blocks[0].shape[0]
 
+    @functools.cached_property
+    def grams(self) -> np.ndarray:
+        """Read-only (L, d, d) stack of the block Grams Y_l Y_l.T, formed on
+        first use. numpy forms each by a symmetric rank-k update, so every
+        Gram equals its transpose bit for bit."""
+        stack = np.stack([block @ block.T for block in self.blocks])
+        stack.setflags(write=False)
+        return stack
+
     @property
     def l(self) -> int:
         return self.groups.l
@@ -219,10 +229,7 @@ def expected_group_covariance(model: SignalModel, groups: NoiseGroups,
 
 def sample_covariance(dataset: GroupedDataset) -> np.ndarray:
     """Pooled (uncentered) sample covariance of all blocks."""
-    acc = np.zeros((dataset.d, dataset.d))
-    for block in dataset.blocks:
-        acc += block @ block.T
-    return symmetrize(acc / dataset.n)
+    return dataset.grams.sum(axis=0) / dataset.n
 
 
 _META_NAME = "meta.json"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_symmetric, frozen, matrix_transpose, symmetrize
+from .linalg import check_symmetric, frozen
 from .model import GroupedDataset, NoiseGroups, SignalModel, validate_lambdas
 from .stiefel import StiefelPoint, frame_array
 
@@ -71,6 +71,15 @@ class WeightTable:
         for name, arr in (("weights", w), ("gains", gains), ("shifts", shifts)):
             object.__setattr__(self, name, frozen(arr))
 
+    def ascent_alpha_floor(self) -> float:
+        """Smallest step weight guaranteeing monotone ascent of f.
+
+        Each matrix is bounded below by -shift_k * I, so adding
+        max(shifts) * I makes every per-column form positive semidefinite.
+        A solve with alpha >= this floor ascends monotonically.
+        """
+        return float(np.max(self.shifts))
+
 
 def build_weights(lambdas, groups: NoiseGroups) -> WeightTable:
     """Compute the weight, gain and shift families for a model setting."""
@@ -85,74 +94,55 @@ def build_weights(lambdas, groups: NoiseGroups) -> WeightTable:
 
 @dataclass(frozen=True, eq=False)
 class HppcaProblem:
-    """Sum of per-column quadratic forms assembled from a grouped dataset.
+    """Sum of per-column quadratic forms sum_k x_k.T @ M_k @ x_k.
 
     The K symmetric d-by-d matrices are stored once, stacked in a
     read-only (K, d, d) array; ``m_matrices[k]`` is column k's matrix.
-    Construction checks every matrix finite and symmetric.
+    Construction checks every matrix finite and symmetric. The sampled
+    objective f and its residual h are both of this form.
     """
 
-    weights: WeightTable
-    d: int
-    k: int
-    n: int
     m_matrices: np.ndarray
 
     def __post_init__(self):
-        mats = _frozen_stack(self.m_matrices, "column matrix")
-        if mats.shape != (self.k, self.d, self.d):
-            raise ValueError("need one d-by-d matrix per column")
+        mats = np.stack([check_symmetric(m, f"column matrix {i}", SYM_TOL)
+                         for i, m in enumerate(self.m_matrices)])
+        mats.setflags(write=False)
         object.__setattr__(self, "m_matrices", mats)
 
-    def columnwise_map(self, x) -> np.ndarray:
-        """Apply column k's matrix to column k: returns [M_1 x_1, ..., M_K x_K]."""
-        return self.frame_map(frame_array(x))
+    @property
+    def d(self) -> int:
+        return self.m_matrices.shape[1]
 
-    def frame_map(self, xa: np.ndarray) -> np.ndarray:
-        """columnwise_map() of a validated frame array; the input is not re-checked."""
+    @property
+    def k(self) -> int:
+        return self.m_matrices.shape[0]
+
+    def columnwise_map(self, xa: np.ndarray) -> np.ndarray:
+        """[M_1 x_1, ..., M_K x_K] of a checked frame array (a StiefelPoint's
+        ``x``); the input is not re-checked."""
         # One batched matrix-vector product per column: (K,d,d) @ (K,d,1).
         return np.matmul(self.m_matrices, xa.T[:, :, None])[:, :, 0].T
 
     def objective(self, x) -> float:
-        """f(X), the sum of the per-column quadratic forms."""
+        """The sum of the per-column quadratic forms at a frame."""
         xa = frame_array(x)
-        return float(np.sum(xa * self.frame_map(xa)))
-
-    def ascent_alpha_floor(self) -> float:
-        """Smallest step weight guaranteeing monotone ascent of f.
-
-        Each matrix is bounded below by -shift_k * I, so adding
-        max(shifts) * I makes every per-column form positive semidefinite.
-        A solve with alpha >= this floor ascends monotonically.
-        """
-        return float(np.max(self.weights.shifts))
+        return float(np.sum(xa * self.columnwise_map(xa)))
 
     def __repr__(self) -> str:
-        return f"HppcaProblem(d={self.d}, k={self.k}, n={self.n})"
+        return f"HppcaProblem(d={self.d}, k={self.k})"
 
 
 def build_problem(dataset: GroupedDataset, lambdas) -> HppcaProblem:
-    """Assemble the per-column matrices from data."""
+    """Assemble the per-column matrices from the dataset's block Grams."""
     lam = validate_lambdas(lambdas, dataset.k)
     weights = build_weights(lam, dataset.groups)
     variances = np.asarray(dataset.groups.variances)
-    # coeffs[l, k] scales block l inside column k's matrix.
+    # coeffs[l, k] scales Gram l inside column k's matrix.
     coeffs = weights.weights / (variances[:, None] * dataset.n)
     # M_k = sum_l coeffs[l, k] Y_l Y_l.T - shifts[k] I, every column k at once.
-    mats = np.zeros((dataset.k, dataset.d, dataset.d))
-    for block, c in zip(dataset.blocks, coeffs):
-        mats += c[:, None, None] * symmetrize(block @ block.T)
-    mats -= weights.shifts[:, None, None] * np.eye(dataset.d)
-    return HppcaProblem(weights=weights, d=dataset.d, k=dataset.k, n=dataset.n,
-                        m_matrices=(mats + matrix_transpose(mats)) / 2.0)
-
-
-def _frozen_stack(mats, label: str) -> np.ndarray:
-    """Read-only (K, d, d) stack of square matrices, each checked symmetric."""
-    stacked = np.stack([check_symmetric(m, f"{label} {i}", SYM_TOL)
-                        for i, m in enumerate(mats)])
-    stacked.setflags(write=False)
-    return stacked
+    mats = sum(c[:, None, None] * gram for gram, c in zip(dataset.grams, coeffs))
+    return HppcaProblem(mats - weights.shifts[:, None, None] * np.eye(dataset.d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,12 +186,9 @@ class PopulationProblem:
         """g at the ground truth, sum_k lambda_k * gain_k; the global maximum."""
         return float(np.dot(self.lambdas, self.gains))
 
-    def columnwise_map(self, x) -> np.ndarray:
-        return self.frame_map(frame_array(x))
-
-    def frame_map(self, xa: np.ndarray) -> np.ndarray:
-        """columnwise_map() of a validated frame array, or of each frame of
-        a (B, d, k) stack; the input is not re-checked."""
+    def columnwise_map(self, xa: np.ndarray) -> np.ndarray:
+        """[g_1 S x_1, ..., g_K S x_K] of a checked frame array, or of each
+        frame of a (B, d, k) stack; the input is not re-checked."""
         overlap = self.q_truth.x.T @ xa
         return self.q_truth.x @ (self.lambdas[:, None] * overlap) * self.gains
 
@@ -218,27 +205,13 @@ class PopulationProblem:
         return f"PopulationProblem(d={self.d}, k={self.k})"
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualSet:
-    """Per-column sampling residuals D_k = M_k - gain_k * signal covariance."""
-
-    deltas: np.ndarray  # read-only (K, d, d) stack
-
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", _frozen_stack(self.deltas, "residual"))
-
-    def value(self, x) -> float:
-        """h(X), the residual part of the objective."""
-        xa = frame_array(x)
-        return float(sum(xa[:, k] @ (delta @ xa[:, k]) for k, delta in enumerate(self.deltas)))
-
-
-def build_residuals(problem: HppcaProblem, population: PopulationProblem) -> ResidualSet:
-    """Exact residual matrices; needs the ground truth, so analysis only."""
+def build_residuals(problem: HppcaProblem, population: PopulationProblem) -> HppcaProblem:
+    """Exact residual matrices D_k = M_k - gain_k * S, as the problem whose
+    objective is h; needs the ground truth, so analysis only."""
     if problem.d != population.d or problem.k != population.k:
         raise ValueError("problem and population dimensions do not match")
     signal = population.signal_covariance()
-    return ResidualSet(deltas=problem.m_matrices - population.gains[:, None, None] * signal)
+    return HppcaProblem(problem.m_matrices - population.gains[:, None, None] * signal)
 
 
 def riemannian_gradient(population: PopulationProblem, x) -> np.ndarray:
@@ -248,6 +221,6 @@ def riemannian_gradient(population: PopulationProblem, x) -> np.ndarray:
     gradient G = 2 S X diag(gains); zero exactly at critical points.
     """
     xa = frame_array(x)
-    ambient = 2.0 * population.frame_map(xa)
+    ambient = 2.0 * population.columnwise_map(xa)
     skew = ambient - xa @ (ambient.T @ xa)
     return skew - 0.5 * xa @ (xa.T @ skew)

@@ -70,7 +70,7 @@ class SolverConfig:
     """Step weight, iteration budget and stopping tolerances.
 
     The solve uses alpha as given. A finite-sample solve ascends
-    monotonically once alpha is at least HppcaProblem.ascent_alpha_floor();
+    monotonically once alpha is at least WeightTable.ascent_alpha_floor();
     the population problem, whose signal covariance is positive
     semidefinite, ascends for any positive alpha. With accelerate on, every
     step that does not stop the solve is an Anderson mixture (see gpm_solve).
@@ -134,7 +134,7 @@ def _certify(problem, xa: np.ndarray, alpha: float,
     trace(X.T A) - alpha * k, without a second map. ``mapped`` is the
     frame's mapped matrix when it is already known."""
     if mapped is None:
-        mapped = alpha * xa + problem.frame_map(xa)
+        mapped = alpha * xa + problem.columnwise_map(xa)
     f = thin_svd(mapped)
     residual = fro_norm(xa @ f.h - mapped)
     inner = float((xa * mapped).sum())
@@ -154,7 +154,7 @@ def fixed_point_residuals(population: PopulationProblem, frames: np.ndarray,
                           alpha: float) -> np.ndarray:
     """fixed_point_residual of each frame of a (B, d, k) stack of checked
     frame arrays, from one checked SVD of the stacked mapped frames."""
-    mapped = check_step_weight(alpha) * frames + population.frame_map(frames)
+    mapped = check_step_weight(alpha) * frames + population.columnwise_map(frames)
     return fro_norms(frames @ thin_svd(mapped).h - mapped)
 
 
@@ -204,7 +204,7 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     of them fires, are the plain solver's.
 
     The loop runs on plain arrays and maps its own iterates with
-    ``problem.frame_map``, which does not re-validate them. Each row, the
+    ``problem.columnwise_map``, which does not re-validate them. Each row, the
     last one too, takes one thin_svd call: thin_svd checks the SVD and forms
     the polar factors P and H once; P is the next iterate and H gives the
     fixed-point residual. P needs no check of its own: with U and V
@@ -295,8 +295,8 @@ def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
     diffs = np.diff(pairs, axis=0)
     gamma = np.linalg.lstsq(diffs[:, 0].T, pairs[-1, 0], rcond=None)[0]
     mixture = thin_svd((pairs[-1, 1] - gamma @ diffs[:, 1]).reshape(g.shape)).p
-    mapped_mixture = alpha * mixture + problem.frame_map(mixture)
-    mapped_g = alpha * g + problem.frame_map(g)
+    mapped_mixture = alpha * mixture + problem.columnwise_map(mixture)
+    mapped_g = alpha * g + problem.columnwise_map(g)
     # Both frames are orthonormal, so their objectives differ as these
     # alignments trace(X.T A) do.
     if (mixture * mapped_mixture).sum() < (g * mapped_g).sum():

@@ -154,7 +154,7 @@ def test_criterion_07_decomposition_identity(ref_lambdas):
         residuals = build_residuals(problem, population)
         x = random_stiefel(40, 3, RngStream(40000 + seed, 2))
         f = problem.objective(x)
-        split = population.objective(x) + residuals.value(x)
+        split = population.objective(x) + residuals.objective(x)
         ok &= abs(f - split) <= 1e-10 * max(1.0, abs(f))
     _report(7, "objective equals population part plus residual part within "
                "1e-10 relative on 100 seeded pairs", ok)

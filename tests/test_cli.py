@@ -134,7 +134,8 @@ def test_robustness_without_trials_is_a_one_line_error(trials, tmp_path, capsys)
 @pytest.mark.parametrize("argv", [
     "solve --alpha nan", "solve --max-iters -1", "solve --init file:/nonexistent/x.npy",
     "solve --tol-step 0", "robustness --levels 0", "diagnose --alpha -1", "solve --alpha inf",
-    "solve --init file:{tmp}/frame_50x3.npy", "solve --init file:{tmp}/frame_20x2.npy"])
+    "solve --init file:{tmp}/frame_50x3.npy", "solve --init file:{tmp}/frame_20x2.npy",
+    "robustness --k 2 --trials 1 --levels 1"])
 def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys):
     # Orthonormal start frames of the wrong shape for --d 20 with k = 3.
     for d, k in ((50, 3), (20, 2)):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hppca import (NoiseGroups, NoiseKind, PopulationProblem, ResidualSet, RngStream,
+from hppca import (HppcaProblem, NoiseGroups, NoiseKind, PopulationProblem, RngStream,
                    build_problem, build_residuals, davis_kahan_check,
                    error_bound_samples, expected_covariance, frame_distance,
                    gpm_solve, optimum_distance_bound, orthogonal_completion, pca_init,
@@ -199,13 +199,13 @@ def test_max_tries_counts_rejections_across_chunks(pop20, monkeypatch, run, rais
 
 
 def test_residual_norms_simple_cases():
-    zero = ResidualSet(deltas=(np.zeros((4, 4)),))
+    zero = HppcaProblem((np.zeros((4, 4)),))
     assert residual_norms(zero)[0] == 0.0
     spike = np.zeros((5, 5))
     spike[0, 0] = 0.3
-    assert residual_norms(ResidualSet(deltas=(spike,)))[0] == pytest.approx(0.3, rel=1e-8)
+    assert residual_norms(HppcaProblem((spike,)))[0] == pytest.approx(0.3, rel=1e-8)
     indefinite = np.diag([0.2, -0.4, 0.0])
-    assert residual_norms(ResidualSet(deltas=(indefinite,)))[0] == pytest.approx(
+    assert residual_norms(HppcaProblem((indefinite,)))[0] == pytest.approx(
         0.4, rel=1e-8)
 
 
@@ -218,7 +218,7 @@ def test_residual_norms_match_jacobi_oracle():
               for values in ([0.3, 0.1, 0.0, -0.05, -0.2, -0.7],
                              [0.9, 0.4, -0.1, -0.3, -0.5, -0.6])]
     deltas = [(m + m.T) / 2 for m in deltas]
-    norms = residual_norms(ResidualSet(deltas=tuple(deltas)))
+    norms = residual_norms(HppcaProblem(tuple(deltas)))
     for norm, delta in zip(norms, deltas):
         assert norm == pytest.approx(np.max(np.abs(jacobi_eigh(delta)[0])), rel=1e-10)
     assert norms == pytest.approx([0.7, 0.9], rel=1e-10)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hppca import (GroupedDataset, NoiseGroups, NoiseKind, RngStream, SignalModel,
-                   draw_noise, expected_covariance, expected_group_covariance,
-                   load_dataset, random_stiefel, sample_covariance, sample_dataset,
-                   save_dataset, sym_eig_topk)
+                   build_problem, draw_noise, expected_covariance, expected_group_covariance,
+                   load_dataset, pca_init, random_stiefel, sample_covariance,
+                   sample_dataset, save_dataset, sym_eig_topk)
 
 from conftest import make_model
 
@@ -138,6 +138,27 @@ def test_dataset_save_load_round_trips_bit_exactly(ds):
     assert loaded.groups == ds.groups
     for left, right in zip(loaded.blocks, ds.blocks, strict=True):
         assert left.dtype == np.float64 and left.tobytes() == right.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(d=st.integers(1, 60), sizes=st.lists(st.integers(1, 100), min_size=1, max_size=3),
+       exponent=st.floats(-100, 100), seed=st.integers(0, 2**32 - 1))
+def test_block_grams_are_exactly_symmetric_and_formed_once(d, sizes, exponent, seed):
+    # numpy forms Y @ Y.T by a symmetric rank-k update, so no Gram needs a
+    # symmetrizing pass; the dataset forms its Grams once for every reader.
+    gen = RngStream(seed).generator()
+    scale = 10.0**exponent
+    blocks = tuple(scale * gen.standard_normal((d, size)) for size in sizes)
+    groups = NoiseGroups(tuple(sizes), tuple(float(v) for v in range(1, len(sizes) + 1)))
+    ds = GroupedDataset(blocks=blocks, k=max(d - 1, 1), groups=groups)
+    grams = ds.grams
+    assert grams.shape == (len(sizes), d, d) and not grams.flags.writeable
+    for gram in grams:
+        assert np.array_equal(gram, gram.T)
+    if d > 1:
+        pca_init(ds)
+        build_problem(ds, np.arange(ds.k, 0, -1, dtype=np.float64))
+    assert ds.grams is grams
 
 
 def test_dataset_roundtrip(tmp_path, ref_lambdas):

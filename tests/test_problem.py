@@ -81,7 +81,7 @@ def test_column_matrices_symmetric_and_shifted_psd(ref_lambdas, ref_groups):
     model = make_model(30, ref_lambdas, seed=1)
     ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(1, 1))
     problem = build_problem(ds, ref_lambdas)
-    table = problem.weights
+    table = build_weights(ref_lambdas, ref_groups)
     for k in range(3):
         m = problem.m_matrices[k]
         assert np.max(np.abs(m - m.T)) <= 1e-10
@@ -94,21 +94,12 @@ def test_dense_map_matches_raw_block_formula(ref_lambdas, ref_groups):
     model = make_model(25, ref_lambdas, seed=2)
     ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(2, 1))
     problem = build_problem(ds, ref_lambdas)
-    table = problem.weights
+    table = build_weights(ref_lambdas, ref_groups)
     coeffs = table.weights / (np.asarray(ref_groups.variances)[:, None] * ds.n)
     x = random_stiefel(25, 3, RngStream(2, 2))
     expected = blocks_map(ds.blocks, coeffs, table.shifts)(x.x)
-    assert np.allclose(problem.columnwise_map(x), expected, atol=1e-12)
+    assert np.allclose(problem.columnwise_map(x.x), expected, atol=1e-12)
     assert problem.objective(x) == pytest.approx(float(np.sum(x.x * expected)), abs=1e-12)
-
-
-def test_frame_map_equals_columnwise_map(ref_lambdas, ref_groups):
-    model = make_model(25, ref_lambdas, seed=3)
-    ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(3, 1))
-    problem = build_problem(ds, ref_lambdas)
-    for i in range(5):
-        x = random_stiefel(25, 3, RngStream(3, 2 + i))
-        assert np.array_equal(problem.frame_map(x.x), problem.columnwise_map(x))
 
 
 def test_objective_matches_naive_summation(ref_lambdas):
@@ -127,7 +118,7 @@ def test_identity_data_surrogate(ref_lambdas, ref_groups):
     table = build_weights(ref_lambdas, ref_groups)
     d = 7
     mats = tuple((1.0 - table.shifts[k]) * np.eye(d) for k in range(3))
-    problem = HppcaProblem(weights=table, d=d, k=3, n=10, m_matrices=mats)
+    problem = HppcaProblem(mats)
     expected = float(np.sum(1.0 - table.shifts))
     for seed in range(5):
         x = random_stiefel(d, 3, RngStream(70 + seed))
@@ -144,7 +135,7 @@ def test_decomposition_identity_on_seeded_pairs(ref_lambdas):
         residuals = build_residuals(problem, population)
         x = random_stiefel(12, 3, RngStream(500 + seed, 2))
         f = problem.objective(x)
-        split = population.objective(x) + residuals.value(x)
+        split = population.objective(x) + residuals.objective(x)
         assert abs(f - split) <= 1e-10 * max(1.0, abs(f))
 
 
@@ -154,9 +145,9 @@ def test_build_residuals_zero_case(ref_lambdas, ref_groups):
     table = build_weights(ref_lambdas, ref_groups)
     signal = population.signal_covariance()
     mats = tuple(table.gains[k] * signal for k in range(3))
-    problem = HppcaProblem(weights=table, d=10, k=3, n=100, m_matrices=mats)
+    problem = HppcaProblem(mats)
     residuals = build_residuals(problem, population)
-    for delta in residuals.deltas:
+    for delta in residuals.m_matrices:
         assert np.max(np.abs(delta)) <= 1e-12
 
 
@@ -196,7 +187,7 @@ def test_sign_invariance_of_all_objectives():
             assert problem.objective(flipped) == pytest.approx(problem.objective(x), abs=1e-12)
             assert population.objective(flipped) == pytest.approx(
                 population.objective(x), abs=1e-12)
-            assert residuals.value(flipped) == pytest.approx(residuals.value(x), abs=1e-12)
+            assert residuals.objective(flipped) == pytest.approx(residuals.objective(x), abs=1e-12)
 
 
 def test_population_objective_values(ref_lambdas, ref_groups):
@@ -253,10 +244,10 @@ def test_gpm_map_population_cases(ref_lambdas, ref_groups):
     population = PopulationProblem.from_model(model, ref_groups)
     q = model.q_truth
     alpha = 0.05
-    mapped = alpha * q.x + population.columnwise_map(q)
+    mapped = alpha * q.x + population.columnwise_map(q.x)
     scales = ref_lambdas * population.gains + alpha
     assert np.allclose(mapped, q.x * scales[None, :], atol=1e-12)
-    no_step = 0.0 * q.x + population.columnwise_map(q)
+    no_step = 0.0 * q.x + population.columnwise_map(q.x)
     assert np.allclose(no_step, q.x * (ref_lambdas * population.gains)[None, :], atol=1e-12)
     with pytest.raises(ValueError, match="step weight must be nonnegative"):
         fixed_point_residual(population, q, -0.1)
@@ -271,17 +262,15 @@ def test_gpm_map_decomposes_linearly(ref_lambdas, ref_groups):
     x = random_stiefel(18, 3, RngStream(12, 2))
     alpha = 0.05
     residual_columns = np.column_stack(
-        [residuals.deltas[k] @ x.x[:, k] for k in range(3)])
-    lhs = alpha * x.x + problem.columnwise_map(x)
-    rhs = alpha * x.x + population.columnwise_map(x) + residual_columns
+        [residuals.m_matrices[k] @ x.x[:, k] for k in range(3)])
+    lhs = alpha * x.x + problem.columnwise_map(x.x)
+    rhs = alpha * x.x + population.columnwise_map(x.x) + residual_columns
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_problem_constructor_validation(ref_lambdas, ref_groups):
-    table = build_weights(ref_lambdas, ref_groups)
+def test_problem_constructor_validation():
     with pytest.raises(TypeError):
-        HppcaProblem(weights=table, d=5, k=3, n=10)  # no matrices
+        HppcaProblem()  # no matrices
     asym = np.arange(25.0).reshape(5, 5)
     with pytest.raises(ValueError):
-        HppcaProblem(weights=table, d=5, k=3, n=10,
-                     m_matrices=(asym, np.eye(5), np.eye(5)))
+        HppcaProblem((asym, np.eye(5), np.eye(5)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hppca import (GroupedDataset, NoiseGroups, NoiseKind, PopulationProblem,
                    RngStream, SolverConfig, Termination, build_problem,
-                   expected_covariance, fixed_point_residual,
+                   build_weights, expected_covariance, fixed_point_residual,
                    frame_distance, gpm_solve, pca_init, random_stiefel,
                    read_trace_csv, riemannian_gradient, sample_dataset, trace_csv,
                    write_trace_csv)
@@ -63,7 +63,7 @@ def test_gpm_step_alpha_zero_is_pure_power_step(pop50):
 
     x = random_stiefel(50, 3, RngStream(3))
     stepped = _gpm_step(pop50, x, alpha=0.0)
-    direct = project_stiefel(pop50.columnwise_map(x))
+    direct = project_stiefel(pop50.columnwise_map(x.x))
     assert np.allclose(stepped.x, direct.x, atol=1e-13)
 
 
@@ -125,9 +125,10 @@ def test_finite_sample_monotone_ascent_with_safeguard(ref_lambdas, ref_groups):
     model = make_model(40, ref_lambdas, seed=9)
     ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(9, 1))
     problem = build_problem(ds, ref_lambdas)
-    config = SolverConfig(alpha=max(0.05, problem.ascent_alpha_floor()), max_iters=800)
+    floor = build_weights(ref_lambdas, ref_groups).ascent_alpha_floor()
+    config = SolverConfig(alpha=max(0.05, floor), max_iters=800)
     result = gpm_solve(problem, pca_init(ds), config)
-    assert result.alpha == pytest.approx(max(0.05, problem.ascent_alpha_floor()))
+    assert result.alpha == pytest.approx(max(0.05, floor))
     objectives = result.trace.objective
     assert np.all(np.diff(objectives) >= -1e-10)
 
@@ -309,14 +310,20 @@ def _svd_faulty_on_call(monkeypatch, call: int, corrupt):
 def test_each_certificate_and_each_mixture_takes_one_thin_svd(accelerate, monkeypatch):
     import hppca.solver as solver_module
 
-    thin_svd = solver_module.thin_svd
-    calls = []
+    thin_svd, columnwise_map = solver_module.thin_svd, HppcaProblem.columnwise_map
+    calls, maps = [], []
 
     def counted(m):
         calls.append(1)
         return thin_svd(m)
 
+    def counted_map(problem, xa):
+        maps.append(1)
+        return columnwise_map(problem, xa)
+
     monkeypatch.setattr(solver_module, "thin_svd", counted)
+    # The solver maps through the one method that perfbench traces.
+    monkeypatch.setattr(HppcaProblem, "columnwise_map", counted_map)
     problem, start = _sweep_problem(20, (30, 90), 0, 3)
     config = SolverConfig(max_iters=300, accelerate=accelerate)
     result = gpm_solve(problem, start, config)
@@ -326,7 +333,7 @@ def test_each_certificate_and_each_mixture_takes_one_thin_svd(accelerate, monkey
     stepped = int(np.sum((trace.residual > config.tol_residual)
                          & (trace.step_norm > config.tol_step)))
     mixtures = max(stepped - 1, 0) if accelerate else 0
-    assert len(calls) == result.iterations + 1 + mixtures
+    assert len(calls) == len(maps) == result.iterations + 1 + mixtures
     assert (mixtures if accelerate else result.iterations) > 10
 
 
@@ -349,7 +356,7 @@ def test_nan_operator_entry_is_rejected(ref_lambdas, ref_groups):
     mats = np.array(dense.m_matrices)
     mats[1, 3, 3] = np.nan
     with pytest.raises(ValueError):
-        HppcaProblem(weights=dense.weights, d=20, k=3, n=dense.n, m_matrices=mats)
+        HppcaProblem(mats)
 
 
 @pytest.mark.parametrize("damage", [2.0, np.nan])
@@ -496,7 +503,7 @@ def test_anderson_history_survives_a_fallback():
     for xa, g in zip(frames[::2], frames[1::2]):
         # A map that projects onto span(G(X)) rates the plain update above
         # any mixture that leaves that span, so the safeguard falls back.
-        problem = SimpleNamespace(frame_map=lambda x, g=g: 100.0 * g @ (g.T @ x))
+        problem = SimpleNamespace(columnwise_map=lambda x, g=g: 100.0 * g @ (g.T @ x))
         before = list(history)
         successor, mapped, fell_back = _anderson_step(problem, xa, g, 0.05, history)
         assert successor is g
@@ -510,7 +517,9 @@ def test_anderson_history_survives_a_fallback():
 
 def test_accelerated_safeguard_falls_back_and_keeps_the_ascent():
     problem, start = _sweep_problem(20, (30, 90), 1, 5)
-    alpha = max(SolverConfig.alpha, problem.ascent_alpha_floor())
+    groups = NoiseGroups((30, 90), sweep_variances("heterogeneity", 5))
+    floor = build_weights(ExperimentSpec.lambdas, groups).ascent_alpha_floor()
+    alpha = max(SolverConfig.alpha, floor)
     result = gpm_solve(problem, start, SolverConfig(alpha=alpha, accelerate=True))
     assert result.termination is Termination.RESIDUAL
     assert result.safeguard_steps > 0
