@@ -15,8 +15,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .experiments import (ExperimentSpec, robustness_csv, run_convergence,
-                          run_diagnose, run_robustness, svg_line_chart)
+from .experiments import (ExperimentSpec, missed_residual_note, robustness_csv,
+                          run_convergence, run_diagnose, run_robustness, svg_line_chart)
 from .diagnostics import report_text, write_report
 from .model import GroupedDataset, SignalModel, load_dataset, save_dataset
 from .problem import PopulationProblem, build_problem
@@ -241,6 +241,9 @@ def cmd_solve(args) -> int:
     ]
     if population is not None:
         lines.append(f"final_dist={frame_distance(result.x_final, population.q_truth):.17g}")
+    note = missed_residual_note(result, spec.tol_residual)
+    if note:
+        lines.append(f"note={note}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)

@@ -126,6 +126,7 @@ class RunSummary:
     iterations: int
     termination: str
     rate: float | None
+    note: str | None = None
 
     def lines(self, label: str) -> list[str]:
         rate = "" if self.rate is None else f"{self.rate:.17g}"
@@ -136,7 +137,16 @@ class RunSummary:
             f"{label}.iterations={self.iterations}",
             f"{label}.termination={self.termination}",
             f"{label}.fitted_rate={rate}",
-        ]
+        ] + ([f"{label}.note={self.note}"] if self.note else [])
+
+
+def missed_residual_note(result: SolveResult, tol_residual: float) -> str | None:
+    """Advice for a solve that stopped step-converged above tol_residual, else None."""
+    residual = float(result.trace.residual[-1])
+    if result.termination is not Termination.STEP or residual <= tol_residual:
+        return None
+    return (f"step-converged at residual {residual:.3g}, above --tol-residual "
+            f"{tol_residual:.3g}; lower --tol-step to reach it")
 
 
 @dataclass(eq=False)
@@ -148,8 +158,8 @@ class ConvergenceResult:
     summaries: dict[str, RunSummary] = field(default_factory=dict)
 
 
-def _summarize(result: SolveResult, population: PopulationProblem,
-               population_mode: bool) -> RunSummary:
+def _summarize(result: SolveResult, population: PopulationProblem, population_mode: bool,
+               config: SolverConfig) -> RunSummary:
     trace = result.trace
     if population_mode:
         gaps = population.optimal_value() - trace.population_objective
@@ -162,6 +172,7 @@ def _summarize(result: SolveResult, population: PopulationProblem,
         iterations=result.iterations,
         termination=result.termination.value,
         rate=fitted_rate(gaps),
+        note=missed_residual_note(result, config.tol_residual),
     )
 
 
@@ -188,7 +199,7 @@ def run_convergence(spec: ExperimentSpec, population_mode: bool = False) -> Conv
     for label, start in (("pca", spectral), ("random", spec.random_start(spec.d, spec.k))):
         result = gpm_solve(problem, start, config, truth=population)
         out.runs[label] = result
-        out.summaries[label] = _summarize(result, population, population_mode)
+        out.summaries[label] = _summarize(result, population, population_mode, config)
     return out
 
 

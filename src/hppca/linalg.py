@@ -162,19 +162,15 @@ def thin_svd(m) -> ThinSvd:
     and reconstruction tolerances; every tolerance test fails on NaN. The
     polar factors p, h are formed once and the reconstruction is tested as
     ||p @ h - m||_F. A stack passes only if each of its matrices passes every
-    test. One matrix has its entries scanned for a non-finite one only when
-    ||m||_F is not finite.
+    test (check_thin_svd). One matrix has its entries scanned for a
+    non-finite one only when ||m||_F is not finite.
     """
     if getattr(m, "ndim", 2) == 3:
         return _thin_svd_stack(np.asarray(m, dtype=np.float64))
     mat = _as_2d(m)
     if mat.shape[0] < mat.shape[1]:
         raise ValueError(f"need at least as many rows as columns, got shape {mat.shape}")
-    try:
-        u, sigma, vt = np.linalg.svd(mat, full_matrices=False)
-    except np.linalg.LinAlgError:
-        _check_finite(mat)
-        raise
+    u, sigma, vt = svd_factors(mat)
     s = sigma.tolist()
     scale = _norm_scale(sigma[0]) if s[0] > HUGE_SIGMA else None
     norm = fro_norm(mat if scale is None else mat * scale)
@@ -195,6 +191,16 @@ def thin_svd(m) -> ThinSvd:
     return f
 
 
+def svd_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd's unchecked thin factors (u, sigma, vt) of a matrix or
+    a (B, d, k) stack; LAPACK failing on non-finite input is a ValueError."""
+    try:
+        return np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError:
+        _check_finite(m, "matrix" if m.ndim == 2 else "matrix stack")
+        raise
+
+
 def _norm_scale(sigma_max):
     """Power of two that takes a largest singular value into [1, 2).
 
@@ -209,38 +215,42 @@ def _norm_scale(sigma_max):
 
 
 def _thin_svd_stack(stack: np.ndarray) -> ThinSvd:
-    """thin_svd of a (B, d, k) stack: the same tests, each taken per matrix.
-
-    Kept apart from the one-matrix path, which the solver runs every
-    iteration and which these stacked reductions would slow down.
-    """
+    """thin_svd of a (B, d, k) stack: one SVD call, then check_thin_svd. The
+    one-matrix path is kept apart; stacked reductions would slow it down."""
     if min(stack.shape) == 0:
         raise ValueError(f"matrix stack must have positive dimensions, got shape {stack.shape}")
     if stack.shape[1] < stack.shape[2]:
         raise ValueError(f"need at least as many rows as columns, got shape {stack.shape}")
+    u, sigma, vt = svd_factors(stack)
+    v = matrix_transpose(vt)
+    with np.errstate(all="ignore"):  # an infinite sigma fails the check
+        f = ThinSvd(u=u, sigma=sigma, v=v, p=u @ vt, h=v @ (sigma[:, :, None] * vt))
+    check_thin_svd(stack, f)
+    return f
+
+
+def check_thin_svd(stack: np.ndarray, f: ThinSvd, name: str = "matrix stack") -> None:
+    """Raise unless each matrix of a (B, d, k) stack and its thin SVD ``f``
+    pass every thin_svd test, with its tolerances, messages and exceptions;
+    each test is taken on the whole stack before the next one."""
     with np.errstate(over="ignore"):  # a huge finite matrix is told apart below
         norms = fro_norms(stack)
-    if not np.isfinite(norms).all() and not np.isfinite(stack).all():
-        raise ValueError("matrix stack has non-finite entries")
-    u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
-    v = matrix_transpose(vt)
-    if not (orthonormality_defects(u) <= FACTOR_TOL).all():
+    if not np.isfinite(norms).all():
+        _check_finite(stack, name)
+    if not (orthonormality_defects(f.u) <= FACTOR_TOL).all():
         raise RuntimeError("svd left factor lost orthonormality")
-    if not (orthonormality_defects(v) <= FACTOR_TOL).all():
+    if not (orthonormality_defects(f.v) <= FACTOR_TOL).all():
         raise RuntimeError("svd right factor lost orthogonality")
-    if not ((sigma[:, :-1] >= sigma[:, 1:]).all() and (sigma[:, -1] >= 0).all()):
+    if not ((f.sigma[:, :-1] >= f.sigma[:, 1:]).all() and (f.sigma[:, -1] >= 0).all()):
         raise RuntimeError("singular values are not sorted nonnegative")
-    # The scales are taken first: an infinite sigma raises here, before the
-    # stacked products would warn on it.
-    huge = sigma[:, 0] > HUGE_SIGMA
-    scales = _norm_scale(np.where(huge, sigma[:, 0], 1.0))[:, None, None]
-    f = ThinSvd(u=u, sigma=sigma, v=v, p=u @ vt, h=v @ (sigma[:, :, None] * vt))
+    # An infinite sigma raises here, before the reconstruction would warn on it.
+    huge = f.sigma[:, 0] > HUGE_SIGMA
+    scales = _norm_scale(np.where(huge, f.sigma[:, 0], 1.0))[:, None, None]
     resid = fro_norms((f.p @ f.h - stack) * scales)
     if huge.any():
         norms = fro_norms(stack * scales)
     if not (resid <= FACTOR_TOL * np.maximum(1.0, norms)).all():
         raise RuntimeError(f"svd reconstruction residual too large ({np.max(resid):.3e})")
-    return f
 
 
 def sym_eig_topk(s, k: int) -> tuple[np.ndarray, np.ndarray]:

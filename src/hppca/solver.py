@@ -15,8 +15,8 @@ H = V Sigma V.T, is reused for two per-iteration certificates:
   and zero precisely at fixed points.
 
 Every iteration is one row of a columnar trace, exported to CSV at full
-precision. The truth metrics a row may carry are taken once per chunk of
-iterates, while every check still fires in the iteration it concerns.
+precision. A plain solve checks its iterations, and takes the truth
+metrics a row may carry, once per chunk of iterates.
 
 The plain update converges linearly, at a rate that can sit close to 1.
 An accelerated solve (``SolverConfig.accelerate``) replaces each update by
@@ -38,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import CHUNK, ThinSvd, check_symmetric, fro_norm, fro_norms, sym_eig_topk, thin_svd
+from .linalg import (CHUNK, ThinSvd, check_symmetric, check_thin_svd, fro_norm, fro_norms,
+                     matrix_transpose, svd_factors, sym_eig_topk, thin_svd)
 from .model import GroupedDataset, sample_covariance
 from .problem import PopulationProblem
 from .stiefel import RANK_TOL, StiefelPoint, aligned_distances, frame_array
@@ -93,8 +94,8 @@ class SolverConfig:
 
 def _check_certificates(residual: float, gap: float, wall_time: float,
                         where: str = "iteration") -> None:
-    """Raise ValueError unless an iteration's residual, gap and time are in
-    range; NaN fails."""
+    """Raise ValueError unless a row's residual, gap and time (or the least
+    of a chunk's) are in range; NaN fails."""
     if not (residual >= 0 and gap >= -1e-9 and wall_time >= 0):
         raise ValueError(f"{where} certificates out of range")
 
@@ -194,41 +195,113 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
 
     Stops when the fixed-point residual or the step norm drops below its
     tolerance, or after max_iters updates. Non-convergence is reported in
-    the termination field, never raised. When ``truth`` is supplied each
-    trace row also carries the infinite-sample objective and the
-    sign-invariant distance to the ground truth.
+    the termination field, never raised. With ``truth`` each trace row also
+    carries the infinite-sample objective and the sign-invariant distance
+    to the ground truth, taken on one (B, d, k) stack per chunk of rows.
 
-    With ``config.accelerate`` every iteration whose stopping tests fail
-    moves to the Anderson mixture of _anderson_step instead of the plain
-    update; the tests themselves, and the plain update returned when one
-    of them fires, are the plain solver's.
+    A plain solve runs CHUNK rows at a time: each row only maps, takes
+    np.linalg.svd and forms the next iterate P = U V.T; one stacked pass
+    per chunk then forms H, the residuals and steps, finds the final row
+    and takes every thin_svd test (check_thin_svd) and the certificate
+    ranges on the rows up to it. A failing row raises when its chunk ends;
+    rows past the final one, and their exceptions, are dropped. P needs no
+    check of its own: with U and V orthonormal within FACTOR_TOL,
+    ||P.T P - I||_F stays near 2 * FACTOR_TOL, far below ORTHO_TOL.
 
-    The loop runs on plain arrays and maps its own iterates with
-    ``problem.columnwise_map``, which does not re-validate them. Each row, the
-    last one too, takes one thin_svd call: thin_svd checks the SVD and forms
-    the polar factors P and H once; P is the next iterate and H gives the
-    fixed-point residual. P needs no check of its own: with U and V
-    orthonormal within FACTOR_TOL, ||P.T P - I||_F stays near 2 * FACTOR_TOL,
-    far below ORTHO_TOL. Each iteration's certificates must be in range, or
-    the iteration raises. With the truth, the iterates wait in a buffer of at
-    most CHUNK frames whose truth metrics are taken on one (B, d, k) stack;
-    the trace is built once, at the end. wall_time covers each iteration's
-    own work.
+    With ``config.accelerate`` each iteration whose stopping tests fail moves
+    to the Anderson mixture of _anderson_step instead of the plain update;
+    each row takes one checked thin_svd call and raises when it fails.
+
+    Iterates are mapped with ``problem.columnwise_map``, which does not
+    re-validate them. wall_time is a row's own work plus, in a plain solve,
+    an equal share of its chunk's pass and of any rows run past the final one.
     """
     if init.x.shape != (problem.d, problem.k):
         raise ValueError(f"initial frame has shape {init.x.shape}, "
                          f"the problem needs ({problem.d}, {problem.k})")
-    alpha = config.alpha
-    x = init.x
-    rows: list[tuple] = []
-    frames: list[np.ndarray] = []
-    truth_cells: list[np.ndarray] = []
-    termination = Termination.MAX_ITERS
-    nonunique_steps = safeguard_steps = 0
-    last_step_nonunique = False
-    history: list[np.ndarray] = []
-    mapped = None
+    blocks, smallest = [], []
 
+    def emit(block: np.recarray, frames, sigma_min: np.ndarray) -> None:
+        if truth is not None:
+            stack = np.asarray(frames)
+            block.population_objective = truth.frame_objective(stack)
+            block.dist_to_truth = aligned_distances(stack, truth.q_truth.x)
+        blocks.append(block)
+        smallest.append(sigma_min)
+
+    loop = _accelerated_rows if config.accelerate else _speculative_rows
+    x, termination, safeguard_steps = loop(problem, init.x, config, emit)
+    trace = blocks[0] if len(blocks) == 1 else np.concatenate(blocks).view(np.recarray)
+    # The final row takes no step.
+    nonunique = np.concatenate(smallest)[:-1] <= RANK_TOL
+    last_step_nonunique = bool(nonunique.size and nonunique[-1])
+    if last_step_nonunique:
+        termination = Termination.PROJECTION_NONUNIQUE
+    x_final = StiefelPoint(x, nonunique=last_step_nonunique) if len(trace) > 1 else init
+    return SolveResult(x_final=x_final, trace=trace, termination=termination,
+                       alpha=config.alpha, nonunique_steps=int(nonunique.sum()),
+                       safeguard_steps=safeguard_steps)
+
+
+def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, emit):
+    """gpm_solve's plain loop: emit each chunk's rows, frames and smallest
+    singular values; return the final frame, termination and 0 safeguards."""
+    alpha, (d, k) = config.alpha, x.shape
+    # xs[i] is row i's frame and xs[i + 1] its update P.
+    xs, mapped, u = np.empty((CHUNK + 1, d, k)), np.empty((CHUNK, d, k)), np.empty((CHUNK, d, k))
+    sigma, vt = np.empty((CHUNK, k)), np.empty((CHUNK, k, k))
+    termination, t0 = Termination.MAX_ITERS, 0
+    while True:
+        stopped = termination is not Termination.MAX_ITERS
+        n = 1 if stopped else min(CHUNK, config.max_iters + 1 - t0)
+        xs[0], stamps, failure = x, [time.perf_counter()], None
+        for i in range(n):
+            try:
+                np.add(alpha * x, problem.columnwise_map(x), out=mapped[i])
+                u[i], sigma[i], vt[i] = svd_factors(mapped[i])
+            except Exception as exc:  # raised below if the row is needed
+                n, failure = i, exc
+                break
+            x = np.matmul(u[i], vt[i], out=xs[i + 1])
+            stamps.append(time.perf_counter())
+        if n == 0:
+            raise failure
+        with np.errstate(all="ignore"):  # a row that would warn here fails a check or is dropped
+            v = matrix_transpose(vt[:n])
+            f = ThinSvd(u[:n], sigma[:n], v, xs[1:n + 1], v @ (sigma[:n, :, None] * vt[:n]))
+            residuals = fro_norms(xs[:n] @ f.h - mapped[:n])
+            steps = fro_norms(f.p - xs[:n])
+        final = 0 if stopped else config.max_iters - t0
+        fires = np.flatnonzero((residuals[:final] <= config.tol_residual)
+                               | (steps[:final] <= config.tol_step))
+        if fires.size:
+            final = fires[0] + 1
+            termination = (Termination.RESIDUAL if residuals[fires[0]] <= config.tol_residual
+                           else Termination.STEP)
+        kept = min(final + 1, n)
+        check_thin_svd(mapped[:kept], ThinSvd._make(a[:kept] for a in f), "matrix")
+        inner = (xs[:kept] * mapped[:kept]).reshape(kept, -1).sum(axis=1)
+        gaps = sigma[:kept].sum(axis=1) - inner
+        steps[final:] = 0.0  # the final row takes no step
+        own = np.diff(stamps)[:kept]
+        wall = own + (time.perf_counter() - stamps[0] - own.sum()) / kept
+        _check_certificates(residuals[:kept].min(), gaps.min(), wall.min())
+        if failure is not None and final >= n:
+            raise failure
+        nan = np.full(kept, math.nan)
+        emit(np.rec.fromarrays([np.arange(t0, t0 + kept), inner - alpha * k, nan, nan,
+                                steps[:kept], residuals[:kept], gaps, sigma[:kept, 0], wall],
+                               dtype=TRACE_DTYPE), xs[:kept], sigma[:kept, -1].copy())
+        if final < n:
+            return xs[final], termination, 0
+        t0 += kept
+
+
+def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, emit):
+    """gpm_solve's accelerated loop, one certified row at a time; emits and
+    returns as _speculative_rows does, with the safeguard steps."""
+    alpha, termination, safeguard_steps = config.alpha, Termination.MAX_ITERS, 0
+    rows, frames, minima, history, mapped = [], [], [], [], None
     for t in itertools.count():
         tic = time.perf_counter()
         c = _certify(problem, x, alpha, mapped)
@@ -238,36 +311,25 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
             x_next = c.svd.p
             step = fro_norm(x_next - x)
             mapped = None
-            if config.accelerate and c.residual > config.tol_residual and step > config.tol_step:
+            if c.residual <= config.tol_residual:
+                termination = Termination.RESIDUAL
+            elif step <= config.tol_step:
+                termination = Termination.STEP
+            else:
                 x_next, mapped, fell_back = _anderson_step(problem, x, x_next, alpha, history)
                 safeguard_steps += fell_back
         elapsed = time.perf_counter() - tic
         _check_certificates(c.residual, c.gap, elapsed)
         rows.append((t, c.objective, math.nan, math.nan, step, c.residual, c.gap,
                      c.svd.sigma[0], elapsed))
-        if truth is not None:
-            frames.append(x)
-            if final or len(frames) == CHUNK:
-                _take_truth(truth, frames, truth_cells)
+        frames.append(x)
+        minima.append(c.svd.sigma[-1])
+        if final or len(rows) == CHUNK:
+            emit(np.rec.fromrecords(rows, dtype=TRACE_DTYPE), frames, np.array(minima))
+            rows, frames, minima = [], [], []
         if final:
-            break
-        last_step_nonunique = bool(c.svd.sigma[-1] <= RANK_TOL)
-        nonunique_steps += last_step_nonunique
+            return x, termination, safeguard_steps
         x = x_next
-        if c.residual <= config.tol_residual:
-            termination = Termination.RESIDUAL
-        elif step <= config.tol_step:
-            termination = Termination.STEP
-
-    trace = np.rec.fromrecords(rows, dtype=TRACE_DTYPE)
-    if truth is not None:
-        trace.population_objective, trace.dist_to_truth = np.concatenate(truth_cells, axis=1)
-    if last_step_nonunique:
-        termination = Termination.PROJECTION_NONUNIQUE
-    x_final = StiefelPoint(x, nonunique=last_step_nonunique) if len(rows) > 1 else init
-    return SolveResult(x_final=x_final, trace=trace, termination=termination,
-                       alpha=alpha, nonunique_steps=nonunique_steps,
-                       safeguard_steps=safeguard_steps)
 
 
 def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
@@ -302,16 +364,6 @@ def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
     if (mixture * mapped_mixture).sum() < (g * mapped_g).sum():
         return g, mapped_g, True
     return mixture, mapped_mixture, False
-
-
-def _take_truth(truth: PopulationProblem, frames: list[np.ndarray],
-                truth_cells: list[np.ndarray]) -> None:
-    """Append the population objectives and the distances to the truth of
-    the buffered frames, from one stack, to ``truth_cells``; empty the buffer."""
-    stack = np.stack(frames)
-    truth_cells.append(np.stack([truth.frame_objective(stack),
-                                 aligned_distances(stack, truth.q_truth.x)]))
-    frames.clear()
 
 
 def _cells(column: np.ndarray) -> list[str]:

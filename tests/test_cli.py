@@ -112,6 +112,27 @@ def test_convergence_nonconvergence_is_still_success(tmp_path):
     assert "max-iters" in summary
 
 
+def test_solve_and_convergence_note_a_missed_residual_target(tmp_path):
+    # With tol_residual below about 1e-11 the default step tolerance fires
+    # first; the summary says so instead of only reporting step-converged.
+    flags = ("--d", "20", "--sizes", "30,90", "--tol-residual", "1e-13")
+    assert run_cli("solve", *flags, "--out", str(tmp_path / "solve")) == 0
+    lines = (tmp_path / "solve" / "summary.txt").read_text().splitlines()
+    assert "termination=step-converged" in lines
+    prefix, _, rest = lines[-1].partition(" at residual ")
+    assert prefix == "note=step-converged"
+    residual, _, advice = rest.partition(", ")
+    assert 1e-13 < float(residual) < 1e-11
+    assert advice == "above --tol-residual 1e-13; lower --tol-step to reach it"
+    assert run_cli("convergence", *flags, "--out", str(tmp_path / "conv")) == 0
+    lines = (tmp_path / "conv" / "summary.txt").read_text().splitlines()
+    assert [line.split("=")[0] for line in lines if "note=" in line] == ["pca.note",
+                                                                        "random.note"]
+    # A default run stops on its residual and writes no note.
+    assert run_cli("solve", "--d", "20", "--sizes", "30,90", "--out", str(tmp_path / "d")) == 0
+    assert "note=" not in (tmp_path / "d" / "summary.txt").read_text()
+
+
 def test_robustness_command(tmp_path):
     out = tmp_path / "rob"
     assert run_cli("robustness", "--d", "20", "--sizes", "30,90", "--trials", "2",

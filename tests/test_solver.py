@@ -308,23 +308,21 @@ def _svd_faulty_on_call(monkeypatch, call: int, corrupt):
 
 @pytest.mark.parametrize("accelerate", [False, True])
 def test_each_certificate_and_each_mixture_takes_one_thin_svd(accelerate, monkeypatch):
-    import hppca.solver as solver_module
-
-    thin_svd, columnwise_map = solver_module.thin_svd, HppcaProblem.columnwise_map
+    svd, columnwise_map = np.linalg.svd, HppcaProblem.columnwise_map
     calls, maps = [], []
 
-    def counted(m):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return thin_svd(m)
+        return svd(*args, **kwargs)
 
     def counted_map(problem, xa):
         maps.append(1)
         return columnwise_map(problem, xa)
 
-    monkeypatch.setattr(solver_module, "thin_svd", counted)
+    problem, start = _sweep_problem(20, (30, 90), 0, 3)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     # The solver maps through the one method that perfbench traces.
     monkeypatch.setattr(HppcaProblem, "columnwise_map", counted_map)
-    problem, start = _sweep_problem(20, (30, 90), 0, 3)
     config = SolverConfig(max_iters=300, accelerate=accelerate)
     result = gpm_solve(problem, start, config)
     trace = result.trace[:-1]
@@ -333,7 +331,10 @@ def test_each_certificate_and_each_mixture_takes_one_thin_svd(accelerate, monkey
     stepped = int(np.sum((trace.residual > config.tol_residual)
                          & (trace.step_norm > config.tol_step)))
     mixtures = max(stepped - 1, 0) if accelerate else 0
-    assert len(calls) == len(maps) == result.iterations + 1 + mixtures
+    assert len(calls) == len(maps)
+    # A plain solve also maps and decomposes the rows of the last chunk that
+    # run past the final row, fewer than CHUNK of them.
+    assert 0 <= len(calls) - (result.iterations + 1 + mixtures) <= (0 if accelerate else CHUNK - 1)
     assert (mixtures if accelerate else result.iterations) > 10
 
 
@@ -346,7 +347,9 @@ def test_svd_corrupted_at_iteration_5_stops_the_solve(pop50, monkeypatch):
     start = random_stiefel(50, 3, RngStream(24))
     with pytest.raises(RuntimeError, match="orthonormality"):
         gpm_solve(pop50, start, SolverConfig(max_iters=50), truth=pop50)
-    assert len(calls) == 6
+    # After the start's SVD, the bad row's chunk runs all max_iters + 1 = 51
+    # rows before it is checked.
+    assert len(calls) == 1 + 51
 
 
 def test_nan_operator_entry_is_rejected(ref_lambdas, ref_groups):
@@ -361,7 +364,8 @@ def test_nan_operator_entry_is_rejected(ref_lambdas, ref_groups):
 
 @pytest.mark.parametrize("damage", [2.0, np.nan])
 def test_iterate_orthonormality_is_checked_every_iteration(pop50, monkeypatch, damage):
-    # The third SVD projects the third iterate; thin_svd rejects its factors.
+    # The third SVD projects the third iterate; the chunk's check rejects its
+    # factors.
     def scaled(u, sigma, vt):
         return u * damage, sigma, vt
 
@@ -369,7 +373,9 @@ def test_iterate_orthonormality_is_checked_every_iteration(pop50, monkeypatch, d
     start = random_stiefel(50, 3, RngStream(26))
     with pytest.raises(RuntimeError, match="left factor lost orthonormality"):
         gpm_solve(pop50, start, SolverConfig(max_iters=50))
-    assert len(calls) == 3
+    # NaN factors make the next row's SVD raise, which ends the chunk there;
+    # otherwise the chunk runs all max_iters + 1 = 51 rows after the start's SVD.
+    assert len(calls) == (3 if np.isnan(damage) else 1 + 51)
 
 
 def _trace_rows(result) -> list[tuple]:
@@ -415,22 +421,116 @@ def test_truth_trace_equals_one_frame_reference(kind, max_iters, ref_lambdas, re
     assert _trace_rows(bare) == [row[:2] + (None, None) + row[4:] for row in expected]
 
 
-def test_negative_gap_raises_in_the_iteration_that_produced_it(pop50, monkeypatch):
+def test_negative_gap_raises_before_the_solve_returns(pop50, monkeypatch):
     import hppca.solver as solver_module
 
-    thin_svd = solver_module.thin_svd
+    check = solver_module.check_thin_svd
     calls = []
 
-    def halved(m):
-        f = thin_svd(m)
+    def halved(stack, f, name):
+        # The chunk's rows pass the check; then the third row's singular
+        # values, a view the gaps are taken from, are halved.
+        check(stack, f, name)
         calls.append(1)
-        return f._replace(sigma=f.sigma / 2) if len(calls) == 3 else f
+        f.sigma[2] /= 2
 
-    monkeypatch.setattr(solver_module, "thin_svd", halved)
+    monkeypatch.setattr(solver_module, "check_thin_svd", halved)
     start = random_stiefel(50, 3, RngStream(28))
     with pytest.raises(ValueError, match="certificates out of range"):
         gpm_solve(pop50, start, SolverConfig(max_iters=200), truth=pop50)
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def _falling_problem(lambdas, groups):
+    """A d = 30 sample problem, its truth and its spectral start, from which
+    the residual and step columns fall strictly over the first 140 rows."""
+    model = make_model(30, lambdas, seed=27)
+    ds = sample_dataset(model, NoiseGroups((40, 160), (1.0, 6.0)), NoiseKind.GAUSSIAN,
+                        RngStream(27, 1))
+    return build_problem(ds, lambdas), pca_init(ds), PopulationProblem.from_model(model, groups)
+
+
+_NO_STOP = dict(tol_residual=1e-300, tol_step=1e-300)
+
+
+@pytest.mark.parametrize("stop_row", [0, 1, CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 1])
+@pytest.mark.parametrize("column", ["residual", "step_norm"])
+def test_a_stop_on_any_row_of_a_chunk_matches_the_plain_loop(column, stop_row, ref_lambdas,
+                                                             ref_groups):
+    # A plain solve runs its chunk past the stop, then keeps the rows up to
+    # the final one, which follows the stop and may open the next chunk.
+    problem, start, truth = _falling_problem(ref_lambdas, ref_groups)
+    reference = gpm_solve(problem, start, SolverConfig(max_iters=2 * CHUNK + 5, **_NO_STOP))
+    values = reference.trace[column][:-1]
+    tolerance = {"residual": "tol_residual", "step_norm": "tol_step"}[column]
+    config = SolverConfig(**{**_NO_STOP, tolerance: values[stop_row]})
+    assert np.flatnonzero(values <= values[stop_row])[0] == stop_row
+    result = gpm_solve(problem, start, config, truth=truth)
+    assert _trace_rows(result) == plain_trace(_oracle_map(problem), start.x, config.alpha,
+                                              stop_row + 1, truth)
+    x, iterations, termination = plain_gpm(_oracle_map(problem), start.x, config.alpha,
+                                           config.max_iters, config.tol_step,
+                                           config.tol_residual)
+    assert result.termination.value == termination != "max-iters"
+    assert result.iterations == iterations == stop_row + 1
+    assert np.array_equal(result.x_final.x, x)
+
+
+def test_a_fault_past_the_final_row_is_dropped(ref_lambdas, ref_groups, monkeypatch):
+    # The stop at row 10 makes row 11 the final one. Row 13 gets NaN factors,
+    # so the SVD of row 14 raises; neither row is kept, nor checked.
+    problem, start, truth = _falling_problem(ref_lambdas, ref_groups)
+    reference = gpm_solve(problem, start, SolverConfig(max_iters=20, **_NO_STOP))
+    config = SolverConfig(tol_residual=reference.trace.residual[10])
+    clean = gpm_solve(problem, start, config, truth=truth)
+    assert clean.iterations == 11
+
+    def nan_factors(u, sigma, vt):
+        return u * np.nan, sigma * np.nan, vt * np.nan
+
+    calls = _svd_faulty_on_call(monkeypatch, 14, nan_factors)
+    faulted = gpm_solve(problem, start, config, truth=truth)
+    assert len(calls) == 14
+    assert _trace_rows(faulted) == _trace_rows(clean)
+    assert np.array_equal(faulted.x_final.x, clean.x_final.x)
+    assert (faulted.termination, faulted.nonunique_steps) == (clean.termination,
+                                                              clean.nonunique_steps)
+
+
+def test_an_earlier_failing_row_is_raised_before_a_later_svd_error(pop50, monkeypatch):
+    # Row 3 has a bad left factor and row 5 NaN factors, so the SVD of row 6
+    # raises. The chunk checks rows 0-5 first and raises row 3's failure.
+    def tilt(u, sigma, vt):
+        u[0, 0] += 1e-6
+        return u, sigma, vt
+
+    def nan_factors(u, sigma, vt):
+        return u * np.nan, sigma * np.nan, vt * np.nan
+
+    start = random_stiefel(50, 3, RngStream(24))
+    _svd_faulty_on_call(monkeypatch, 4, tilt)
+    calls = _svd_faulty_on_call(monkeypatch, 6, nan_factors)
+    with pytest.raises(RuntimeError, match="left factor lost orthonormality"):
+        gpm_solve(pop50, start, SolverConfig(max_iters=50))
+    assert len(calls) == 6
+
+
+def test_a_non_finite_mapped_matrix_mid_chunk_is_a_value_error(monkeypatch):
+    # The SVD of row 5 raises on its NaN input; rows 0-4 pass their checks,
+    # and the error is thin_svd's.
+    problem, start = _sweep_problem(20, (30, 90), 0, 3)
+    columnwise_map = HppcaProblem.columnwise_map
+    maps = []
+
+    def nan_map(problem, xa):
+        maps.append(1)
+        mapped = columnwise_map(problem, xa)
+        return mapped * np.nan if len(maps) == 6 else mapped
+
+    monkeypatch.setattr(HppcaProblem, "columnwise_map", nan_map)
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        gpm_solve(problem, start, SolverConfig())
+    assert len(maps) == 6
 
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | \
