@@ -8,6 +8,7 @@ defaults; explicit command-line flags win over the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -25,6 +26,7 @@ from .stiefel import StiefelPoint, frame_distance
 
 # Settings that are not ExperimentSpec fields; the spec supplies the rest.
 _EXTRA_DEFAULTS = {"sweep": "heterogeneity", "metric": "dist-f"}
+_SPEC_HINTS = get_type_hints(ExperimentSpec)
 
 
 def _split(value) -> list:
@@ -47,7 +49,7 @@ def read_config(path) -> dict[str, str]:
     return out
 
 
-# argparse options of every shared flag, keyed by its destination.
+# argparse options of every flag, keyed by its destination.
 _FLAGS = {
     "seed": dict(type=int),
     "out": dict(help="output directory (default: out)"),
@@ -69,30 +71,36 @@ _FLAGS = {
     "sweep": dict(choices=("noise", "heterogeneity")),
     "metric": dict(choices=("dist-f", "sin-theta")),
     "svg": dict(action="store_true", help="also render SVG charts"),
+    "data": dict(help="directory of a previously generated dataset"),
+    "population": dict(action="store_true",
+                       help="solve the infinite-sample problem instead of sampled data"),
+    "zero_residual": dict(action="store_true",
+                          help="report with the residual matrices replaced by zero"),
 }
 
-# The shared flags each subcommand reads; argparse rejects the others, and
-# resolve_spec rejects a --config key that names none of them.
+# The flags each subcommand reads; argparse rejects the others, and
+# resolve_spec rejects a --config key that names none of its settings.
 _MODEL = ("seed", "out", "config", "d", "k", "sizes", "variances", "lambdas", "noise")
 _SOLVER = ("alpha", "max_iters", "tol_step", "tol_residual")
 _COMMAND_FLAGS = {
     "generate": _MODEL,
-    "solve": _MODEL + _SOLVER + ("init",),
-    "convergence": _MODEL + _SOLVER + ("svg",),
+    "solve": _MODEL + _SOLVER + ("init", "data"),
+    "convergence": _MODEL + _SOLVER + ("svg", "population"),
     # Each sweep level sets the variances itself.
     "robustness": tuple(name for name in _MODEL if name != "variances") + _SOLVER
     + ("trials", "levels", "sweep", "metric", "svg"),
-    "diagnose": _MODEL + ("alpha",),
+    "diagnose": _MODEL + ("alpha", "data", "zero_residual"),
 }
 
 
-def _add_common(p: argparse.ArgumentParser, command: str) -> None:
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     for name in _COMMAND_FLAGS[command]:
         p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
     # So that a flag the subcommand does not take is reported with its usage.
     p.set_defaults(subparser=p)
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hppca",
@@ -100,33 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "generalized power method and its diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="draw a dataset and write it to disk")
-    _add_common(p, "generate")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("solve", help="run the solver once and write its trace")
-    _add_common(p, "solve")
-    p.add_argument("--data", help="directory of a previously generated dataset")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("convergence", help="solver traces from spectral and random starts")
-    _add_common(p, "convergence")
-    p.add_argument("--population", action="store_true",
-                   help="solve the infinite-sample problem instead of sampled data")
-    p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("robustness", help="error sweep against a spectral baseline")
-    _add_common(p, "robustness")
-    p.set_defaults(func=cmd_robustness)
-
-    p = sub.add_parser("diagnose", help="estimate constants and check bounds")
-    _add_common(p, "diagnose")
-    p.add_argument("--data", help="directory of a previously generated dataset")
-    p.add_argument("--zero-residual", action="store_true",
-                   help="report with the residual matrices replaced by zero")
-    p.set_defaults(func=cmd_diagnose)
-
+    for command, help_text, func in (
+            ("generate", "draw a dataset and write it to disk", cmd_generate),
+            ("solve", "run the solver once and write its trace", cmd_solve),
+            ("convergence", "solver traces from spectral and random starts", cmd_convergence),
+            ("robustness", "error sweep against a spectral baseline", cmd_robustness),
+            ("diagnose", "estimate constants and check bounds", cmd_diagnose)):
+        p = sub.add_parser(command, help=help_text)
+        _add_flags(p, command)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -137,7 +127,7 @@ def resolve_spec(args) -> tuple[ExperimentSpec, dict[str, str]]:
     Returns the spec and the merged settings that are not spec fields
     (sweep and metric), so a config file sets those too.
     """
-    hints = get_type_hints(ExperimentSpec)
+    hints = _SPEC_HINTS
     defaults = {f.name: f.default for f in fields(ExperimentSpec)} | _EXTRA_DEFAULTS
     settings = dict(defaults)
     if getattr(args, "config", None):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 # Deviation allowed for orthonormal factors and reconstruction residuals.
 FACTOR_TOL = 1e-10
@@ -87,8 +88,9 @@ def orthonormality_defect(a: np.ndarray) -> float:
 
 
 def orthonormality_defects(stack: np.ndarray) -> np.ndarray:
-    """orthonormality_defect of each matrix of a (B, d, k) stack."""
-    return fro_norms(matrix_transpose(stack) @ stack - _identity(stack.shape[2]))
+    """orthonormality_defect of each matrix of a (B, d, k) stack (by gemm, not syrk)."""
+    gram = np.ascontiguousarray(matrix_transpose(stack)) @ stack
+    return fro_norms(gram - _identity(stack.shape[2]))
 
 
 def check_symmetric(m, name: str = "matrix", tol: float = FACTOR_TOL) -> np.ndarray:
@@ -156,7 +158,7 @@ class ThinSvd(NamedTuple):
 
 def thin_svd(m) -> ThinSvd:
     """Thin SVD of a d-by-k matrix with d >= k, or of each matrix of a
-    (B, d, k) stack array in one np.linalg.svd call.
+    (B, d, k) stack array in one LAPACK call (svd_factors).
 
     The input must be finite and the factors must meet the orthonormality
     and reconstruction tolerances; every tolerance test fails on NaN. The
@@ -166,7 +168,17 @@ def thin_svd(m) -> ThinSvd:
     non-finite one only when ||m||_F is not finite.
     """
     if getattr(m, "ndim", 2) == 3:
-        return _thin_svd_stack(np.asarray(m, dtype=np.float64))
+        stack = np.asarray(m, dtype=np.float64)
+        if min(stack.shape) == 0:
+            raise ValueError(f"matrix stack must have positive dimensions, got shape {stack.shape}")
+        if stack.shape[1] < stack.shape[2]:
+            raise ValueError(f"need at least as many rows as columns, got shape {stack.shape}")
+        u, sigma, vt = svd_factors(stack)
+        v = matrix_transpose(vt)
+        with np.errstate(all="ignore"):  # an infinite sigma fails the check
+            f = ThinSvd(u=u, sigma=sigma, v=v, p=u @ vt, h=v @ (sigma[:, :, None] * vt))
+        check_thin_svd(stack, f)
+        return f
     mat = _as_2d(m)
     if mat.shape[0] < mat.shape[1]:
         raise ValueError(f"need at least as many rows as columns, got shape {mat.shape}")
@@ -191,14 +203,33 @@ def thin_svd(m) -> ThinSvd:
     return f
 
 
+# LAPACK's thin SVD, the gufunc np.linalg.svd(m, full_matrices=False) calls for
+# float64 input (numpy >= 2.0), run under np.linalg.svd's own svd_errstate().
+lapack_svd = functools.partial(_umath_linalg.svd_s, signature="d->ddd")
+
+
+def _svd_nonconvergence(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+svd_errstate = functools.partial(np.errstate, call=_svd_nonconvergence, invalid="call",
+                                 over="ignore", divide="ignore", under="ignore")
+
+
+def svd_failure(exc: Exception, m: np.ndarray) -> Exception:
+    """``exc``, or a ValueError when it is LAPACK failing on a non-finite ``m``."""
+    if isinstance(exc, LinAlgError) and not np.isfinite(m).all():
+        return ValueError(f"{'matrix' if m.ndim == 2 else 'matrix stack'} has non-finite entries")
+    return exc
+
+
 def svd_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.linalg.svd's unchecked thin factors (u, sigma, vt) of a matrix or
-    a (B, d, k) stack; LAPACK failing on non-finite input is a ValueError."""
+    """lapack_svd's unchecked (u, sigma, vt) of a matrix or a (B, d, k) stack."""
     try:
-        return np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError:
-        _check_finite(m, "matrix" if m.ndim == 2 else "matrix stack")
-        raise
+        with svd_errstate():
+            return lapack_svd(m)
+    except LinAlgError as exc:
+        raise svd_failure(exc, m) from None
 
 
 def _norm_scale(sigma_max):
@@ -212,21 +243,6 @@ def _norm_scale(sigma_max):
     if np.isinf(sigma_max).any():
         raise ValueError("matrix norm exceeds the floating-point range")
     return np.ldexp(1.0, 1 - np.frexp(sigma_max)[1])
-
-
-def _thin_svd_stack(stack: np.ndarray) -> ThinSvd:
-    """thin_svd of a (B, d, k) stack: one SVD call, then check_thin_svd. The
-    one-matrix path is kept apart; stacked reductions would slow it down."""
-    if min(stack.shape) == 0:
-        raise ValueError(f"matrix stack must have positive dimensions, got shape {stack.shape}")
-    if stack.shape[1] < stack.shape[2]:
-        raise ValueError(f"need at least as many rows as columns, got shape {stack.shape}")
-    u, sigma, vt = svd_factors(stack)
-    v = matrix_transpose(vt)
-    with np.errstate(all="ignore"):  # an infinite sigma fails the check
-        f = ThinSvd(u=u, sigma=sigma, v=v, p=u @ vt, h=v @ (sigma[:, :, None] * vt))
-    check_thin_svd(stack, f)
-    return f
 
 
 def check_thin_svd(stack: np.ndarray, f: ThinSvd, name: str = "matrix stack") -> None:
@@ -243,12 +259,13 @@ def check_thin_svd(stack: np.ndarray, f: ThinSvd, name: str = "matrix stack") ->
         raise RuntimeError("svd right factor lost orthogonality")
     if not ((f.sigma[:, :-1] >= f.sigma[:, 1:]).all() and (f.sigma[:, -1] >= 0).all()):
         raise RuntimeError("singular values are not sorted nonnegative")
-    # An infinite sigma raises here, before the reconstruction would warn on it.
     huge = f.sigma[:, 0] > HUGE_SIGMA
-    scales = _norm_scale(np.where(huge, f.sigma[:, 0], 1.0))[:, None, None]
-    resid = fro_norms((f.p @ f.h - stack) * scales)
-    if huge.any():
-        norms = fro_norms(stack * scales)
+    if not huge.any():
+        resid = fro_norms(f.p @ f.h - stack)
+    else:
+        # An infinite sigma raises here, before the reconstruction would warn on it.
+        scales = _norm_scale(np.where(huge, f.sigma[:, 0], 1.0))[:, None, None]
+        resid, norms = fro_norms((f.p @ f.h - stack) * scales), fro_norms(stack * scales)
     if not (resid <= FACTOR_TOL * np.maximum(1.0, norms)).all():
         raise RuntimeError(f"svd reconstruction residual too large ({np.max(resid):.3e})")
 

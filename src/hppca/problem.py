@@ -118,11 +118,14 @@ class HppcaProblem:
     def k(self) -> int:
         return self.m_matrices.shape[0]
 
-    def columnwise_map(self, xa: np.ndarray) -> np.ndarray:
+    def columnwise_map(self, xa: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """[M_1 x_1, ..., M_K x_K] of a checked frame array (a StiefelPoint's
-        ``x``); the input is not re-checked."""
+        ``x``), written into ``out`` when given; the input is not re-checked."""
         # One batched matrix-vector product per column: (K,d,d) @ (K,d,1).
-        return np.matmul(self.m_matrices, xa.T[:, :, None])[:, :, 0].T
+        if out is None:
+            return np.matmul(self.m_matrices, xa.T[:, :, None])[:, :, 0].T
+        np.matmul(self.m_matrices, xa.T[:, :, None], out=out.T[:, :, None])
+        return out
 
     def objective(self, x) -> float:
         """The sum of the per-column quadratic forms at a frame."""
@@ -186,11 +189,12 @@ class PopulationProblem:
         """g at the ground truth, sum_k lambda_k * gain_k; the global maximum."""
         return float(np.dot(self.lambdas, self.gains))
 
-    def columnwise_map(self, xa: np.ndarray) -> np.ndarray:
+    def columnwise_map(self, xa: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """[g_1 S x_1, ..., g_K S x_K] of a checked frame array, or of each
-        frame of a (B, d, k) stack; the input is not re-checked."""
+        frame of a (B, d, k) stack, into ``out`` if given; not re-checked."""
         overlap = self.q_truth.x.T @ xa
-        return self.q_truth.x @ (self.lambdas[:, None] * overlap) * self.gains
+        return np.multiply(self.q_truth.x @ (self.lambdas[:, None] * overlap), self.gains,
+                           out=out)
 
     def objective(self, x) -> float:
         return float(self.frame_objective(frame_array(x)))

@@ -38,14 +38,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .linalg import (CHUNK, ThinSvd, check_symmetric, check_thin_svd, fro_norm, fro_norms,
-                     matrix_transpose, svd_factors, sym_eig_topk, thin_svd)
+                     matrix_transpose, sym_eig_topk, thin_svd)
 from .model import GroupedDataset, sample_covariance
 from .problem import PopulationProblem
 from .stiefel import RANK_TOL, StiefelPoint, aligned_distances, frame_array
 
 # Eigengap below which the top-k eigenvector frame is not well determined.
 EIGENGAP_TOL = 1e-12
+
+MAX_ALPHA = linalg.HUGE_SIGMA  # largest step weight: alpha * X has no larger singular value
 
 # Differences of past fixed-point residuals an accelerated step mixes.
 ANDERSON_DEPTH = 10
@@ -160,9 +163,11 @@ def fixed_point_residuals(population: PopulationProblem, frames: np.ndarray,
 
 
 def check_step_weight(alpha: float) -> float:
-    """Return alpha if it is a valid step weight: nonnegative and finite."""
+    """Return alpha if it is a valid step weight, in [0, MAX_ALPHA]."""
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha: step weight must be nonnegative and finite, got {alpha}")
+    if alpha > MAX_ALPHA:
+        raise ValueError(f"alpha: step weight must be at most {MAX_ALPHA:g}, got {alpha}")
     return alpha
 
 
@@ -199,9 +204,10 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     carries the infinite-sample objective and the sign-invariant distance
     to the ground truth, taken on one (B, d, k) stack per chunk of rows.
 
-    A plain solve runs CHUNK rows at a time: each row only maps, takes
-    np.linalg.svd and forms the next iterate P = U V.T; one stacked pass
-    per chunk then forms H, the residuals and steps, finds the final row
+    A plain solve runs CHUNK rows at a time: each row only maps into its
+    chunk buffer, takes linalg.lapack_svd (one svd_errstate per chunk) and
+    forms the next iterate P = U V.T; one stacked pass per chunk then
+    forms H, the residuals and steps, finds the final row
     and takes every thin_svd test (check_thin_svd) and the certificate
     ranges on the rows up to it. A failing row raises when its chunk ends;
     rows past the final one, and their exceptions, are dropped. P needs no
@@ -246,7 +252,7 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
 def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, emit):
     """gpm_solve's plain loop: emit each chunk's rows, frames and smallest
     singular values; return the final frame, termination and 0 safeguards."""
-    alpha, (d, k) = config.alpha, x.shape
+    alpha, (d, k), svd = config.alpha, x.shape, linalg.lapack_svd
     # xs[i] is row i's frame and xs[i + 1] its update P.
     xs, mapped, u = np.empty((CHUNK + 1, d, k)), np.empty((CHUNK, d, k)), np.empty((CHUNK, d, k))
     sigma, vt = np.empty((CHUNK, k)), np.empty((CHUNK, k, k))
@@ -255,15 +261,16 @@ def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, emit):
         stopped = termination is not Termination.MAX_ITERS
         n = 1 if stopped else min(CHUNK, config.max_iters + 1 - t0)
         xs[0], stamps, failure = x, [time.perf_counter()], None
-        for i in range(n):
-            try:
-                np.add(alpha * x, problem.columnwise_map(x), out=mapped[i])
-                u[i], sigma[i], vt[i] = svd_factors(mapped[i])
-            except Exception as exc:  # raised below if the row is needed
-                n, failure = i, exc
-                break
-            x = np.matmul(u[i], vt[i], out=xs[i + 1])
-            stamps.append(time.perf_counter())
+        try:
+            with linalg.svd_errstate():
+                for i in range(n):
+                    a = problem.columnwise_map(x, out=mapped[i])
+                    a += alpha * x
+                    u[i], sigma[i], vt[i] = ui, _, vti = svd(a)
+                    x = np.matmul(ui, vti, out=xs[i + 1])
+                    stamps.append(time.perf_counter())
+        except Exception as exc:  # raised below if the row is needed
+            n, failure = i, linalg.svd_failure(exc, mapped[i])
         if n == 0:
             raise failure
         with np.errstate(all="ignore"):  # a row that would warn here fails a check or is dropped

@@ -98,8 +98,10 @@ def frame_distance(x, ref) -> float:
 
 
 def aligned_distances(stack: np.ndarray, ra: np.ndarray) -> np.ndarray:
-    """frame_distance of each frame of a (B, d, k) stack from one frame array."""
-    return fro_norms(stack - ra * _signs(stack, ra)[:, None, :])
+    """frame_distance of each frame of a (B, d, k) stack from one frame array,
+    bit for bit: the same entries, flattened to (B, d * k) rows."""
+    signed = np.tile(_signs(stack, ra), ra.shape[0]) * ra.ravel()
+    return fro_norms(stack.reshape(len(stack), -1) - signed)
 
 
 def sin_theta_distance(x, ref) -> float:

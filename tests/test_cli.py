@@ -171,6 +171,27 @@ def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys):
         assert "initial frame has shape" in err and "the problem needs (20, 3)" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "convergence", "robustness --trials 1 --levels 1",
+                                     "diagnose"])
+def test_step_weight_past_its_bound_is_one_error_line(command, tmp_path, capsys):
+    # A RuntimeWarning fails the test (pyproject.toml), so neither run may
+    # overflow: above the bound the run is rejected before alpha scales a
+    # frame, and at it each run completes or fails one of its checks.
+    args = (*command.split(), "--d", "20", "--sizes", "30,90")
+    assert run_cli(*args, "--alpha", "1e308", "--out", str(tmp_path / "over")) == 2
+    assert capsys.readouterr().err == "error: alpha: step weight must be at most 1e+150, " \
+                                      "got 1e+308\n"
+    assert not (tmp_path / "over").exists()
+    code = run_cli(*args, "--alpha", "1e150", "--out", str(tmp_path / "bound"))
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or (code == 2 and err.startswith("error: ")
+                                      and err.count("\n") == 1)
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 @pytest.mark.parametrize("command", ["solve", "diagnose"])
 def test_one_more_dimension_than_columns_runs(command, tmp_path):
     # d = k + 1 leaves one eigenvalue below the kept ones: pca_init's gap

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hppca import (RngStream, operator_norm, project_stiefel, random_gaussian,
+from hppca import (RngStream, linalg, operator_norm, project_stiefel, random_gaussian,
                    sym_eig_topk, thin_svd)
 from hppca.linalg import (as_matrix, check_symmetric, fro_norm, fro_norms,
                           orthonormality_defects)
@@ -87,7 +87,7 @@ def test_thin_svd_of_a_stack_matches_each_matrix():
 
 @pytest.mark.parametrize("factor", ["u", "sigma", "v"])
 def test_thin_svd_rejects_nan_factor(monkeypatch, factor):
-    svd = np.linalg.svd
+    svd = linalg.lapack_svd
 
     def nan_factor(m, **kwargs):
         u, sigma, vt = (a.copy() for a in svd(m, **kwargs))
@@ -96,7 +96,7 @@ def test_thin_svd_rejects_nan_factor(monkeypatch, factor):
         (target[1] if m.ndim == 3 else target).flat[0] = np.nan
         return u, sigma, vt
 
-    monkeypatch.setattr(np.linalg, "svd", nan_factor)
+    monkeypatch.setattr(linalg, "lapack_svd", nan_factor)
     with pytest.raises(RuntimeError):
         thin_svd(random_gaussian(6, 3, RngStream(12)))
     with pytest.raises(RuntimeError):
@@ -123,7 +123,7 @@ def test_thin_svd_checks_huge_finite_input_without_warning(monkeypatch, stacked)
         assert np.all(np.abs(_product(f) - m) <= 1e-14 * 1e200)
         if not stacked:
             assert project_stiefel(m).k == 2
-        svd = np.linalg.svd
+        svd = linalg.lapack_svd
 
         def doubled_sigma(a, **kwargs):
             u, sigma, vt = svd(a, **kwargs)
@@ -133,7 +133,7 @@ def test_thin_svd_checks_huge_finite_input_without_warning(monkeypatch, stacked)
         # matrix, still fails a test.
         with pytest.raises(ValueError, match="exceeds the floating-point range"):
             thin_svd(np.full_like(m, 1.7e308))
-        monkeypatch.setattr(np.linalg, "svd", doubled_sigma)
+        monkeypatch.setattr(linalg, "lapack_svd", doubled_sigma)
         with pytest.raises(RuntimeError, match="reconstruction residual"):
             thin_svd(m)
 
@@ -162,6 +162,23 @@ def test_polar_factor_is_orthonormal_far_inside_the_frame_tolerance(data, b, d, 
     m = data.draw(hnp.arrays(np.float64, (b, d, k), elements=entries)) * 10.0**exponent
     p = thin_svd(m if stacked else m[0]).p
     assert np.all(orthonormality_defects(p.reshape(-1, d, k)) <= ORTHO_TOL / 100)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), b=st.integers(1, 4), d=st.integers(1, 60), k=st.integers(1, 6),
+       stacked=st.booleans(), exponent=st.integers(-100, 100))
+def test_lapack_binding_is_np_linalg_svd_bit_for_bit(data, b, d, k, stacked, exponent):
+    # linalg calls the private gufunc behind np.linalg.svd(full_matrices=False)
+    # directly; a numpy that moves or changes it fails here.
+    k = min(k, d)
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    m = data.draw(hnp.arrays(np.float64, (b, d, k), elements=entries)) * 10.0**exponent
+    m = m if stacked else m[0]
+    for got, want in zip(linalg.svd_factors(m), np.linalg.svd(m, full_matrices=False)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    m.flat[data.draw(st.integers(0, m.size - 1))] = np.nan
+    with pytest.raises(ValueError, match="has non-finite entries"):
+        thin_svd(m)
 
 
 def test_thin_svd_carries_its_polar_factors():

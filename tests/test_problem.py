@@ -239,6 +239,21 @@ def test_riemannian_gradient_matches_finite_differences(ref_lambdas, ref_groups)
             assert abs(inner - directional) <= 1e-5 * max(1.0, abs(inner), abs(directional))
 
 
+@pytest.mark.parametrize("d", [4, 25, 100])
+def test_map_into_a_buffer_row_is_the_returned_map_bit_for_bit(d, ref_lambdas, ref_groups):
+    # A plain solve maps each iterate into a row of its chunk buffer.
+    model = make_model(d, ref_lambdas, seed=d)
+    ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(d, 1))
+    population = PopulationProblem.from_model(model, ref_groups)
+    x = random_stiefel(d, 3, RngStream(d, 2)).x
+    for problem in (build_problem(ds, ref_lambdas), population):
+        rows = np.full((3, d, 3), np.nan)
+        out = rows[1]
+        assert problem.columnwise_map(x, out=out) is out
+        assert out.tobytes() == problem.columnwise_map(x).tobytes()
+        assert np.isnan(rows[[0, 2]]).all()
+
+
 def test_gpm_map_population_cases(ref_lambdas, ref_groups):
     model = make_model(16, ref_lambdas, seed=11)
     population = PopulationProblem.from_model(model, ref_groups)

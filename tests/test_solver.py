@@ -14,9 +14,10 @@ from hppca import (GroupedDataset, NoiseGroups, NoiseKind, PopulationProblem,
                    write_trace_csv)
 from hppca.diagnostics import critical_point
 from hppca.experiments import ExperimentSpec, sweep_variances
+from hppca import linalg
 from hppca.linalg import CHUNK
 from hppca.problem import HppcaProblem
-from hppca.solver import TRACE_DTYPE, TRACE_HEADER, csv_cell
+from hppca.solver import MAX_ALPHA, TRACE_DTYPE, TRACE_HEADER, csv_cell
 
 from conftest import make_model, make_population
 from oracles import plain_gpm, plain_trace, reference_sample_near
@@ -238,6 +239,11 @@ def test_solver_config_validation():
     for name in ("tol_step", "tol_residual"):
         with pytest.raises(ValueError, match=f"{name} must be"):
             SolverConfig(**{name: math.inf})
+    # Past MAX_ALPHA, alpha * X alone could overflow the certificates' sums.
+    assert SolverConfig(alpha=MAX_ALPHA).alpha == 1e150
+    with pytest.raises(ValueError, match="^alpha: step weight must be at most 1e[+]150, "
+                                         "got 1e[+]151$"):
+        SolverConfig(alpha=1e151)
 
 
 def test_degenerate_projection_reported_as_termination(pop50):
@@ -291,8 +297,9 @@ def test_gpm_solve_matches_plain_numpy_loop_exactly(kind, ref_lambdas, ref_group
 
 
 def _svd_faulty_on_call(monkeypatch, call: int, corrupt):
-    """Patch numpy's SVD so that its ``call``-th use returns corrupted factors."""
-    svd = np.linalg.svd
+    """Patch the LAPACK SVD binding so that its ``call``-th use returns
+    corrupted factors."""
+    svd = linalg.lapack_svd
     calls = []
 
     def faulty(*args, **kwargs):
@@ -302,25 +309,25 @@ def _svd_faulty_on_call(monkeypatch, call: int, corrupt):
             u, sigma, vt = corrupt(u.copy(), sigma.copy(), vt.copy())
         return u, sigma, vt
 
-    monkeypatch.setattr(np.linalg, "svd", faulty)
+    monkeypatch.setattr(linalg, "lapack_svd", faulty)
     return calls
 
 
 @pytest.mark.parametrize("accelerate", [False, True])
 def test_each_certificate_and_each_mixture_takes_one_thin_svd(accelerate, monkeypatch):
-    svd, columnwise_map = np.linalg.svd, HppcaProblem.columnwise_map
+    svd, columnwise_map = linalg.lapack_svd, HppcaProblem.columnwise_map
     calls, maps = [], []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return svd(*args, **kwargs)
 
-    def counted_map(problem, xa):
+    def counted_map(problem, xa, out=None):
         maps.append(1)
-        return columnwise_map(problem, xa)
+        return columnwise_map(problem, xa, out)
 
     problem, start = _sweep_problem(20, (30, 90), 0, 3)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(linalg, "lapack_svd", counted)
     # The solver maps through the one method that perfbench traces.
     monkeypatch.setattr(HppcaProblem, "columnwise_map", counted_map)
     config = SolverConfig(max_iters=300, accelerate=accelerate)
@@ -522,10 +529,12 @@ def test_a_non_finite_mapped_matrix_mid_chunk_is_a_value_error(monkeypatch):
     columnwise_map = HppcaProblem.columnwise_map
     maps = []
 
-    def nan_map(problem, xa):
+    def nan_map(problem, xa, out=None):
         maps.append(1)
-        mapped = columnwise_map(problem, xa)
-        return mapped * np.nan if len(maps) == 6 else mapped
+        mapped = columnwise_map(problem, xa, out)
+        if len(maps) == 6:
+            mapped *= np.nan
+        return mapped
 
     monkeypatch.setattr(HppcaProblem, "columnwise_map", nan_map)
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
