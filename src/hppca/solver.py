@@ -28,13 +28,11 @@ is below it; the mixing history survives such a fallback.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -121,37 +119,16 @@ class SolveResult:
         return len(self.trace) - 1
 
 
-class _Certificate(NamedTuple):
-    """Checked SVD of a frame's mapped matrix and the certificates from it."""
-
-    svd: ThinSvd
-    residual: float
-    gap: float
-    objective: float
-
-
-def _certify(problem, xa: np.ndarray, alpha: float,
-             mapped: np.ndarray | None = None) -> _Certificate:
-    """Map a frame array (alpha already checked), take the checked thin SVD
-    and derive the fixed-point residual ||X H - A||_F from its symmetric
-    polar factor H = V Sigma V.T, the nuclear gap and the objective
-    trace(X.T A) - alpha * k, without a second map. ``mapped`` is the
-    frame's mapped matrix when it is already known."""
-    if mapped is None:
-        mapped = alpha * xa + problem.columnwise_map(xa)
-    f = thin_svd(mapped)
-    residual = fro_norm(xa @ f.h - mapped)
-    inner = float((xa * mapped).sum())
-    return _Certificate(f, residual, float(f.sigma.sum()) - inner, inner - alpha * xa.shape[1])
-
-
 def fixed_point_residual(problem, x: StiefelPoint, alpha: float) -> float:
-    """||X V Sigma V.T - A(X)||_F from the thin SVD of the mapped frame.
+    """||X V Sigma V.T - A(X)||_F from the checked thin SVD of the mapped
+    frame A(X) = alpha * X + M(X).
 
     Zero exactly at fixed points of the update; used as the optimality
     residual for stopping and for empirical error-bound ratios.
     """
-    return _certify(problem, frame_array(x), check_step_weight(alpha)).residual
+    xa = frame_array(x)
+    mapped = check_step_weight(alpha) * xa + problem.columnwise_map(xa)
+    return fro_norm(xa @ thin_svd(mapped).h - mapped)
 
 
 def fixed_point_residuals(population: PopulationProblem, frames: np.ndarray,
@@ -215,12 +192,16 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     ||P.T P - I||_F stays near 2 * FACTOR_TOL, far below ORTHO_TOL.
 
     With ``config.accelerate`` each iteration whose stopping tests fail moves
-    to the Anderson mixture of _anderson_step instead of the plain update;
-    each row takes one checked thin_svd call and raises when it fails.
+    to the Anderson mixture of _Anderson.step instead of the plain update.
+    Each row also forms H, its residual and its step, and tests the stop
+    rules itself, so the loop never runs past the final row; the mixtures'
+    factors go into chunk buffers too, and the same chunk pass
+    (_check_chunk) takes every thin_svd test on both stacks. An exception
+    in a row is raised after the rows before it are checked.
 
     Iterates are mapped with ``problem.columnwise_map``, which does not
-    re-validate them. wall_time is a row's own work plus, in a plain solve,
-    an equal share of its chunk's pass and of any rows run past the final one.
+    re-validate them. wall_time is a row's own work plus an equal share of
+    its chunk's pass and, in a plain solve, of any rows run past the final one.
     """
     if init.x.shape != (problem.d, problem.k):
         raise ValueError(f"initial frame has shape {init.x.shape}, "
@@ -275,9 +256,9 @@ def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, emit):
             raise failure
         with np.errstate(all="ignore"):  # a row that would warn here fails a check or is dropped
             v = matrix_transpose(vt[:n])
-            f = ThinSvd(u[:n], sigma[:n], v, xs[1:n + 1], v @ (sigma[:n, :, None] * vt[:n]))
-            residuals = fro_norms(xs[:n] @ f.h - mapped[:n])
-            steps = fro_norms(f.p - xs[:n])
+            h = v @ (sigma[:n, :, None] * vt[:n])
+            residuals = fro_norms(xs[:n] @ h - mapped[:n])
+            steps = fro_norms(xs[1:n + 1] - xs[:n])
         final = 0 if stopped else config.max_iters - t0
         fires = np.flatnonzero((residuals[:final] <= config.tol_residual)
                                | (steps[:final] <= config.tol_step))
@@ -286,91 +267,186 @@ def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, emit):
             termination = (Termination.RESIDUAL if residuals[fires[0]] <= config.tol_residual
                            else Termination.STEP)
         kept = min(final + 1, n)
-        check_thin_svd(mapped[:kept], ThinSvd._make(a[:kept] for a in f), "matrix")
-        inner = (xs[:kept] * mapped[:kept]).reshape(kept, -1).sum(axis=1)
-        gaps = sigma[:kept].sum(axis=1) - inner
         steps[final:] = 0.0  # the final row takes no step
-        own = np.diff(stamps)[:kept]
-        wall = own + (time.perf_counter() - stamps[0] - own.sum()) / kept
-        _check_certificates(residuals[:kept].min(), gaps.min(), wall.min())
+        _check_chunk(emit, t0, stamps, alpha, xs[:kept], mapped[:kept],
+                     ThinSvd(u[:kept], sigma[:kept], v[:kept], xs[1:kept + 1], h[:kept]),
+                     residuals[:kept], steps[:kept])
         if failure is not None and final >= n:
             raise failure
-        nan = np.full(kept, math.nan)
-        emit(np.rec.fromarrays([np.arange(t0, t0 + kept), inner - alpha * k, nan, nan,
-                                steps[:kept], residuals[:kept], gaps, sigma[:kept, 0], wall],
-                               dtype=TRACE_DTYPE), xs[:kept], sigma[:kept, -1].copy())
         if final < n:
             return xs[final], termination, 0
         t0 += kept
 
 
 def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, emit):
-    """gpm_solve's accelerated loop, one certified row at a time; emits and
-    returns as _speculative_rows does, with the safeguard steps."""
-    alpha, termination, safeguard_steps = config.alpha, Termination.MAX_ITERS, 0
-    rows, frames, minima, history, mapped = [], [], [], [], None
-    for t in itertools.count():
-        tic = time.perf_counter()
-        c = _certify(problem, x, alpha, mapped)
-        final = t == config.max_iters or termination is not Termination.MAX_ITERS
-        step = 0.0
-        if not final:
-            x_next = c.svd.p
-            step = fro_norm(x_next - x)
-            mapped = None
-            if c.residual <= config.tol_residual:
-                termination = Termination.RESIDUAL
-            elif step <= config.tol_step:
-                termination = Termination.STEP
-            else:
-                x_next, mapped, fell_back = _anderson_step(problem, x, x_next, alpha, history)
-                safeguard_steps += fell_back
-        elapsed = time.perf_counter() - tic
-        _check_certificates(c.residual, c.gap, elapsed)
-        rows.append((t, c.objective, math.nan, math.nan, step, c.residual, c.gap,
-                     c.svd.sigma[0], elapsed))
-        frames.append(x)
-        minima.append(c.svd.sigma[-1])
-        if final or len(rows) == CHUNK:
-            emit(np.rec.fromrecords(rows, dtype=TRACE_DTYPE), frames, np.array(minima))
-            rows, frames, minima = [], [], []
+    """gpm_solve's accelerated loop: each row tests the stop rules on itself
+    and moves to _Anderson.step's successor; emits and returns as
+    _speculative_rows does, with the safeguard steps."""
+    alpha, (d, k), svd = config.alpha, x.shape, linalg.lapack_svd
+    # xs[i] is row i's frame and mapped[i] its mapped matrix; row i writes its
+    # successor's into xs[i + 1] and, when it maps it, mapped[i + 1].
+    xs, mapped = np.empty((2, CHUNK + 1, d, k))
+    u, p = np.empty((2, CHUNK, d, k))
+    sigma, vt, h = np.empty((CHUNK, k)), np.empty((CHUNK, k, k)), np.empty((CHUNK, k, k))
+    residuals, steps = np.empty((2, CHUNK))
+    anderson = _Anderson(d, k)
+    termination, safeguard_steps, t0, carried = Termination.MAX_ITERS, 0, 0, False
+    xs[0] = x
+    while True:
+        stamps, failure, kept, mixed, anderson.count = [time.perf_counter()], None, 0, 0, 0
+        try:
+            with linalg.svd_errstate():
+                for i in range(CHUNK):
+                    x, a = xs[i], mapped[i]
+                    if not carried:
+                        problem.columnwise_map(x, out=a)
+                        a += alpha * x
+                    u[i], sigma[i], vt[i] = ui, si, vti = svd(a)
+                    pi = np.matmul(ui, vti, out=p[i])
+                    residuals[i] = residual = fro_norm(x @ np.matmul(vti.T, si[:, None] * vti,
+                                                                     out=h[i]) - a)
+                    final = (t0 + i == config.max_iters
+                             or termination is not Termination.MAX_ITERS)
+                    steps[i], successor, carried = 0.0, pi, False
+                    if not final:
+                        diff = pi - x
+                        steps[i] = step = fro_norm(diff)
+                        if residual <= config.tol_residual:
+                            termination = Termination.RESIDUAL
+                        elif step <= config.tol_step:
+                            termination = Termination.STEP
+                        else:
+                            successor, carried, fell_back = anderson.step(
+                                problem, pi, diff, alpha, mapped[i + 1])
+                            safeguard_steps += fell_back
+                        xs[i + 1] = successor
+                    stamps.append(time.perf_counter())
+                    kept, mixed = i + 1, anderson.count
+                    if final:
+                        break
+        except Exception as exc:  # raised below, after the rows before it are checked
+            failure = linalg.svd_failure(exc, mapped[kept])
+        if kept == 0:
+            raise failure
+        _check_chunk(emit, t0, stamps, alpha, xs[:kept], mapped[:kept],
+                     ThinSvd(u[:kept], sigma[:kept], matrix_transpose(vt[:kept]), p[:kept],
+                             h[:kept]),
+                     residuals[:kept], steps[:kept], anderson.mixtures(mixed))
+        if failure is not None:
+            raise failure
         if final:
-            return x, termination, safeguard_steps
-        x = x_next
+            return xs[kept - 1], termination, safeguard_steps
+        t0 += kept
+        xs[0], mapped[0] = xs[CHUNK], mapped[CHUNK]
 
 
-def _anderson_step(problem, xa: np.ndarray, g: np.ndarray, alpha: float,
-                   history: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None, bool]:
-    """Accelerated successor of frame ``xa``, whose plain update is ``g``.
+def _check_chunk(emit, t0: int, stamps: list[float], alpha: float, frames: np.ndarray,
+                 mapped: np.ndarray, f: ThinSvd, residuals: np.ndarray, steps: np.ndarray,
+                 mixtures: tuple = ()) -> None:
+    """Both loops' chunk pass over its kept rows: every thin_svd test
+    (check_thin_svd) on the rows' mapped matrices and their factors ``f``,
+    and on each (stack, factors) pair of ``mixtures``; the certificate
+    ranges; then emit the rows. ``stamps`` are the chunk's start and each
+    row's end: a row's wall time is its own plus an equal share of the rest
+    of the chunk's time."""
+    kept = len(frames)
+    check_thin_svd(mapped, f, "matrix")
+    for stack, factors in mixtures:
+        check_thin_svd(stack, factors, "matrix")
+    inner = (frames * mapped).reshape(kept, -1).sum(axis=1)
+    gaps = f.sigma.sum(axis=1) - inner
+    own = np.diff(stamps)[:kept]
+    wall = own + (time.perf_counter() - stamps[0] - own.sum()) / kept
+    _check_certificates(residuals.min(), gaps.min(), wall.min())
+    nan = np.full(kept, math.nan)
+    emit(np.rec.fromarrays([np.arange(t0, t0 + kept), inner - alpha * frames.shape[2], nan, nan,
+                            steps, residuals, gaps, f.sigma[:, 0], wall], dtype=TRACE_DTYPE),
+         frames, f.sigma[:, -1].copy())
 
-    ``history`` keeps, for up to ANDERSON_DEPTH + 1 consecutive iterates,
-    the residual G(X) - X and the update G(X), flattened into one (2, d*k)
-    array each. The mixture combines the latest update with the update
-    differences, weighted by the least-squares fit of the residual
-    differences to the latest residual, and is projected through the
-    checked thin SVD. If the mixture's objective is below the plain
-    update's, the plain update is taken. The history is kept either way:
-    each pair records one iterate's plain update, whichever successor was
-    taken from it.
 
-    Returns the successor, its mapped matrix alpha * X + M(X) when it was
-    computed (None otherwise) and whether the safeguard fell back.
+class _Anderson:
+    """An accelerated solve's mixing history and its chunk's mixtures.
+
+    The history keeps, for up to ANDERSON_DEPTH + 1 consecutive iterates,
+    the differences of their residuals G(X) - X and of their updates G(X),
+    flattened to d*k and oldest first, in preallocated arrays, and the
+    latest residual and update. Each mixture of the current chunk keeps its
+    input matrix, its unchecked SVD factors and its polar factor until the
+    chunk pass checks them.
     """
-    history.append(np.stack([g - xa, g]).reshape(2, -1))
-    del history[:-ANDERSON_DEPTH - 1]
-    if len(history) == 1:
-        return g, None, False
-    pairs = np.array(history)
-    diffs = np.diff(pairs, axis=0)
-    gamma = np.linalg.lstsq(diffs[:, 0].T, pairs[-1, 0], rcond=None)[0]
-    mixture = thin_svd((pairs[-1, 1] - gamma @ diffs[:, 1]).reshape(g.shape)).p
-    mapped_mixture = alpha * mixture + problem.columnwise_map(mixture)
-    mapped_g = alpha * g + problem.columnwise_map(g)
-    # Both frames are orthonormal, so their objectives differ as these
-    # alignments trace(X.T A) do.
-    if (mixture * mapped_mixture).sum() < (g * mapped_g).sum():
-        return g, mapped_g, True
-    return mixture, mapped_mixture, False
+
+    def __init__(self, d: int, k: int):
+        self.residual_diffs, self.update_diffs = np.empty((2, ANDERSON_DEPTH, d * k))
+        self.latest = np.empty((2, d * k))
+        self.depth = -1  # differences held; -1 before the first iterate
+        self.inputs, self.u, self.p = np.empty((3, CHUNK, d, k))
+        self.sigma, self.vt = np.empty((CHUNK, k)), np.empty((CHUNK, k, k))
+        self.mapped_update = np.empty((d, k))
+        self.count = 0  # mixtures of the current chunk
+
+    def push(self, residual: np.ndarray, update: np.ndarray) -> None:
+        """Add one iterate's flat residual and update; beyond ANDERSON_DEPTH
+        differences the oldest is dropped."""
+        if self.depth == ANDERSON_DEPTH:
+            self.residual_diffs[:-1] = self.residual_diffs[1:]
+            self.update_diffs[:-1] = self.update_diffs[1:]
+        else:
+            self.depth += 1
+        if self.depth:
+            np.subtract(residual, self.latest[0], out=self.residual_diffs[self.depth - 1])
+            np.subtract(update, self.latest[1], out=self.update_diffs[self.depth - 1])
+        self.latest[0], self.latest[1] = residual, update
+
+    def step(self, problem, g: np.ndarray, residual: np.ndarray, alpha: float,
+             out: np.ndarray) -> tuple[np.ndarray, bool, bool]:
+        """Accelerated successor of the frame whose plain update is ``g`` and
+        residual ``residual`` = G(X) - X.
+
+        The mixture combines the latest update with the update differences,
+        weighted by the least-squares fit of the residual differences to the
+        latest residual, and is projected through linalg.lapack_svd. If the
+        mixture's objective is below the plain update's, the plain update is
+        taken. The history is kept either way: each iterate it holds records
+        its own plain update, whichever successor was taken from it.
+
+        Returns the successor, whether ``out`` holds its mapped matrix
+        alpha * X + M(X) (not before the history has a difference) and
+        whether the safeguard fell back.
+        """
+        self.push(residual.ravel(), g.ravel())
+        depth, j = self.depth, self.count
+        if depth == 0:
+            return g, False, False
+        gamma = np.linalg.lstsq(self.residual_diffs[:depth].T, self.latest[0], rcond=None)[0]
+        mix = np.subtract(self.latest[1], gamma @ self.update_diffs[:depth],
+                          out=self.inputs[j].reshape(-1)).reshape(g.shape)
+        try:
+            self.u[j], self.sigma[j], self.vt[j] = u, _, vt = linalg.lapack_svd(mix)
+        except np.linalg.LinAlgError as exc:
+            raise linalg.svd_failure(exc, mix) from None
+        mixture = np.matmul(u, vt, out=self.p[j])
+        self.count += 1
+        mapped_mixture = problem.columnwise_map(mixture, out=out)
+        mapped_mixture += alpha * mixture
+        mapped_g = problem.columnwise_map(g, out=self.mapped_update)
+        mapped_g += alpha * g
+        # Both frames are orthonormal, so their objectives differ as these
+        # alignments trace(X.T A) do.
+        if (mixture * mapped_mixture).sum() < (g * mapped_g).sum():
+            out[...] = mapped_g
+            return g, True, True
+        return mixture, True, False
+
+    def mixtures(self, count: int) -> tuple:
+        """The first ``count`` mixtures of the chunk as (inputs, factors)
+        pairs for check_thin_svd: one pair, or none when ``count`` is 0."""
+        if count == 0:
+            return ()
+        v = matrix_transpose(self.vt[:count])
+        with np.errstate(all="ignore"):  # an infinite sigma fails the check
+            h = v @ (self.sigma[:count, :, None] * self.vt[:count])
+        return ((self.inputs[:count], ThinSvd(self.u[:count], self.sigma[:count], v,
+                                              self.p[:count], h)),)
 
 
 def _cells(column: np.ndarray) -> list[str]:

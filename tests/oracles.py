@@ -6,8 +6,9 @@ oracle combines mass sampling with a QR-retraction ascent, and the sign
 and critical-value oracles are exhaustive enumerations. The diagnostics
 samplers and the solver's trace records are checked against
 one-frame-at-a-time references built only on the one-frame library
-routines (project_stiefel, frame_distance, fixed_point_residual,
-PopulationProblem.objective), never on the stacked ones.
+routines (thin_svd of one matrix, project_stiefel, frame_distance,
+fixed_point_residual, PopulationProblem.objective), never on the stacked
+ones.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 import numpy as np
 
 from hppca.diagnostics import ZERO_DIST, ZERO_RESIDUAL
+from hppca.linalg import thin_svd
 from hppca.solver import fixed_point_residual
 from hppca.stiefel import frame_distance, project_stiefel
 
@@ -208,6 +210,56 @@ def plain_trace(apply, x0, alpha: float, iterations: int, truth=None) -> list[tu
                      float(residual), float(sigma.sum()) - inner, float(sigma[0])))
         x = x_next
     return rows
+
+
+def plain_anderson(apply, x0, alpha: float, max_iters: int, tol_step: float,
+                   tol_residual: float, depth: int):
+    """The accelerated power-method loop one row at a time, in the library's
+    arithmetic: a checked thin_svd per row and per mixture, the history a
+    list of (residual, update) pairs differenced anew at every step, the
+    least-squares fit of the residual differences by lstsq, and the
+    safeguard that keeps the plain update G(X) when the mixture's objective
+    is below f(G(X)).
+
+    Returns (rows, x_final, termination value, safeguard steps); a row is
+    plain_trace's, without truth cells (None), and its step is the plain
+    update's.
+    """
+    x = np.array(x0, dtype=np.float64)
+    history, rows, mapped, safeguard_steps = [], [], None, 0
+    termination = "max-iters"
+    for t in itertools.count():
+        if mapped is None:
+            mapped = alpha * x + apply(x)
+        f = thin_svd(mapped)
+        residual = np.linalg.norm(x @ f.h - mapped)
+        inner = float((x * mapped).sum())
+        final = t == max_iters or termination != "max-iters"
+        step, successor, mapped = 0.0, f.p, None
+        if not final:
+            step = np.linalg.norm(f.p - x)
+            if residual <= tol_residual:
+                termination = "residual-converged"
+            elif step <= tol_step:
+                termination = "step-converged"
+            else:
+                history = (history + [np.stack([f.p - x, f.p]).reshape(2, -1)])[-depth - 1:]
+                if len(history) > 1:
+                    pairs = np.array(history)
+                    diffs = np.diff(pairs, axis=0)
+                    gamma = np.linalg.lstsq(diffs[:, 0].T, pairs[-1, 0], rcond=None)[0]
+                    mixture = thin_svd((pairs[-1, 1] - gamma @ diffs[:, 1]).reshape(x.shape)).p
+                    mapped_mixture = alpha * mixture + apply(mixture)
+                    mapped_update = alpha * f.p + apply(f.p)
+                    if (mixture * mapped_mixture).sum() < (f.p * mapped_update).sum():
+                        mapped, safeguard_steps = mapped_update, safeguard_steps + 1
+                    else:
+                        successor, mapped = mixture, mapped_mixture
+        rows.append((t, inner - alpha * x.shape[1], None, None, float(step), float(residual),
+                     float(f.sigma.sum()) - inner, float(f.sigma[0])))
+        if final:
+            return rows, x, termination, safeguard_steps
+        x = successor
 
 
 def reference_sample_near(q, radius: float, gen, max_tries: int = 200):

@@ -20,7 +20,7 @@ from hppca.problem import HppcaProblem
 from hppca.solver import MAX_ALPHA, TRACE_DTYPE, TRACE_HEADER, csv_cell
 
 from conftest import make_model, make_population
-from oracles import plain_gpm, plain_trace, reference_sample_near
+from oracles import plain_anderson, plain_gpm, plain_trace, reference_sample_near
 
 
 @pytest.fixture(scope="module")
@@ -604,24 +604,29 @@ def test_accelerated_solve_needs_few_iterations(d, sizes, seed, level):
 
 
 def test_anderson_history_survives_a_fallback():
-    from hppca.solver import ANDERSON_DEPTH, _anderson_step
+    from hppca.solver import ANDERSON_DEPTH, _Anderson
 
     rng = RngStream(31)
     frames = [random_stiefel(20, 3, rng).x for _ in range(2 * ANDERSON_DEPTH + 4)]
-    history = []
+    anderson, pairs, out = _Anderson(20, 3), [], np.empty((20, 3))
     for xa, g in zip(frames[::2], frames[1::2]):
         # A map that projects onto span(G(X)) rates the plain update above
         # any mixture that leaves that span, so the safeguard falls back.
-        problem = SimpleNamespace(columnwise_map=lambda x, g=g: 100.0 * g @ (g.T @ x))
-        before = list(history)
-        successor, mapped, fell_back = _anderson_step(problem, xa, g, 0.05, history)
+        problem = SimpleNamespace(
+            columnwise_map=lambda x, out=None, g=g: np.multiply(100.0, g @ (g.T @ x), out=out))
+        before = list(pairs)
+        successor, _, fell_back = anderson.step(problem, g, g - xa, 0.05, out)
         assert successor is g
         assert fell_back is (len(before) > 0)
-        assert len(history) == min(len(before) + 1, ANDERSON_DEPTH + 1)
-        kept = before[len(before) + 1 - len(history):]
-        assert all(np.array_equal(a, b) for a, b in zip(history[:-1], kept))
-        assert np.array_equal(history[-1], np.stack([g - xa, g]).reshape(2, -1))
-    assert len(history) == ANDERSON_DEPTH + 1
+        # The history holds the residual G(X) - X and the update G(X) of its
+        # last iterates as their differences, oldest first, and the latest pair.
+        pairs = (before + [np.stack([g - xa, g]).reshape(2, -1)])[-ANDERSON_DEPTH - 1:]
+        assert anderson.depth + 1 == len(pairs) == min(len(before) + 1, ANDERSON_DEPTH + 1)
+        diffs = np.diff(np.array(pairs), axis=0)
+        assert np.array_equal(anderson.residual_diffs[:anderson.depth], diffs[:, 0])
+        assert np.array_equal(anderson.update_diffs[:anderson.depth], diffs[:, 1])
+        assert np.array_equal(anderson.latest, pairs[-1])
+    assert anderson.depth == ANDERSON_DEPTH
 
 
 def test_accelerated_safeguard_falls_back_and_keeps_the_ascent():
@@ -650,8 +655,8 @@ def test_accelerated_solve_counts_tiny_budgets_as_plain(max_iters):
 
 
 def test_accelerated_solve_checks_the_mixture_svd(pop50, monkeypatch):
-    # SVD calls: the first two certify the start and its plain update; the
-    # third projects the first mixture.
+    # SVD calls: the first two decompose the start's and its plain update's
+    # mapped matrices; the third projects the first mixture.
     def tilt(u, sigma, vt):
         u[0, 0] += 1e-6
         return u, sigma, vt
@@ -660,12 +665,14 @@ def test_accelerated_solve_checks_the_mixture_svd(pop50, monkeypatch):
     start = random_stiefel(50, 3, RngStream(24))
     with pytest.raises(RuntimeError, match="orthonormality"):
         gpm_solve(pop50, start, SolverConfig(max_iters=50, accelerate=True))
-    assert len(calls) == 3
+    # The chunk runs on to the solve's final row before its pass checks the
+    # mixtures: 40 calls, one per row and one per mixture.
+    assert len(calls) == 40
 
 
 def test_accelerated_solve_checks_the_accepted_mixture_is_orthonormal(pop50, monkeypatch):
     # The third SVD projects the first mixture, which would be the second
-    # iterate; thin_svd rejects its doubled left factor.
+    # iterate; the chunk pass rejects its doubled left factor.
     def doubled(u, sigma, vt):
         return 2.0 * u, sigma, vt
 
@@ -673,4 +680,48 @@ def test_accelerated_solve_checks_the_accepted_mixture_is_orthonormal(pop50, mon
     start = random_stiefel(50, 3, RngStream(26))
     with pytest.raises(RuntimeError, match="left factor lost orthonormality"):
         gpm_solve(pop50, start, SolverConfig(max_iters=50, accelerate=True))
-    assert len(calls) == 3
+    # The chunk runs on to the solve's final row first: 64 calls, one per
+    # row and one per mixture.
+    assert len(calls) == 64
+
+
+def test_a_non_finite_mapped_mixture_mid_chunk_is_a_value_error(monkeypatch):
+    # Maps: rows 0 and 1 map their own frames; each later step maps its
+    # mixture, then the plain update. The fifth map, row 2's mixture, is NaN:
+    # the safeguard cannot reject it, so the SVD of row 3 raises on its NaN
+    # input after rows 0-2 pass their checks, and the error is thin_svd's.
+    problem, start = _sweep_problem(20, (30, 90), 0, 3)
+    columnwise_map = HppcaProblem.columnwise_map
+    maps = []
+
+    def nan_map(problem, xa, out=None):
+        maps.append(1)
+        mapped = columnwise_map(problem, xa, out)
+        if len(maps) == 5:
+            mapped *= np.nan
+        return mapped
+
+    monkeypatch.setattr(HppcaProblem, "columnwise_map", nan_map)
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        gpm_solve(problem, start, SolverConfig(accelerate=True))
+    assert len(maps) == 6
+
+
+@pytest.mark.parametrize("d, sizes, seed, level, max_iters", [
+    *(problem + (SolverConfig.max_iters,) for problem in _SWEEP_PROBLEMS),
+    (20, (30, 90), 0, 0, 150),  # three chunks of rows
+])
+def test_accelerated_solve_equals_the_one_row_reference(d, sizes, seed, level, max_iters):
+    from hppca.solver import ANDERSON_DEPTH
+
+    problem, start = _sweep_problem(d, sizes, seed, level)
+    stops = {} if max_iters == SolverConfig.max_iters else _NO_STOP
+    config = SolverConfig(max_iters=max_iters, accelerate=True, **stops)
+    result = gpm_solve(problem, start, config)
+    rows, x, termination, safeguard_steps = plain_anderson(
+        _oracle_map(problem), start.x, config.alpha, config.max_iters, config.tol_step,
+        config.tol_residual, ANDERSON_DEPTH)
+    assert _trace_rows(result) == rows
+    assert np.array_equal(result.x_final.x, x)
+    assert (result.termination.value, result.safeguard_steps) == (termination, safeguard_steps)
+    assert result.iterations == (max_iters if stops else len(rows) - 1)
