@@ -275,6 +275,10 @@ def cmd_robustness(args) -> int:
         (out / "robustness.svg").write_text(svg_line_chart(
             series, title=f"{sweep} sweep", x_label="level", y_label=metric))
     print(robustness_csv(stats), end="")
+    for s in stats:  # one line per level with failed or capped trials
+        if s.method == "gpm" and (s.trials_failed or s.trials_capped):
+            print(f"note=level {s.level}: {s.trials_failed} failed, {s.trials_capped} capped "
+                  f"of {spec.trials} trials")
     return 0
 
 

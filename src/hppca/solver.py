@@ -1,30 +1,10 @@
 """Power-method solver for the grouped quadratic subspace program.
 
-One iteration maps the current frame through the problem's column-wise
-quadratic map plus an alpha-weighted copy of itself, then projects back
-onto the orthonormal frames:
-
-    X_next = polar(alpha * X + [M_1 x_1, ..., M_K x_K]).
-
-The thin SVD computed for the projection, A = P H with P = U V.T and
-H = V Sigma V.T, is reused for two per-iteration certificates:
-
-* the fixed-point residual ||X H - A||_F, which vanishes
-  exactly at fixed points of the update and doubles as the stopping rule;
-* the nuclear gap ||A||_* - trace(X.T A), nonnegative for every frame
-  and zero precisely at fixed points.
-
-Every iteration is one row of a columnar trace, exported to CSV at full
-precision. A plain solve checks its iterations, and takes the truth
-metrics a row may carry, once per chunk of iterates.
-
-The plain update converges linearly, at a rate that can sit close to 1.
-An accelerated solve (``SolverConfig.accelerate``) replaces each update by
-a type-II Anderson mixture of the last ANDERSON_DEPTH updates (Walker &
-Ni, 2011), projected back onto the orthonormal frames. A monotone
-safeguard takes the plain update instead whenever the mixture's objective
-is below it; the mixing history survives such a fallback.
-"""
+An iteration maps the frame, A = alpha * X + [M_1 x_1, ..., M_K x_K], and moves to
+P = U V.T from the thin SVD A = P H, H = V Sigma V.T. The fixed-point residual
+||X H - A||_F (the stopping rule) and the nuclear gap ||A||_* - trace(X.T A) vanish
+exactly at fixed points. An accelerated solve moves to a type-II Anderson mixture
+of the last updates (Walker & Ni, 2011) unless a safeguard prefers P."""
 
 from __future__ import annotations
 
@@ -51,6 +31,11 @@ MAX_ALPHA = linalg.HUGE_SIGMA  # largest step weight: alpha * X has no larger si
 # Differences of past fixed-point residuals an accelerated step mixes.
 ANDERSON_DEPTH = 10
 
+# Mixing weights solve the normal equations of the differences' Gram G; lstsq fits them if
+# a Cholesky pivot L_ii**2 is below this share of G_ii (the squared sine between difference i
+# and the earlier ones), as G scaled to a unit diagonal then has a condition number over 1e10.
+GRAM_PIVOT_TOL = 1e-10
+
 TRACE_HEADER = "iter,f,g,dist_f,step_norm,rho_alpha,fixed_point_gap,wall_time_ms"
 
 # One trace row per iterate; step_norm is the plain update's step, which an
@@ -69,14 +54,11 @@ class Termination(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step weight, iteration budget and stopping tolerances.
-
-    The solve uses alpha as given. A finite-sample solve ascends
-    monotonically once alpha is at least WeightTable.ascent_alpha_floor();
-    the population problem, whose signal covariance is positive
-    semidefinite, ascends for any positive alpha. With accelerate on, every
-    step that does not stop the solve is an Anderson mixture (see gpm_solve).
-    """
+    """Step weight, iteration budget and stopping tolerances. The solve uses
+    alpha as given: a finite-sample solve ascends monotonically once alpha is
+    at least WeightTable.ascent_alpha_floor(), the population problem (with a
+    positive semidefinite signal covariance) for any positive alpha. With
+    accelerate on, each step that does not stop the solve is an Anderson mixture."""
 
     alpha: float = 0.05
     max_iters: int = 5000
@@ -120,12 +102,8 @@ class SolveResult:
 
 
 def fixed_point_residual(problem, x: StiefelPoint, alpha: float) -> float:
-    """||X V Sigma V.T - A(X)||_F from the checked thin SVD of the mapped
-    frame A(X) = alpha * X + M(X).
-
-    Zero exactly at fixed points of the update; used as the optimality
-    residual for stopping and for empirical error-bound ratios.
-    """
+    """||X V Sigma V.T - A(X)||_F from the checked thin SVD of A(X) = alpha * X +
+    M(X): zero exactly at fixed points, the residual of the stopping rule."""
     xa = frame_array(x)
     mapped = check_step_weight(alpha) * xa + problem.columnwise_map(xa)
     return fro_norm(xa @ thin_svd(mapped).h - mapped)
@@ -181,43 +159,39 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     carries the infinite-sample objective and the sign-invariant distance
     to the ground truth, taken on one (B, d, k) stack per chunk of rows.
 
-    A plain solve runs CHUNK rows at a time: each row only maps into its
-    chunk buffer, takes linalg.lapack_svd (one svd_errstate per chunk) and
-    forms the next iterate P = U V.T; one stacked pass per chunk then
-    forms H, the residuals and steps, finds the final row
-    and takes every thin_svd test (check_thin_svd) and the certificate
-    ranges on the rows up to it. A failing row raises when its chunk ends;
-    rows past the final one, and their exceptions, are dropped. P needs no
-    check of its own: with U and V orthonormal within FACTOR_TOL,
-    ||P.T P - I||_F stays near 2 * FACTOR_TOL, far below ORTHO_TOL.
-
-    With ``config.accelerate`` each iteration whose stopping tests fail moves
-    to the Anderson mixture of _Anderson.step instead of the plain update.
-    Each row also forms H, its residual and its step, and tests the stop
-    rules itself, so the loop never runs past the final row; the mixtures'
-    factors go into chunk buffers too, and the same chunk pass
-    (_check_chunk) takes every thin_svd test on both stacks. An exception
-    in a row is raised after the rows before it are checked.
-
-    Iterates are mapped with ``problem.columnwise_map``, which does not
-    re-validate them. wall_time is a row's own work plus an equal share of
-    its chunk's pass and, in a plain solve, of any rows run past the final one.
+    Rows run CHUNK at a time, taking linalg.lapack_svd unchecked into chunk buffers
+    and mapping by ``problem.columnwise_map``, which does not re-validate frames.
+    One pass per chunk (check_chunk) takes every thin_svd test and the certificate
+    ranges: a failing row raises when its chunk ends, an exception in a row once the
+    rows before it pass. A plain solve finds its final row after the chunk and drops
+    those past it; an accelerated one tests the stop rules in each row and moves to
+    _Anderson.step's mixture. P = U V.T needs no check: with U and V orthonormal
+    within FACTOR_TOL, ||P.T P - I||_F stays near 2 * FACTOR_TOL.
     """
     if init.x.shape != (problem.d, problem.k):
         raise ValueError(f"initial frame has shape {init.x.shape}, "
                          f"the problem needs ({problem.d}, {problem.k})")
     blocks, smallest = [], []
 
-    def emit(block: np.recarray, frames, sigma_min: np.ndarray) -> None:
-        if truth is not None:
-            stack = np.asarray(frames)
-            block.population_objective = truth.frame_objective(stack)
-            block.dist_to_truth = aligned_distances(stack, truth.q_truth.x)
-        blocks.append(block)
-        smallest.append(sigma_min)
+    def check_chunk(t0, stamps, frames, stack: np.ndarray, f: ThinSvd, rows, residuals, steps):
+        """Check the chunk's SVDs, then its kept rows' certificates (their mapped matrices
+        are stack[rows]); add the rows, each timed with a share of the chunk's pass."""
+        kept, mapped, sigma = len(frames), stack[rows], f.sigma[rows]
+        check_thin_svd(stack, f, "matrix")
+        inner = (frames * mapped).reshape(kept, -1).sum(axis=1)
+        gaps = sigma.sum(axis=1) - inner
+        own = np.diff(stamps)[:kept]
+        wall = own + (time.perf_counter() - stamps[0] - own.sum()) / kept
+        _check_certificates(residuals.min(), gaps.min(), wall.min())
+        metrics = ((np.full(kept, math.nan),) * 2 if truth is None else
+                   (truth.frame_objective(frames), aligned_distances(frames, truth.q_truth.x)))
+        blocks.append(np.rec.fromarrays([np.arange(t0, t0 + kept), inner - config.alpha * problem.k,
+                                         *metrics, steps, residuals, gaps, sigma[:, 0], wall],
+                                        dtype=TRACE_DTYPE))
+        smallest.append(sigma[:, -1].copy())
 
     loop = _accelerated_rows if config.accelerate else _speculative_rows
-    x, termination, safeguard_steps = loop(problem, init.x, config, emit)
+    x, termination, safeguard_steps = loop(problem, init.x, config, check_chunk)
     trace = blocks[0] if len(blocks) == 1 else np.concatenate(blocks).view(np.recarray)
     # The final row takes no step.
     nonunique = np.concatenate(smallest)[:-1] <= RANK_TOL
@@ -230,9 +204,8 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
                        safeguard_steps=safeguard_steps)
 
 
-def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, emit):
-    """gpm_solve's plain loop: emit each chunk's rows, frames and smallest
-    singular values; return the final frame, termination and 0 safeguards."""
+def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk):
+    """gpm_solve's plain loop: the final frame, termination and 0 safeguards."""
     alpha, (d, k), svd = config.alpha, x.shape, linalg.lapack_svd
     # xs[i] is row i's frame and xs[i + 1] its update P.
     xs, mapped, u = np.empty((CHUNK + 1, d, k)), np.empty((CHUNK, d, k)), np.empty((CHUNK, d, k))
@@ -256,9 +229,9 @@ def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, emit):
             raise failure
         with np.errstate(all="ignore"):  # a row that would warn here fails a check or is dropped
             v = matrix_transpose(vt[:n])
-            h = v @ (sigma[:n, :, None] * vt[:n])
-            residuals = fro_norms(xs[:n] @ h - mapped[:n])
-            steps = fro_norms(xs[1:n + 1] - xs[:n])
+            f = ThinSvd(u[:n], sigma[:n], v, xs[1:n + 1], v @ (sigma[:n, :, None] * vt[:n]))
+            residuals = fro_norms(xs[:n] @ f.h - mapped[:n])
+            steps = fro_norms(f.p - xs[:n])
         final = 0 if stopped else config.max_iters - t0
         fires = np.flatnonzero((residuals[:final] <= config.tol_residual)
                                | (steps[:final] <= config.tol_step))
@@ -268,9 +241,8 @@ def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, emit):
                            else Termination.STEP)
         kept = min(final + 1, n)
         steps[final:] = 0.0  # the final row takes no step
-        _check_chunk(emit, t0, stamps, alpha, xs[:kept], mapped[:kept],
-                     ThinSvd(u[:kept], sigma[:kept], v[:kept], xs[1:kept + 1], h[:kept]),
-                     residuals[:kept], steps[:kept])
+        check_chunk(t0, stamps, xs[:kept], mapped[:kept], ThinSvd._make(a[:kept] for a in f),
+                    slice(None), residuals[:kept], steps[:kept])
         if failure is not None and final >= n:
             raise failure
         if final < n:
@@ -278,35 +250,24 @@ def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, emit):
         t0 += kept
 
 
-def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, emit):
-    """gpm_solve's accelerated loop: each row tests the stop rules on itself
-    and moves to _Anderson.step's successor; emits and returns as
-    _speculative_rows does, with the safeguard steps."""
-    alpha, (d, k), svd = config.alpha, x.shape, linalg.lapack_svd
-    # xs[i] is row i's frame and mapped[i] its mapped matrix; row i writes its
-    # successor's into xs[i + 1] and, when it maps it, mapped[i + 1].
-    xs, mapped = np.empty((2, CHUNK + 1, d, k))
-    u, p = np.empty((2, CHUNK, d, k))
-    sigma, vt, h = np.empty((CHUNK, k)), np.empty((CHUNK, k, k)), np.empty((CHUNK, k, k))
-    residuals, steps = np.empty((2, CHUNK))
-    anderson = _Anderson(d, k)
-    termination, safeguard_steps, t0, carried = Termination.MAX_ITERS, 0, 0, False
-    xs[0] = x
+def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk):
+    """gpm_solve's accelerated loop: the final frame, termination, safeguards."""
+    # xs[i] is row i's frame and acc.inputs[rows[i]] its mapped matrix.
+    alpha, acc, xs = config.alpha, _Anderson(*x.shape), np.empty((CHUNK + 1, *x.shape))
+    rows, (residuals, steps) = np.empty(CHUNK, int), np.empty((2, CHUNK))
+    termination, safeguard_steps, t0, carried, xs[0] = Termination.MAX_ITERS, 0, 0, False, x
     while True:
-        stamps, failure, kept, mixed, anderson.count = [time.perf_counter()], None, 0, 0, 0
+        stamps, failure, kept, done = [time.perf_counter()], None, 0, 0
         try:
             with linalg.svd_errstate():
                 for i in range(CHUNK):
-                    x, a = xs[i], mapped[i]
+                    x, a, rows[i] = xs[i], acc.inputs[acc.count], acc.count
                     if not carried:
                         problem.columnwise_map(x, out=a)
                         a += alpha * x
-                    u[i], sigma[i], vt[i] = ui, si, vti = svd(a)
-                    pi = np.matmul(ui, vti, out=p[i])
-                    residuals[i] = residual = fro_norm(x @ np.matmul(vti.T, si[:, None] * vti,
-                                                                     out=h[i]) - a)
-                    final = (t0 + i == config.max_iters
-                             or termination is not Termination.MAX_ITERS)
+                    pi, si, vti = acc.take()
+                    residuals[i] = residual = fro_norm(x @ (vti.T @ (si[:, None] * vti)) - a)
+                    final = t0 + i == config.max_iters or termination is not Termination.MAX_ITERS
                     steps[i], successor, carried = 0.0, pi, False
                     if not final:
                         diff = pi - x
@@ -316,137 +277,93 @@ def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, emit):
                         elif step <= config.tol_step:
                             termination = Termination.STEP
                         else:
-                            successor, carried, fell_back = anderson.step(
-                                problem, pi, diff, alpha, mapped[i + 1])
+                            successor, carried, fell_back = acc.step(problem, pi, diff, alpha)
                             safeguard_steps += fell_back
                         xs[i + 1] = successor
                     stamps.append(time.perf_counter())
-                    kept, mixed = i + 1, anderson.count
+                    kept, done = i + 1, acc.count
                     if final:
                         break
         except Exception as exc:  # raised below, after the rows before it are checked
-            failure = linalg.svd_failure(exc, mapped[kept])
+            failure = linalg.svd_failure(exc, acc.inputs[acc.count])
         if kept == 0:
             raise failure
-        _check_chunk(emit, t0, stamps, alpha, xs[:kept], mapped[:kept],
-                     ThinSvd(u[:kept], sigma[:kept], matrix_transpose(vt[:kept]), p[:kept],
-                             h[:kept]),
-                     residuals[:kept], steps[:kept], anderson.mixtures(mixed))
+        v = matrix_transpose(acc.vt[:done])
+        with np.errstate(all="ignore"):  # an infinite sigma fails the check
+            f = ThinSvd(acc.u[:done], acc.sigma[:done], v, acc.p[:done],
+                        v @ (acc.sigma[:done, :, None] * acc.vt[:done]))
+        check_chunk(t0, stamps, xs[:kept], acc.inputs[:done], f, rows[:kept], residuals[:kept],
+                    steps[:kept])
         if failure is not None:
             raise failure
         if final:
             return xs[kept - 1], termination, safeguard_steps
         t0 += kept
-        xs[0], mapped[0] = xs[CHUNK], mapped[CHUNK]
-
-
-def _check_chunk(emit, t0: int, stamps: list[float], alpha: float, frames: np.ndarray,
-                 mapped: np.ndarray, f: ThinSvd, residuals: np.ndarray, steps: np.ndarray,
-                 mixtures: tuple = ()) -> None:
-    """Both loops' chunk pass over its kept rows: every thin_svd test
-    (check_thin_svd) on the rows' mapped matrices and their factors ``f``,
-    and on each (stack, factors) pair of ``mixtures``; the certificate
-    ranges; then emit the rows. ``stamps`` are the chunk's start and each
-    row's end: a row's wall time is its own plus an equal share of the rest
-    of the chunk's time."""
-    kept = len(frames)
-    check_thin_svd(mapped, f, "matrix")
-    for stack, factors in mixtures:
-        check_thin_svd(stack, factors, "matrix")
-    inner = (frames * mapped).reshape(kept, -1).sum(axis=1)
-    gaps = f.sigma.sum(axis=1) - inner
-    own = np.diff(stamps)[:kept]
-    wall = own + (time.perf_counter() - stamps[0] - own.sum()) / kept
-    _check_certificates(residuals.min(), gaps.min(), wall.min())
-    nan = np.full(kept, math.nan)
-    emit(np.rec.fromarrays([np.arange(t0, t0 + kept), inner - alpha * frames.shape[2], nan, nan,
-                            steps, residuals, gaps, f.sigma[:, 0], wall], dtype=TRACE_DTYPE),
-         frames, f.sigma[:, -1].copy())
+        xs[0], acc.inputs[0], acc.count = xs[CHUNK], acc.inputs[acc.count], 0
 
 
 class _Anderson:
-    """An accelerated solve's mixing history and its chunk's mixtures.
-
-    The history keeps, for up to ANDERSON_DEPTH + 1 consecutive iterates,
-    the differences of their residuals G(X) - X and of their updates G(X),
-    flattened to d*k and oldest first, in preallocated arrays, and the
-    latest residual and update. Each mixture of the current chunk keeps its
-    input matrix, its unchecked SVD factors and its polar factor until the
-    chunk pass checks them.
-    """
+    """An accelerated chunk's SVDs, rows' and mixtures', in ``inputs`` slot order, and
+    the mixing history: the last differences of consecutive residuals G(X) - X and updates
+    G(X), flat, in a ring of ANDERSON_DEPTH slots, their Gram and the latest pair."""
 
     def __init__(self, d: int, k: int):
-        self.residual_diffs, self.update_diffs = np.empty((2, ANDERSON_DEPTH, d * k))
-        self.latest = np.empty((2, d * k))
-        self.depth = -1  # differences held; -1 before the first iterate
-        self.inputs, self.u, self.p = np.empty((3, CHUNK, d, k))
-        self.sigma, self.vt = np.empty((CHUNK, k)), np.empty((CHUNK, k, k))
-        self.mapped_update = np.empty((d, k))
-        self.count = 0  # mixtures of the current chunk
+        size, slots = d * k, 2 * CHUNK + 1
+        self.residual_diffs, self.update_diffs = np.empty((2, ANDERSON_DEPTH, size))
+        self.gram, self.latest = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH)), np.empty((2, size))
+        self.inputs, self.u, self.p = np.empty((3, slots, d, k))
+        self.sigma, self.vt = np.empty((slots, k)), np.empty((slots, k, k))
+        self.pushes = self.depth = self.count = 0
+
+    def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decompose the next slot; return its P = U V.T, sigma and V.T."""
+        c = self.count
+        self.u[c], self.sigma[c], self.vt[c] = u, sigma, vt = linalg.lapack_svd(self.inputs[c])
+        self.count = c + 1
+        return np.matmul(u, vt, out=self.p[c]), sigma, vt
 
     def push(self, residual: np.ndarray, update: np.ndarray) -> None:
-        """Add one iterate's flat residual and update; beyond ANDERSON_DEPTH
-        differences the oldest is dropped."""
-        if self.depth == ANDERSON_DEPTH:
-            self.residual_diffs[:-1] = self.residual_diffs[1:]
-            self.update_diffs[:-1] = self.update_diffs[1:]
-        else:
-            self.depth += 1
-        if self.depth:
-            np.subtract(residual, self.latest[0], out=self.residual_diffs[self.depth - 1])
-            np.subtract(update, self.latest[1], out=self.update_diffs[self.depth - 1])
+        """Add one iterate's flat residual and update."""
+        if self.pushes:
+            slot, self.depth = (self.pushes - 1) % ANDERSON_DEPTH, min(self.pushes, ANDERSON_DEPTH)
+            diff = np.subtract(residual, self.latest[0], out=self.residual_diffs[slot])
+            np.subtract(update, self.latest[1], out=self.update_diffs[slot])
+            self.gram[slot, :self.depth] = self.gram[:self.depth, slot] = (
+                self.residual_diffs[:self.depth] @ diff)
         self.latest[0], self.latest[1] = residual, update
+        self.pushes += 1
 
-    def step(self, problem, g: np.ndarray, residual: np.ndarray, alpha: float,
-             out: np.ndarray) -> tuple[np.ndarray, bool, bool]:
-        """Accelerated successor of the frame whose plain update is ``g`` and
-        residual ``residual`` = G(X) - X.
-
-        The mixture combines the latest update with the update differences,
-        weighted by the least-squares fit of the residual differences to the
-        latest residual, and is projected through linalg.lapack_svd. If the
-        mixture's objective is below the plain update's, the plain update is
-        taken. The history is kept either way: each iterate it holds records
-        its own plain update, whichever successor was taken from it.
-
-        Returns the successor, whether ``out`` holds its mapped matrix
-        alpha * X + M(X) (not before the history has a difference) and
-        whether the safeguard fell back.
-        """
-        self.push(residual.ravel(), g.ravel())
-        depth, j = self.depth, self.count
-        if depth == 0:
-            return g, False, False
-        gamma = np.linalg.lstsq(self.residual_diffs[:depth].T, self.latest[0], rcond=None)[0]
-        mix = np.subtract(self.latest[1], gamma @ self.update_diffs[:depth],
-                          out=self.inputs[j].reshape(-1)).reshape(g.shape)
+    def weights(self) -> np.ndarray:
+        """Least-squares weights of the residual differences for the latest
+        residual (see GRAM_PIVOT_TOL); under svd_errstate, a failing factor raises."""
+        diffs, gram = self.residual_diffs[:self.depth], self.gram[:self.depth, :self.depth]
         try:
-            self.u[j], self.sigma[j], self.vt[j] = u, _, vt = linalg.lapack_svd(mix)
-        except np.linalg.LinAlgError as exc:
-            raise linalg.svd_failure(exc, mix) from None
-        mixture = np.matmul(u, vt, out=self.p[j])
-        self.count += 1
-        mapped_mixture = problem.columnwise_map(mixture, out=out)
-        mapped_mixture += alpha * mixture
-        mapped_g = problem.columnwise_map(g, out=self.mapped_update)
-        mapped_g += alpha * g
-        # Both frames are orthonormal, so their objectives differ as these
-        # alignments trace(X.T A) do.
-        if (mixture * mapped_mixture).sum() < (g * mapped_g).sum():
-            out[...] = mapped_g
+            if (linalg.lapack_cholesky(gram).diagonal() ** 2
+                    >= GRAM_PIVOT_TOL * gram.diagonal()).all():
+                return linalg.lapack_solve(gram, diffs @ self.latest[0])
+        except np.linalg.LinAlgError:  # not positive definite in floating point
+            pass
+        return np.linalg.lstsq(diffs.T, self.latest[0], rcond=None)[0]
+
+    def step(self, problem, g: np.ndarray, residual: np.ndarray,
+             alpha: float) -> tuple[np.ndarray, bool, bool]:
+        """Successor of the frame with plain update ``g`` and residual G(X) - X: the mixture
+        projected through the next slot, or ``g`` if its objective is larger (kept in the
+        history either way); whether the next slot holds its alpha * X + M(X); the fallback."""
+        self.push(residual.ravel(), g.ravel())
+        if self.pushes == 1:
+            return g, False, False
+        np.subtract(self.latest[1], self.weights() @ self.update_diffs[:self.depth],
+                    out=self.inputs[self.count].reshape(-1))
+        mixture = self.take()[0]
+        mapped = problem.columnwise_map(mixture, out=self.inputs[self.count])
+        mapped += alpha * mixture
+        mapped_g = alpha * g + problem.columnwise_map(g)
+        # Both frames are orthonormal: their objectives differ as trace(X.T A) does.
+        if (mixture * mapped).sum() < (g * mapped_g).sum():
+            mapped[...] = mapped_g
             return g, True, True
         return mixture, True, False
-
-    def mixtures(self, count: int) -> tuple:
-        """The first ``count`` mixtures of the chunk as (inputs, factors)
-        pairs for check_thin_svd: one pair, or none when ``count`` is 0."""
-        if count == 0:
-            return ()
-        v = matrix_transpose(self.vt[:count])
-        with np.errstate(all="ignore"):  # an infinite sigma fails the check
-            h = v @ (self.sigma[:count, :, None] * self.vt[:count])
-        return ((self.inputs[:count], ThinSvd(self.u[:count], self.sigma[:count], v,
-                                              self.p[:count], h)),)
 
 
 def _cells(column: np.ndarray) -> list[str]:

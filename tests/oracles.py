@@ -19,7 +19,7 @@ import numpy as np
 
 from hppca.diagnostics import ZERO_DIST, ZERO_RESIDUAL
 from hppca.linalg import thin_svd
-from hppca.solver import fixed_point_residual
+from hppca.solver import GRAM_PIVOT_TOL, fixed_point_residual
 from hppca.stiefel import frame_distance, project_stiefel
 
 
@@ -215,19 +215,21 @@ def plain_trace(apply, x0, alpha: float, iterations: int, truth=None) -> list[tu
 def plain_anderson(apply, x0, alpha: float, max_iters: int, tol_step: float,
                    tol_residual: float, depth: int):
     """The accelerated power-method loop one row at a time, in the library's
-    arithmetic: a checked thin_svd per row and per mixture, the history a
-    list of (residual, update) pairs differenced anew at every step, the
-    least-squares fit of the residual differences by lstsq, and the
-    safeguard that keeps the plain update G(X) when the mixture's objective
-    is below f(G(X)).
+    arithmetic: a checked thin_svd per row and per mixture; the residual and
+    update differences kept in lists used as rings of ``depth`` slots, and
+    the Gram of the residual differences updated by one row and column per
+    difference; the weights from the normal equations of that Gram, or from
+    lstsq when a Cholesky pivot is below GRAM_PIVOT_TOL times its diagonal
+    entry or the factor fails; and the safeguard that keeps the plain update
+    G(X) when the mixture's objective is below f(G(X)).
 
     Returns (rows, x_final, termination value, safeguard steps); a row is
     plain_trace's, without truth cells (None), and its step is the plain
     update's.
     """
     x = np.array(x0, dtype=np.float64)
-    history, rows, mapped, safeguard_steps = [], [], None, 0
-    termination = "max-iters"
+    rows, mapped, safeguard_steps, termination = [], None, 0, "max-iters"
+    dr, du, gram, latest, diffs_seen = [], [], np.empty((depth, depth)), None, 0
     for t in itertools.count():
         if mapped is None:
             mapped = alpha * x + apply(x)
@@ -243,18 +245,31 @@ def plain_anderson(apply, x0, alpha: float, max_iters: int, tol_step: float,
             elif step <= tol_step:
                 termination = "step-converged"
             else:
-                history = (history + [np.stack([f.p - x, f.p]).reshape(2, -1)])[-depth - 1:]
-                if len(history) > 1:
-                    pairs = np.array(history)
-                    diffs = np.diff(pairs, axis=0)
-                    gamma = np.linalg.lstsq(diffs[:, 0].T, pairs[-1, 0], rcond=None)[0]
-                    mixture = thin_svd((pairs[-1, 1] - gamma @ diffs[:, 1]).reshape(x.shape)).p
+                pair = (f.p - x).ravel(), f.p.ravel()
+                if latest is not None:
+                    slot, diffs_seen = diffs_seen % depth, diffs_seen + 1
+                    if len(dr) < depth:
+                        dr.append(None)
+                        du.append(None)
+                    dr[slot], du[slot] = pair[0] - latest[0], pair[1] - latest[1]
+                    m = len(dr)
+                    gram[slot, :m] = gram[:m, slot] = np.array(dr) @ dr[slot]
+                    try:
+                        pivots = np.linalg.cholesky(gram[:m, :m]).diagonal() ** 2
+                    except np.linalg.LinAlgError:
+                        pivots = np.zeros(m)
+                    if (pivots >= GRAM_PIVOT_TOL * gram[:m, :m].diagonal()).all():
+                        gamma = np.linalg.solve(gram[:m, :m], np.array(dr) @ pair[0])
+                    else:
+                        gamma = np.linalg.lstsq(np.array(dr).T, pair[0], rcond=None)[0]
+                    mixture = thin_svd((pair[1] - gamma @ np.array(du)).reshape(x.shape)).p
                     mapped_mixture = alpha * mixture + apply(mixture)
                     mapped_update = alpha * f.p + apply(f.p)
                     if (mixture * mapped_mixture).sum() < (f.p * mapped_update).sum():
                         mapped, safeguard_steps = mapped_update, safeguard_steps + 1
                     else:
                         successor, mapped = mixture, mapped_mixture
+                latest = pair
         rows.append((t, inner - alpha * x.shape[1], None, None, float(step), float(residual),
                      float(f.sigma.sum()) - inner, float(f.sigma[0])))
         if final:

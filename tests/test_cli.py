@@ -144,6 +144,19 @@ def test_robustness_command(tmp_path):
     assert (out / "robustness.svg").is_file()
 
 
+@pytest.mark.parametrize("flags, note", [
+    # Every solve fails its certificates at this alpha (the nuclear-gap slack is absolute).
+    (("--alpha", "1e7"), "note=level 0: 2 failed, 0 capped of 2 trials"),
+    (("--max-iters", "2"), "note=level 0: 0 failed, 2 capped of 2 trials"),
+])
+def test_robustness_notes_failed_and_capped_trials(flags, note, tmp_path, capsys):
+    out = tmp_path / "rob"
+    assert run_cli("robustness", "--d", "20", "--sizes", "30,90", "--trials", "2",
+                   "--levels", "1", *flags, "--out", str(out)) == 0
+    csv_text = (out / "robustness.csv").read_text()
+    assert capsys.readouterr().out == csv_text + note + "\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_robustness_without_trials_is_a_one_line_error(trials, tmp_path, capsys):
     out = tmp_path / "rob0"

@@ -608,25 +608,46 @@ def test_anderson_history_survives_a_fallback():
 
     rng = RngStream(31)
     frames = [random_stiefel(20, 3, rng).x for _ in range(2 * ANDERSON_DEPTH + 4)]
-    anderson, pairs, out = _Anderson(20, 3), [], np.empty((20, 3))
-    for xa, g in zip(frames[::2], frames[1::2]):
+    anderson, pairs = _Anderson(20, 3), []
+    for n, (xa, g) in enumerate(zip(frames[::2], frames[1::2])):
         # A map that projects onto span(G(X)) rates the plain update above
         # any mixture that leaves that span, so the safeguard falls back.
         problem = SimpleNamespace(
-            columnwise_map=lambda x, out=None, g=g: np.multiply(100.0, g @ (g.T @ x), out=out))
+            columnwise_map=lambda x, out=None, g=g: np.matmul(100.0 * g, g.T @ x, out=out))
         before = list(pairs)
-        successor, _, fell_back = anderson.step(problem, g, g - xa, 0.05, out)
+        with linalg.svd_errstate():
+            successor, _, fell_back = anderson.step(problem, g, g - xa, 0.05)
         assert successor is g
         assert fell_back is (len(before) > 0)
-        # The history holds the residual G(X) - X and the update G(X) of its
-        # last iterates as their differences, oldest first, and the latest pair.
         pairs = (before + [np.stack([g - xa, g]).reshape(2, -1)])[-ANDERSON_DEPTH - 1:]
         assert anderson.depth + 1 == len(pairs) == min(len(before) + 1, ANDERSON_DEPTH + 1)
+        # The history holds the differences of its iterates' residuals
+        # G(X) - X and updates G(X), the difference made at step q in slot
+        # (q - 1) % ANDERSON_DEPTH, and the latest pair.
         diffs = np.diff(np.array(pairs), axis=0)
-        assert np.array_equal(anderson.residual_diffs[:anderson.depth], diffs[:, 0])
-        assert np.array_equal(anderson.update_diffs[:anderson.depth], diffs[:, 1])
+        for q, diff in zip(range(n - len(diffs) + 1, n + 1), diffs):
+            slot = (q - 1) % ANDERSON_DEPTH
+            assert np.array_equal(anderson.residual_diffs[slot], diff[0])
+            assert np.array_equal(anderson.update_diffs[slot], diff[1])
         assert np.array_equal(anderson.latest, pairs[-1])
     assert anderson.depth == ANDERSON_DEPTH
+
+
+def test_a_rank_deficient_history_takes_lstsq_weights():
+    from hppca.solver import _Anderson
+
+    # Integer entries keep the differences exact: the last two are equal.
+    gen = np.random.default_rng(32)
+    residuals = gen.integers(-8, 8, (4, 60)).astype(float)
+    residuals[3] = 2 * residuals[2] - residuals[1]
+    anderson = _Anderson(20, 3)
+    for residual in residuals:
+        anderson.push(residual, gen.standard_normal(60))
+    diffs = anderson.residual_diffs[:anderson.depth]
+    assert anderson.depth == 3 and np.array_equal(diffs[1], diffs[2])
+    with linalg.svd_errstate():
+        weights = anderson.weights()
+    assert np.array_equal(weights, np.linalg.lstsq(diffs.T, residuals[-1], rcond=None)[0])
 
 
 def test_accelerated_safeguard_falls_back_and_keeps_the_ascent():
@@ -680,9 +701,9 @@ def test_accelerated_solve_checks_the_accepted_mixture_is_orthonormal(pop50, mon
     start = random_stiefel(50, 3, RngStream(26))
     with pytest.raises(RuntimeError, match="left factor lost orthonormality"):
         gpm_solve(pop50, start, SolverConfig(max_iters=50, accelerate=True))
-    # The chunk runs on to the solve's final row first: 64 calls, one per
+    # The chunk runs on to the solve's final row first: 68 calls, one per
     # row and one per mixture.
-    assert len(calls) == 64
+    assert len(calls) == 68
 
 
 def test_a_non_finite_mapped_mixture_mid_chunk_is_a_value_error(monkeypatch):
