@@ -21,7 +21,7 @@ from .model import (GroupedDataset, NoiseGroups, NoiseKind, SignalModel, draw_no
 from .problem import (HppcaProblem, PopulationProblem, WeightTable, build_problem,
                       build_residuals, build_weights, riemannian_gradient)
 from .solver import (SolveResult, SolverConfig, Termination, fixed_point_residual,
-                     gpm_solve, pca_init, read_trace_csv, trace_csv, write_trace_csv)
+                     gpm_solve, pca_init, trace_csv, write_trace_csv)
 from .diagnostics import (DavisKahanCheck, DiagnosticsReport, RatioSamples,
                           critical_point, davis_kahan_check, error_bound_samples,
                           growth_ratio_samples, optimum_distance_bound,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -162,45 +161,35 @@ def thin_svd(m) -> ThinSvd:
 
     The input must be finite and the factors must meet the orthonormality
     and reconstruction tolerances; every tolerance test fails on NaN. The
-    polar factors p, h are formed once and the reconstruction is tested as
-    ||p @ h - m||_F. A stack passes only if each of its matrices passes every
-    test (check_thin_svd). One matrix has its entries scanned for a
-    non-finite one only when ||m||_F is not finite.
+    polar factors p, h are formed once (polar_factors) and the reconstruction
+    is tested as ||p @ h - m||_F. Both shapes take the tests of check_thin_svd,
+    one matrix as a stack of one, so a stack passes only if each of its
+    matrices passes every test.
     """
     if getattr(m, "ndim", 2) == 3:
         stack = np.asarray(m, dtype=np.float64)
         if min(stack.shape) == 0:
             raise ValueError(f"matrix stack must have positive dimensions, got shape {stack.shape}")
-        if stack.shape[1] < stack.shape[2]:
-            raise ValueError(f"need at least as many rows as columns, got shape {stack.shape}")
-        u, sigma, vt = svd_factors(stack)
-        v = matrix_transpose(vt)
-        with np.errstate(all="ignore"):  # an infinite sigma fails the check
-            f = ThinSvd(u=u, sigma=sigma, v=v, p=u @ vt, h=v @ (sigma[:, :, None] * vt))
+    else:
+        stack = _as_2d(m)
+    if stack.shape[-2] < stack.shape[-1]:
+        raise ValueError(f"need at least as many rows as columns, got shape {stack.shape}")
+    u, sigma, vt = svd_factors(stack)
+    with np.errstate(all="ignore"):  # an infinite sigma fails the check
+        f = polar_factors(u, sigma, vt)
+    if stack.ndim == 3:
         check_thin_svd(stack, f)
-        return f
-    mat = _as_2d(m)
-    if mat.shape[0] < mat.shape[1]:
-        raise ValueError(f"need at least as many rows as columns, got shape {mat.shape}")
-    u, sigma, vt = svd_factors(mat)
-    s = sigma.tolist()
-    scale = _norm_scale(sigma[0]) if s[0] > HUGE_SIGMA else None
-    norm = fro_norm(mat if scale is None else mat * scale)
-    if not math.isfinite(norm):
-        _check_finite(mat)
-    v = vt.T
-    f = ThinSvd(u=u, sigma=sigma, v=v, p=u @ vt, h=v @ (sigma[:, None] * vt))
-    if not orthonormality_defect(u) <= FACTOR_TOL:
-        raise RuntimeError("svd left factor lost orthonormality")
-    if not fro_norm(vt.dot(v) - _identity(len(s))) <= FACTOR_TOL:
-        raise RuntimeError("svd right factor lost orthogonality")
-    if not (all(map(operator.ge, s, s[1:])) and s[-1] >= 0):
-        raise RuntimeError("singular values are not sorted nonnegative")
-    diff = f.p @ f.h - mat
-    resid = fro_norm(diff if scale is None else diff * scale)
-    if not resid <= FACTOR_TOL * max(1.0, norm):
-        raise RuntimeError(f"svd reconstruction residual too large ({resid:.3e})")
+    else:
+        check_thin_svd(stack[None], ThinSvd._make(a[None] for a in f), "matrix")
     return f
+
+
+def polar_factors(u: np.ndarray, sigma: np.ndarray, vt: np.ndarray,
+                  p: np.ndarray | None = None) -> ThinSvd:
+    """The thin SVD u, sigma, vt of a matrix or a stack with its polar factors
+    p = u @ vt (formed unless given) and h = v @ diag(sigma) @ v.T, unchecked."""
+    v = matrix_transpose(vt)
+    return ThinSvd(u, sigma, v, u @ vt if p is None else p, v @ (sigma[..., None] * vt))
 
 
 # LAPACK's thin SVD, Cholesky factor and solve: the gufuncs np.linalg.svd(m, full_matrices=
@@ -250,8 +239,10 @@ def _norm_scale(sigma_max):
 
 def check_thin_svd(stack: np.ndarray, f: ThinSvd, name: str = "matrix stack") -> None:
     """Raise unless each matrix of a (B, d, k) stack and its thin SVD ``f``
-    pass every thin_svd test, with its tolerances, messages and exceptions;
-    each test is taken on the whole stack before the next one."""
+    pass every factor test: finite input (ValueError), orthonormal u and v,
+    sorted nonnegative sigma and ||p @ h - m||_F within FACTOR_TOL *
+    max(1, ||m||_F) (RuntimeError). Each test is taken on the whole stack
+    before the next one; a non-finite ||m||_F has the entries scanned."""
     with np.errstate(over="ignore"):  # a huge finite matrix is told apart below
         norms = fro_norms(stack)
     if not np.isfinite(norms).all():

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import (CHUNK, ThinSvd, check_symmetric, check_thin_svd, fro_norm, fro_norms,
-                     matrix_transpose, sym_eig_topk, thin_svd)
+                     polar_factors, sym_eig_topk, thin_svd)
 from .model import GroupedDataset, sample_covariance
 from .problem import PopulationProblem
 from .stiefel import RANK_TOL, StiefelPoint, aligned_distances, frame_array
@@ -35,6 +35,13 @@ ANDERSON_DEPTH = 10
 # a Cholesky pivot L_ii**2 is below this share of G_ii (the squared sine between difference i
 # and the earlier ones), as G scaled to a unit diagonal then has a condition number over 1e10.
 GRAM_PIVOT_TOL = 1e-10
+
+# Rounding allowed in the nuclear gap ||A||_* - trace(X.T A) (>= 0 in exact arithmetic) per
+# unit of ||A||_*: a backward-stable SVD's sigma sum is off by at most k * p(d, k) * eps *
+# sigma_1, the pairwise inner product of d * k entries by (log2(d * k) + 2) * sqrt(k) * eps *
+# ||A||_* (as ||X||_F ||A||_F <= sqrt(k) ||A||_*). For k <= 10, d * k <= 1e6 and p <= 20
+# that is under 300 eps; 1e-12 is about 4500 eps.
+GAP_RTOL = 1e-12
 
 TRACE_HEADER = "iter,f,g,dist_f,step_norm,rho_alpha,fixed_point_gap,wall_time_ms"
 
@@ -75,12 +82,13 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
-def _check_certificates(residual: float, gap: float, wall_time: float,
-                        where: str = "iteration") -> None:
-    """Raise ValueError unless a row's residual, gap and time (or the least
-    of a chunk's) are in range; NaN fails."""
-    if not (residual >= 0 and gap >= -1e-9 and wall_time >= 0):
-        raise ValueError(f"{where} certificates out of range")
+def _check_certificates(residuals: np.ndarray, gaps: np.ndarray, nuclear: np.ndarray,
+                        wall: np.ndarray) -> None:
+    """Raise ValueError unless each row's residual and time are nonnegative and its
+    gap at least -max(1e-9, GAP_RTOL * ||A||_*), ``nuclear`` being ||A||_*; NaN fails."""
+    if not (residuals.min() >= 0 and wall.min() >= 0
+            and (gaps >= -np.maximum(1e-9, GAP_RTOL * nuclear)).all()):
+        raise ValueError("iteration certificates out of range")
 
 
 @dataclass(eq=False)
@@ -178,11 +186,11 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
         are stack[rows]); add the rows, each timed with a share of the chunk's pass."""
         kept, mapped, sigma = len(frames), stack[rows], f.sigma[rows]
         check_thin_svd(stack, f, "matrix")
-        inner = (frames * mapped).reshape(kept, -1).sum(axis=1)
-        gaps = sigma.sum(axis=1) - inner
+        inner, nuclear = (frames * mapped).reshape(kept, -1).sum(axis=1), sigma.sum(axis=1)
+        gaps = nuclear - inner
         own = np.diff(stamps)[:kept]
         wall = own + (time.perf_counter() - stamps[0] - own.sum()) / kept
-        _check_certificates(residuals.min(), gaps.min(), wall.min())
+        _check_certificates(residuals, gaps, nuclear, wall)
         metrics = ((np.full(kept, math.nan),) * 2 if truth is None else
                    (truth.frame_objective(frames), aligned_distances(frames, truth.q_truth.x)))
         blocks.append(np.rec.fromarrays([np.arange(t0, t0 + kept), inner - config.alpha * problem.k,
@@ -228,8 +236,7 @@ def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
         if n == 0:
             raise failure
         with np.errstate(all="ignore"):  # a row that would warn here fails a check or is dropped
-            v = matrix_transpose(vt[:n])
-            f = ThinSvd(u[:n], sigma[:n], v, xs[1:n + 1], v @ (sigma[:n, :, None] * vt[:n]))
+            f = polar_factors(u[:n], sigma[:n], vt[:n], xs[1:n + 1])
             residuals = fro_norms(xs[:n] @ f.h - mapped[:n])
             steps = fro_norms(f.p - xs[:n])
         final = 0 if stopped else config.max_iters - t0
@@ -288,10 +295,8 @@ def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
             failure = linalg.svd_failure(exc, acc.inputs[acc.count])
         if kept == 0:
             raise failure
-        v = matrix_transpose(acc.vt[:done])
         with np.errstate(all="ignore"):  # an infinite sigma fails the check
-            f = ThinSvd(acc.u[:done], acc.sigma[:done], v, acc.p[:done],
-                        v @ (acc.sigma[:done, :, None] * acc.vt[:done]))
+            f = polar_factors(acc.u[:done], acc.sigma[:done], acc.vt[:done], acc.p[:done])
         check_chunk(t0, stamps, xs[:kept], acc.inputs[:done], f, rows[:kept], residuals[:kept],
                     steps[:kept])
         if failure is not None:
@@ -360,7 +365,10 @@ class _Anderson:
         mapped += alpha * mixture
         mapped_g = alpha * g + problem.columnwise_map(g)
         # Both frames are orthonormal: their objectives differ as trace(X.T A) does.
-        if (mixture * mapped).sum() < (g * mapped_g).sum():
+        ours, plain = (mixture * mapped).sum(), (g * mapped_g).sum()
+        if not (math.isfinite(ours) and math.isfinite(plain)):  # NaN fails `<` below
+            raise ValueError("matrix has non-finite entries")
+        if ours < plain:
             mapped[...] = mapped_g
             return g, True, True
         return mixture, True, False
@@ -394,22 +402,3 @@ def write_trace_csv(trace: np.recarray, path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(trace_csv(trace))
     return path
-
-
-def read_trace_csv(path) -> np.recarray:
-    """Parse a trace CSV back into a trace: empty cells and the map norm,
-    which is not stored, are NaN. Every row must have the header's cells
-    and in-range certificates, or ValueError names its line."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
-        raise OSError(f"{path} is not a solver trace (unexpected header)")
-    width = TRACE_HEADER.count(",") + 1
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ValueError(f"{path} line {number}: {len(cells)} cells, expected {width}")
-        *values, wall_ms = (math.nan if cell == "" else float(cell) for cell in cells[1:])
-        _check_certificates(values[4], values[5], wall_ms / 1e3, f"{path} line {number}:")
-        rows.append((int(cells[0]), *values, math.nan, wall_ms / 1e3))
-    return np.rec.fromrecords(rows, dtype=TRACE_DTYPE)

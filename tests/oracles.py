@@ -8,18 +8,24 @@ samplers and the solver's trace records are checked against
 one-frame-at-a-time references built only on the one-frame library
 routines (thin_svd of one matrix, project_stiefel, frame_distance,
 fixed_point_residual, PopulationProblem.objective), never on the stacked
-ones.
+ones. Those references take their values from a one-matrix factorization
+(LAPACK on the 2-d matrix, then 2-d products) and their checks from
+check_thin_svd, which thin_svd runs on one matrix as on a stack of one.
+read_trace parses a trace CSV back, so that its 17 digits can be compared
+with the trace they were written from.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 
 from hppca.diagnostics import ZERO_DIST, ZERO_RESIDUAL
 from hppca.linalg import thin_svd
-from hppca.solver import GRAM_PIVOT_TOL, fixed_point_residual
+from hppca.solver import GRAM_PIVOT_TOL, TRACE_DTYPE, TRACE_HEADER, fixed_point_residual
 from hppca.stiefel import frame_distance, project_stiefel
 
 
@@ -210,6 +216,19 @@ def plain_trace(apply, x0, alpha: float, iterations: int, truth=None) -> list[tu
                      float(residual), float(sigma.sum()) - inner, float(sigma[0])))
         x = x_next
     return rows
+
+
+def read_trace(path) -> np.recarray:
+    """A trace CSV as rows of TRACE_DTYPE, each cell by float(): an empty cell,
+    and the map norm, which the CSV does not store, are NaN."""
+    header, *lines = Path(path).read_text().splitlines()
+    assert header == TRACE_HEADER
+    rows = []
+    for line in lines:
+        iteration, *cells, wall_ms = line.split(",")
+        values = [math.nan if cell == "" else float(cell) for cell in cells]
+        rows.append((int(iteration), *values, math.nan, float(wall_ms) / 1e3))
+    return np.rec.fromrecords(rows, dtype=TRACE_DTYPE)
 
 
 def plain_anderson(apply, x0, alpha: float, max_iters: int, tol_step: float,

@@ -144,12 +144,18 @@ def test_robustness_command(tmp_path):
     assert (out / "robustness.svg").is_file()
 
 
+def _failing_solve(*args, **kwargs):
+    raise ValueError("iteration certificates out of range")
+
+
 @pytest.mark.parametrize("flags, note", [
-    # Every solve fails its certificates at this alpha (the nuclear-gap slack is absolute).
-    (("--alpha", "1e7"), "note=level 0: 2 failed, 0 capped of 2 trials"),
+    # No flags: every solve fails, by a gpm_solve that raises.
+    ((), "note=level 0: 2 failed, 0 capped of 2 trials"),
     (("--max-iters", "2"), "note=level 0: 0 failed, 2 capped of 2 trials"),
 ])
-def test_robustness_notes_failed_and_capped_trials(flags, note, tmp_path, capsys):
+def test_robustness_notes_failed_and_capped_trials(flags, note, tmp_path, capsys, monkeypatch):
+    if not flags:
+        monkeypatch.setattr(hppca.experiments, "gpm_solve", _failing_solve)
     out = tmp_path / "rob"
     assert run_cli("robustness", "--d", "20", "--sizes", "30,90", "--trials", "2",
                    "--levels", "1", *flags, "--out", str(out)) == 0
@@ -199,6 +205,16 @@ def test_step_weight_past_its_bound_is_one_error_line(command, tmp_path, capsys)
     err = capsys.readouterr().err
     assert (code, err) == (0, "") or (code == 2 and err.startswith("error: ")
                                       and err.count("\n") == 1)
+
+
+def test_solve_at_a_large_step_weight_passes_its_certificates(tmp_path, capsys):
+    # The nuclear gap's rounding, about alpha * k * eps, reaches -3.7e-9 in
+    # this run: past 1e-9, inside the slack that scales with ||A||_*.
+    out = tmp_path / "big"
+    assert run_cli("solve", "--d", "20", "--sizes", "30,90", "--alpha", "1e7",
+                   "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert "termination=max-iters\n" in (out / "summary.txt").read_text()
 
 
 def test_the_parser_is_built_once():
