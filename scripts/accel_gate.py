@@ -32,9 +32,9 @@ from typing import NamedTuple
 
 from hppca import (NoiseKind, SolverConfig, Termination, build_problem, fixed_point_residual,
                    frame_distance, gpm_solve, pca_init)
-from hppca.experiments import ExperimentSpec, sweep_variances
+from hppca.experiments import ExperimentSpec, sweep_trial_id, sweep_variances
 
-REFERENCE = SolverConfig(tol_residual=1e-13, tol_step=1e-300, max_iters=100_000)
+REFERENCE = SolverConfig(tol_residual=1e-13, max_iters=100_000)
 
 
 def trials():
@@ -46,7 +46,7 @@ def trials():
         for level in range(first, 6):
             level_spec = replace(spec, variances=sweep_variances(sweep, level))
             for trial in range(20):
-                trial_id = level * 1_000_003 + trial + 1
+                trial_id = sweep_trial_id(level, trial)
                 model = level_spec.make_model(trial_id)
                 yield (group, f"{group} level {level} trial {trial:2d}", model,
                        level_spec.make_dataset(model, trial_id))

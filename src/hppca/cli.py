@@ -16,8 +16,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .experiments import (ExperimentSpec, missed_residual_note, robustness_csv,
-                          run_convergence, run_diagnose, run_robustness, svg_line_chart)
+from .experiments import (ExperimentSpec, robustness_csv, run_convergence, run_diagnose,
+                          run_robustness, svg_line_chart)
 from .diagnostics import report_text, write_report
 from .model import GroupedDataset, SignalModel, load_dataset, save_dataset
 from .problem import PopulationProblem, build_problem
@@ -62,9 +62,7 @@ _FLAGS = {
     "noise": dict(choices=("gaussian", "uniform")),
     "alpha": dict(type=float),
     "max_iters": dict(type=int),
-    "tol_step": dict(type=float),
-    "tol_residual": dict(type=float, help="fixed-point residual tolerance; below about "
-                         "1e-11 lower --tol-step too, or the solve stops step-converged first"),
+    "tol_residual": dict(type=float, help="fixed-point residual at which a solve stops"),
     "init": dict(help="pca | random | file:PATH"),
     "trials": dict(type=int),
     "levels": dict(type=int),
@@ -81,7 +79,7 @@ _FLAGS = {
 # The flags each subcommand reads; argparse rejects the others, and
 # resolve_spec rejects a --config key that names none of its settings.
 _MODEL = ("seed", "out", "config", "d", "k", "sizes", "variances", "lambdas", "noise")
-_SOLVER = ("alpha", "max_iters", "tol_step", "tol_residual")
+_SOLVER = ("alpha", "max_iters", "tol_residual")
 _COMMAND_FLAGS = {
     "generate": _MODEL,
     "solve": _MODEL + _SOLVER + ("init", "data"),
@@ -200,7 +198,11 @@ def _load_or_generate(args, spec: ExperimentSpec) -> tuple[GroupedDataset, Signa
     if not (truth_path.is_file() and lambdas_path.is_file()):
         return dataset, None
     _reject_flags(args, ("lambdas",), "the dataset's lambdas.npy fixes them")
-    return dataset, SignalModel(StiefelPoint(np.load(truth_path)), np.load(lambdas_path))
+    truth = np.load(truth_path)
+    if truth.shape != (dataset.d, dataset.k):
+        raise ValueError(f"{truth_path} has shape {truth.shape}, "
+                         f"the dataset needs ({dataset.d}, {dataset.k})")
+    return dataset, SignalModel(StiefelPoint(truth), np.load(lambdas_path))
 
 
 def _initial_point(spec: ExperimentSpec, dataset) -> StiefelPoint:
@@ -231,9 +233,6 @@ def cmd_solve(args) -> int:
     ]
     if population is not None:
         lines.append(f"final_dist={frame_distance(result.x_final, population.q_truth):.17g}")
-    note = missed_residual_note(result, spec.tol_residual)
-    if note:
-        lines.append(f"note={note}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)

@@ -47,7 +47,6 @@ class ExperimentSpec:
     lambdas: tuple[float, ...] = (5.0, 3.5, 2.0)
     alpha: float = SolverConfig.alpha
     max_iters: int = SolverConfig.max_iters
-    tol_step: float = SolverConfig.tol_step
     tol_residual: float = SolverConfig.tol_residual
     seed: int = 0
     trials: int = 20
@@ -61,7 +60,7 @@ class ExperimentSpec:
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(alpha=self.alpha, max_iters=self.max_iters,
-                            tol_step=self.tol_step, tol_residual=self.tol_residual)
+                            tol_residual=self.tol_residual)
 
     def make_model(self, trial: int = 0) -> SignalModel:
         q = random_stiefel(self.d, self.k, trial_stream(self.seed, trial, _ROLE_TRUTH))
@@ -126,7 +125,6 @@ class RunSummary:
     iterations: int
     termination: str
     rate: float | None
-    note: str | None = None
 
     def lines(self, label: str) -> list[str]:
         rate = "" if self.rate is None else f"{self.rate:.17g}"
@@ -137,16 +135,7 @@ class RunSummary:
             f"{label}.iterations={self.iterations}",
             f"{label}.termination={self.termination}",
             f"{label}.fitted_rate={rate}",
-        ] + ([f"{label}.note={self.note}"] if self.note else [])
-
-
-def missed_residual_note(result: SolveResult, tol_residual: float) -> str | None:
-    """Advice for a solve that stopped step-converged above tol_residual, else None."""
-    residual = float(result.trace.residual[-1])
-    if result.termination is not Termination.STEP or residual <= tol_residual:
-        return None
-    return (f"step-converged at residual {residual:.3g}, above --tol-residual "
-            f"{tol_residual:.3g}; lower --tol-step to reach it")
+        ]
 
 
 @dataclass(eq=False)
@@ -158,8 +147,8 @@ class ConvergenceResult:
     summaries: dict[str, RunSummary] = field(default_factory=dict)
 
 
-def _summarize(result: SolveResult, population: PopulationProblem, population_mode: bool,
-               config: SolverConfig) -> RunSummary:
+def _summarize(result: SolveResult, population: PopulationProblem,
+               population_mode: bool) -> RunSummary:
     trace = result.trace
     if population_mode:
         gaps = population.optimal_value() - trace.population_objective
@@ -172,7 +161,6 @@ def _summarize(result: SolveResult, population: PopulationProblem, population_mo
         iterations=result.iterations,
         termination=result.termination.value,
         rate=fitted_rate(gaps),
-        note=missed_residual_note(result, config.tol_residual),
     )
 
 
@@ -199,7 +187,7 @@ def run_convergence(spec: ExperimentSpec, population_mode: bool = False) -> Conv
     for label, start in (("pca", spectral), ("random", spec.random_start(spec.d, spec.k))):
         result = gpm_solve(problem, start, config, truth=population)
         out.runs[label] = result
-        out.summaries[label] = _summarize(result, population, population_mode, config)
+        out.summaries[label] = _summarize(result, population, population_mode)
     return out
 
 
@@ -219,6 +207,11 @@ def sweep_variances(sweep: str, level: int) -> tuple[float, float]:
     if sweep == "heterogeneity":
         return (base[0], base[1] + level / 10.0)
     raise ValueError(f"unknown sweep {sweep!r} (expected 'noise' or 'heterogeneity')")
+
+
+def sweep_trial_id(level: int, trial: int) -> int:
+    """Trial id, and so seed streams, of one trial of one sweep level."""
+    return level * 1_000_003 + trial + 1
 
 
 @dataclass(frozen=True)
@@ -271,7 +264,7 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
         errors: dict[str, list[float]] = {"pca": [], "gpm": []}
         failed = capped = 0
         for trial in range(spec.trials):
-            trial_id = level * 1_000_003 + trial + 1
+            trial_id = sweep_trial_id(level, trial)
             model = level_spec.make_model(trial_id)
             dataset = level_spec.make_dataset(model, trial_id)
             try:

@@ -54,14 +54,13 @@ TRACE_DTYPE = np.dtype([("iteration", np.int64)] + [(name, np.float64) for name 
 
 class Termination(str, Enum):
     RESIDUAL = "residual-converged"
-    STEP = "step-converged"
     MAX_ITERS = "max-iters"
     PROJECTION_NONUNIQUE = "projection-nonunique"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step weight, iteration budget and stopping tolerances. The solve uses
+    """Step weight, iteration budget and residual tolerance. The solve uses
     alpha as given: a finite-sample solve ascends monotonically once alpha is
     at least WeightTable.ascent_alpha_floor(), the population problem (with a
     positive semidefinite signal covariance) for any positive alpha. With
@@ -69,7 +68,6 @@ class SolverConfig:
 
     alpha: float = 0.05
     max_iters: int = 5000
-    tol_step: float = 1e-12
     tol_residual: float = 1e-10
     accelerate: bool = False
 
@@ -77,9 +75,8 @@ class SolverConfig:
         check_step_weight(self.alpha)
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        for name in ("tol_step", "tol_residual"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 < self.tol_residual < math.inf:
+            raise ValueError(f"tol_residual must be positive and finite, got {self.tol_residual}")
 
 
 def _check_certificates(residuals: np.ndarray, gaps: np.ndarray, nuclear: np.ndarray,
@@ -159,11 +156,11 @@ def pca_init(data, k: int | None = None) -> StiefelPoint:
 
 def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
               truth: PopulationProblem | None = None) -> SolveResult:
-    """Iterate the power-method update from ``init`` until a stopping rule fires.
+    """Iterate the power-method update from ``init`` until the residual test fires.
 
-    Stops when the fixed-point residual or the step norm drops below its
-    tolerance, or after max_iters updates. Non-convergence is reported in
-    the termination field, never raised. With ``truth`` each trace row also
+    Stops at the update of the first frame whose fixed-point residual is at most
+    tol_residual, or after max_iters updates: the residual is the one convergence
+    test. Non-convergence is reported, never raised. With ``truth`` each row also
     carries the infinite-sample objective and the sign-invariant distance
     to the ground truth, taken on one (B, d, k) stack per chunk of rows.
 
@@ -172,13 +169,14 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     One pass per chunk (check_chunk) takes every thin_svd test and the certificate
     ranges: a failing row raises when its chunk ends, an exception in a row once the
     rows before it pass. A plain solve finds its final row after the chunk and drops
-    those past it; an accelerated one tests the stop rules in each row and moves to
+    those past it; an accelerated one tests the residual in each row and moves to
     _Anderson.step's mixture. P = U V.T needs no check: with U and V orthonormal
     within FACTOR_TOL, ||P.T P - I||_F stays near 2 * FACTOR_TOL.
     """
-    if init.x.shape != (problem.d, problem.k):
-        raise ValueError(f"initial frame has shape {init.x.shape}, "
-                         f"the problem needs ({problem.d}, {problem.k})")
+    for name, frame in (("initial frame", init), ("truth frame", truth and truth.q_truth)):
+        if frame is not None and frame.x.shape != (problem.d, problem.k):
+            raise ValueError(f"{name} has shape {frame.x.shape}, "
+                             f"the problem needs ({problem.d}, {problem.k})")
     blocks, smallest = [], []
 
     def check_chunk(t0, stamps, frames, stack: np.ndarray, f: ThinSvd, rows, residuals, steps):
@@ -240,12 +238,9 @@ def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
             residuals = fro_norms(xs[:n] @ f.h - mapped[:n])
             steps = fro_norms(f.p - xs[:n])
         final = 0 if stopped else config.max_iters - t0
-        fires = np.flatnonzero((residuals[:final] <= config.tol_residual)
-                               | (steps[:final] <= config.tol_step))
+        fires = np.flatnonzero(residuals[:final] <= config.tol_residual)
         if fires.size:
-            final = fires[0] + 1
-            termination = (Termination.RESIDUAL if residuals[fires[0]] <= config.tol_residual
-                           else Termination.STEP)
+            final, termination = fires[0] + 1, Termination.RESIDUAL
         kept = min(final + 1, n)
         steps[final:] = 0.0  # the final row takes no step
         check_chunk(t0, stamps, xs[:kept], mapped[:kept], ThinSvd._make(a[:kept] for a in f),
@@ -278,11 +273,9 @@ def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
                     steps[i], successor, carried = 0.0, pi, False
                     if not final:
                         diff = pi - x
-                        steps[i] = step = fro_norm(diff)
+                        steps[i] = fro_norm(diff)
                         if residual <= config.tol_residual:
                             termination = Termination.RESIDUAL
-                        elif step <= config.tol_step:
-                            termination = Termination.STEP
                         else:
                             successor, carried, fell_back = acc.step(problem, pi, diff, alpha)
                             safeguard_steps += fell_back

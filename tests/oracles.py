@@ -156,15 +156,16 @@ def blocks_map(blocks, coeffs, shifts):
     return apply
 
 
-def plain_gpm(apply, x0, alpha: float, max_iters: int, tol_step: float,
-              tol_residual: float, rank_tol: float = 1e-12):
+def plain_gpm(apply, x0, alpha: float, max_iters: int, tol_residual: float,
+              rank_tol: float = 1e-12):
     """The power-method loop in bare numpy, with no contract checks.
 
     ``apply`` is the column-wise map X -> [M_1 x_1, ..., M_K x_K]. Same
-    arithmetic and stopping rules as the library solver: residual test
-    first, then the step test, and a last step with a numerically
-    singular mapped matrix reported as projection-nonunique. Returns
-    (x_final, iterations, termination value).
+    arithmetic and stopping rules as the library solver: the solve stops
+    after the first row whose fixed-point residual is at most tol_residual,
+    or after max_iters steps, and a last step with a numerically singular
+    mapped matrix is reported as projection-nonunique. Returns (x_final,
+    iterations, termination value).
     """
     x = np.array(x0, dtype=np.float64)
     termination = "max-iters"
@@ -175,16 +176,11 @@ def plain_gpm(apply, x0, alpha: float, max_iters: int, tol_step: float,
         u, sigma, vt = np.linalg.svd(mapped, full_matrices=False)
         v = vt.T
         residual = np.linalg.norm(x @ (v @ (sigma[:, None] * v.T)) - mapped)
-        x_next = u @ v.T
-        step = np.linalg.norm(x_next - x)
         last_nonunique = bool(sigma[-1] <= rank_tol)
-        x = x_next
+        x = u @ v.T
         iterations += 1
         if residual <= tol_residual:
             termination = "residual-converged"
-            break
-        if step <= tol_step:
-            termination = "step-converged"
             break
     if last_nonunique:
         termination = "projection-nonunique"
@@ -231,16 +227,18 @@ def read_trace(path) -> np.recarray:
     return np.rec.fromrecords(rows, dtype=TRACE_DTYPE)
 
 
-def plain_anderson(apply, x0, alpha: float, max_iters: int, tol_step: float,
-                   tol_residual: float, depth: int):
+def plain_anderson(apply, x0, alpha: float, max_iters: int, tol_residual: float,
+                   depth: int):
     """The accelerated power-method loop one row at a time, in the library's
-    arithmetic: a checked thin_svd per row and per mixture; the residual and
-    update differences kept in lists used as rings of ``depth`` slots, and
-    the Gram of the residual differences updated by one row and column per
-    difference; the weights from the normal equations of that Gram, or from
-    lstsq when a Cholesky pivot is below GRAM_PIVOT_TOL times its diagonal
-    entry or the factor fails; and the safeguard that keeps the plain update
-    G(X) when the mixture's objective is below f(G(X)).
+    arithmetic and stopping rules: the row after the first whose fixed-point
+    residual is at most tol_residual, or row max_iters, is the last; a checked
+    thin_svd per row and per mixture; the residual and update differences
+    kept in lists used as rings of ``depth`` slots, and the Gram of the
+    residual differences updated by one row and column per difference; the
+    weights from the normal equations of that Gram, or from lstsq when a
+    Cholesky pivot is below GRAM_PIVOT_TOL times its diagonal entry or the
+    factor fails; and the safeguard that keeps the plain update G(X) when
+    the mixture's objective is below f(G(X)).
 
     Returns (rows, x_final, termination value, safeguard steps); a row is
     plain_trace's, without truth cells (None), and its step is the plain
@@ -261,8 +259,6 @@ def plain_anderson(apply, x0, alpha: float, max_iters: int, tol_step: float,
             step = np.linalg.norm(f.p - x)
             if residual <= tol_residual:
                 termination = "residual-converged"
-            elif step <= tol_step:
-                termination = "step-converged"
             else:
                 pair = (f.p - x).ravel(), f.p.ravel()
                 if latest is not None:

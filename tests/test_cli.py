@@ -14,7 +14,7 @@ import hppca
 from hppca.cli import build_parser, main, read_config, resolve_spec
 from hppca.solver import TRACE_HEADER, csv_cell
 
-from oracles import plain_trace
+from oracles import plain_trace, read_trace
 
 
 def run_cli(*args) -> int:
@@ -112,25 +112,35 @@ def test_convergence_nonconvergence_is_still_success(tmp_path):
     assert "max-iters" in summary
 
 
-def test_solve_and_convergence_note_a_missed_residual_target(tmp_path):
-    # With tol_residual below about 1e-11 the default step tolerance fires
-    # first; the summary says so instead of only reporting step-converged.
+def test_solve_and_convergence_reach_a_residual_tolerance_of_1e_13(tmp_path):
+    # The residual is the one convergence test, so a tolerance below the
+    # iterates' step of about 1e-12 still applies, and no note is written.
     flags = ("--d", "20", "--sizes", "30,90", "--tol-residual", "1e-13")
     assert run_cli("solve", *flags, "--out", str(tmp_path / "solve")) == 0
     lines = (tmp_path / "solve" / "summary.txt").read_text().splitlines()
-    assert "termination=step-converged" in lines
-    prefix, _, rest = lines[-1].partition(" at residual ")
-    assert prefix == "note=step-converged"
-    residual, _, advice = rest.partition(", ")
-    assert 1e-13 < float(residual) < 1e-11
-    assert advice == "above --tol-residual 1e-13; lower --tol-step to reach it"
+    assert "termination=residual-converged" in lines
+    assert read_trace(tmp_path / "solve" / "trace.csv").residual[-1] <= 1e-13
     assert run_cli("convergence", *flags, "--out", str(tmp_path / "conv")) == 0
-    lines = (tmp_path / "conv" / "summary.txt").read_text().splitlines()
-    assert [line.split("=")[0] for line in lines if "note=" in line] == ["pca.note",
-                                                                        "random.note"]
-    # A default run stops on its residual and writes no note.
-    assert run_cli("solve", "--d", "20", "--sizes", "30,90", "--out", str(tmp_path / "d")) == 0
-    assert "note=" not in (tmp_path / "d" / "summary.txt").read_text()
+    conv_lines = (tmp_path / "conv" / "summary.txt").read_text().splitlines()
+    assert {"pca.termination=residual-converged",
+            "random.termination=residual-converged"} <= set(conv_lines)
+    for label in ("pca", "random"):
+        assert read_trace(tmp_path / "conv" / f"trace_{label}.csv").residual[-1] <= 1e-13
+    assert not any("note=" in line for line in lines + conv_lines)
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence", "robustness"])
+def test_the_step_tolerance_is_not_a_setting(command, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exited:
+        run_cli(command, "--tol-step", "1e-12", "--out", str(out))
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith("unrecognized arguments: --tol-step 1e-12\n")
+    config = tmp_path / "step.cfg"
+    config.write_text("tol_step = 1e-12\n")
+    assert run_cli(command, "--config", str(config), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: unknown config keys for {command}: ['tol_step']\n"
+    assert not out.exists()
 
 
 def test_robustness_command(tmp_path):
@@ -173,7 +183,7 @@ def test_robustness_without_trials_is_a_one_line_error(trials, tmp_path, capsys)
 
 @pytest.mark.parametrize("argv", [
     "solve --alpha nan", "solve --max-iters -1", "solve --init file:/nonexistent/x.npy",
-    "solve --tol-step 0", "robustness --levels 0", "diagnose --alpha -1", "solve --alpha inf",
+    "solve --tol-residual 0", "robustness --levels 0", "diagnose --alpha -1", "solve --alpha inf",
     "solve --init file:{tmp}/frame_50x3.npy", "solve --init file:{tmp}/frame_20x2.npy",
     "robustness --k 2 --trials 1 --levels 1"])
 def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys):
@@ -360,7 +370,7 @@ def test_robustness_reads_sweep_and_metric_from_config(tmp_path):
     ("solve", ("--trials", "9", "--levels", "4", "--svg", "--metric", "sin-theta")),
     ("convergence", ("--init", "random", "--metric", "sin-theta", "--trials", "7")),
     ("robustness", ("--init", "random", "--variances", "1,2")),
-    ("diagnose", ("--max-iters", "5", "--tol-step", "1", "--trials", "9")),
+    ("diagnose", ("--max-iters", "5", "--tol-residual", "1", "--trials", "9")),
 ])
 def test_each_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, unused):
     out = tmp_path / "o"
@@ -391,6 +401,20 @@ def test_damaged_dataset_header_is_a_one_line_error(tmp_path, capsys, command):
     assert err.startswith("error: ") and "sizes" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_a_truth_frame_of_the_wrong_shape_is_a_one_line_error(tmp_path, capsys, command):
+    generated = tmp_path / "gen"
+    assert run_cli("generate", "--d", "20", "--sizes", "30,90", "--out", str(generated)) == 0
+    truth_path = generated / "dataset" / "qtruth.npy"
+    np.save(truth_path, np.eye(30, 3))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run_cli(command, "--data", str(generated / "dataset"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {truth_path} has shape (30, 3), the dataset needs (20, 3)\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("generated")
@@ -417,8 +441,8 @@ def test_solve_with_data_rejects_lambdas_when_the_dataset_has_them(small_dataset
     assert capsys.readouterr().err.startswith("error: --lambdas cannot be used with --data")
     # The seed, the start and the solver flags stay allowed.
     assert run_cli("solve", "--data", str(small_dataset), "--seed", "3", "--init", "random",
-                   "--alpha", "0.1", "--max-iters", "20", "--tol-step", "1e-12",
-                   "--tol-residual", "1e-10", "--out", str(tmp_path / "solver")) == 0
+                   "--alpha", "0.1", "--max-iters", "20", "--tol-residual", "1e-10",
+                   "--out", str(tmp_path / "solver")) == 0
     # Without the truth files the dataset carries no lambdas, so the flag counts.
     bare = tmp_path / "bare"
     bare.mkdir()

@@ -141,7 +141,7 @@ def test_reference_scale_solve_reduces_distance(ref_lambdas, ref_groups):
     result = gpm_solve(problem, pca_init(ds), SolverConfig(), truth=population)
     dists = result.trace.dist_to_truth
     assert dists[-1] < dists[0]
-    assert result.termination in (Termination.RESIDUAL, Termination.STEP)
+    assert result.termination is Termination.RESIDUAL
 
 
 def test_zero_iteration_budget_records_initial_point(pop50):
@@ -215,19 +215,25 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
     with pytest.raises(ValueError):
-        SolverConfig(tol_step=0.0)
+        SolverConfig(tol_residual=0.0)
     # The config and fixed_point_residual share one alpha check and message.
     with pytest.raises(ValueError, match="^alpha: step weight must be nonnegative and finite, "
                                          "got inf$"):
         SolverConfig(alpha=math.inf)
-    for name in ("tol_step", "tol_residual"):
-        with pytest.raises(ValueError, match=f"{name} must be"):
-            SolverConfig(**{name: math.inf})
+    with pytest.raises(ValueError, match="tol_residual must be"):
+        SolverConfig(tol_residual=math.inf)
     # Past MAX_ALPHA, alpha * X alone could overflow the certificates' sums.
     assert SolverConfig(alpha=MAX_ALPHA).alpha == 1e150
     with pytest.raises(ValueError, match="^alpha: step weight must be at most 1e[+]150, "
                                          "got 1e[+]151$"):
         SolverConfig(alpha=1e151)
+
+
+def test_a_truth_frame_of_the_wrong_shape_is_rejected(pop50, ref_lambdas, ref_groups):
+    truth = make_population(30, ref_lambdas, ref_groups, seed=1)
+    with pytest.raises(ValueError, match=r"^truth frame has shape \(30, 3\), "
+                                         r"the problem needs \(50, 3\)$"):
+        gpm_solve(pop50, random_stiefel(50, 3, RngStream(3)), SolverConfig(), truth=truth)
 
 
 def test_degenerate_projection_reported_as_termination(pop50):
@@ -272,8 +278,7 @@ def test_gpm_solve_matches_plain_numpy_loop_exactly(kind, ref_lambdas, ref_group
     result = gpm_solve(problem, start, config, truth=PopulationProblem.from_model(
         model, ref_groups))
     x, iterations, termination = plain_gpm(_oracle_map(problem), start.x, config.alpha,
-                                           config.max_iters, config.tol_step,
-                                           config.tol_residual)
+                                           config.max_iters, config.tol_residual)
     assert termination == "residual-converged"
     assert result.termination.value == termination
     assert result.iterations == iterations
@@ -317,10 +322,9 @@ def test_each_certificate_and_each_mixture_takes_one_thin_svd(accelerate, monkey
     config = SolverConfig(max_iters=300, accelerate=accelerate)
     result = gpm_solve(problem, start, config)
     trace = result.trace[:-1]
-    # Accelerated iterations are those whose stopping tests fail; the first
+    # Accelerated iterations are those whose residual test fails; the first
     # of them has no history to mix.
-    stepped = int(np.sum((trace.residual > config.tol_residual)
-                         & (trace.step_norm > config.tol_step)))
+    stepped = int(np.sum(trace.residual > config.tol_residual))
     mixtures = max(stepped - 1, 0) if accelerate else 0
     assert len(calls) == len(maps)
     # A plain solve also maps and decomposes the rows of the last chunk that
@@ -400,7 +404,7 @@ def test_truth_trace_equals_one_frame_reference(kind, max_iters, ref_lambdas, re
                             RngStream(27, 1))
         problem = build_problem(ds, ref_lambdas)
     start = random_stiefel(30, 3, RngStream(27, 2))
-    config = SolverConfig(max_iters=max_iters, tol_residual=1e-300, tol_step=1e-300)
+    config = SolverConfig(max_iters=max_iters, tol_residual=1e-300)
     result = gpm_solve(problem, start, config, truth=truth)
     assert result.iterations == max_iters
     expected = plain_trace(_oracle_map(problem), start.x, config.alpha, max_iters, truth)
@@ -446,35 +450,38 @@ def test_the_gap_slack_scales_with_the_nuclear_norm():
 
 def _falling_problem(lambdas, groups):
     """A d = 30 sample problem, its truth and its spectral start, from which
-    the residual and step columns fall strictly over the first 140 rows."""
+    the residual column falls strictly over the first 140 rows."""
     model = make_model(30, lambdas, seed=27)
     ds = sample_dataset(model, NoiseGroups((40, 160), (1.0, 6.0)), NoiseKind.GAUSSIAN,
                         RngStream(27, 1))
     return build_problem(ds, lambdas), pca_init(ds), PopulationProblem.from_model(model, groups)
 
 
-_NO_STOP = dict(tol_residual=1e-300, tol_step=1e-300)
+_NO_STOP = dict(tol_residual=1e-300)
 
 
 @pytest.mark.parametrize("stop_row", [0, 1, CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 1])
-@pytest.mark.parametrize("column", ["residual", "step_norm"])
-def test_a_stop_on_any_row_of_a_chunk_matches_the_plain_loop(column, stop_row, ref_lambdas,
+@pytest.mark.parametrize("rule", ["residual", "max_iters"])
+def test_a_stop_on_any_row_of_a_chunk_matches_the_plain_loop(rule, stop_row, ref_lambdas,
                                                              ref_groups):
-    # A plain solve runs its chunk past the stop, then keeps the rows up to
-    # the final one, which follows the stop and may open the next chunk.
+    # A plain solve runs its chunk past a residual stop, then keeps the rows up
+    # to the final one, which follows the stop and may open the next chunk; a
+    # solve capped at the row after the stop runs no row past it.
     problem, start, truth = _falling_problem(ref_lambdas, ref_groups)
-    reference = gpm_solve(problem, start, SolverConfig(max_iters=2 * CHUNK + 5, **_NO_STOP))
-    values = reference.trace[column][:-1]
-    tolerance = {"residual": "tol_residual", "step_norm": "tol_step"}[column]
-    config = SolverConfig(**{**_NO_STOP, tolerance: values[stop_row]})
-    assert np.flatnonzero(values <= values[stop_row])[0] == stop_row
+    if rule == "residual":
+        reference = gpm_solve(problem, start, SolverConfig(max_iters=2 * CHUNK + 5, **_NO_STOP))
+        values = reference.trace.residual[:-1]
+        assert np.flatnonzero(values <= values[stop_row])[0] == stop_row
+        config = SolverConfig(tol_residual=values[stop_row])
+    else:
+        config = SolverConfig(max_iters=stop_row + 1, **_NO_STOP)
     result = gpm_solve(problem, start, config, truth=truth)
     assert _trace_rows(result) == plain_trace(_oracle_map(problem), start.x, config.alpha,
                                               stop_row + 1, truth)
     x, iterations, termination = plain_gpm(_oracle_map(problem), start.x, config.alpha,
-                                           config.max_iters, config.tol_step,
-                                           config.tol_residual)
-    assert result.termination.value == termination != "max-iters"
+                                           config.max_iters, config.tol_residual)
+    expected = {"residual": Termination.RESIDUAL, "max_iters": Termination.MAX_ITERS}[rule]
+    assert result.termination.value == termination == expected.value
     assert result.iterations == iterations == stop_row + 1
     assert np.array_equal(result.x_final.x, x)
 
@@ -575,8 +582,7 @@ _SWEEP_PROBLEMS = [
 @pytest.mark.parametrize("d, sizes, seed, level", _SWEEP_PROBLEMS)
 def test_accelerated_solve_agrees_with_a_tight_plain_reference(d, sizes, seed, level):
     problem, start = _sweep_problem(d, sizes, seed, level)
-    reference = gpm_solve(problem, start, SolverConfig(tol_residual=1e-13, tol_step=1e-300,
-                                                       max_iters=100_000))
+    reference = gpm_solve(problem, start, SolverConfig(tol_residual=1e-13, max_iters=100_000))
     assert reference.termination is Termination.RESIDUAL
     plain = gpm_solve(problem, start, SolverConfig())
     accelerated = gpm_solve(problem, start, SolverConfig(accelerate=True))
@@ -587,6 +593,25 @@ def test_accelerated_solve_agrees_with_a_tight_plain_reference(d, sizes, seed, l
     assert plain.termination in (Termination.RESIDUAL, Termination.MAX_ITERS)
     assert accelerated.iterations <= 100 < plain.iterations
     assert fixed_point_residual(problem, accelerated.x_final, 0.05) <= 1e-10
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+@pytest.mark.parametrize("setting", [*_SWEEP_PROBLEMS, None],
+                         ids=[*(f"sweep{i}" for i in range(len(_SWEEP_PROBLEMS))), "reference"])
+def test_a_residual_tolerance_of_1e_13_applies(setting, accelerate):
+    # The residual is the one convergence test, so a tolerance below the
+    # iterates' step of about 1e-12 still ends the solve on its residual.
+    if setting is None:  # the reference setting at seed 0
+        spec = ExperimentSpec()
+        model = spec.make_model()
+        ds = spec.make_dataset(model)
+        problem, start = build_problem(ds, model.lambdas), pca_init(ds)
+    else:
+        problem, start = _sweep_problem(*setting)
+    config = SolverConfig(tol_residual=1e-13, max_iters=100_000, accelerate=accelerate)
+    result = gpm_solve(problem, start, config)
+    assert result.termination is Termination.RESIDUAL
+    assert result.trace.residual[-1] <= 1e-13
 
 
 @pytest.mark.parametrize("d, sizes, seed, level", _SWEEP_PROBLEMS)
@@ -758,8 +783,8 @@ def test_accelerated_solve_equals_the_one_row_reference(d, sizes, seed, level, m
     config = SolverConfig(max_iters=max_iters, accelerate=True, **stops)
     result = gpm_solve(problem, start, config)
     rows, x, termination, safeguard_steps = plain_anderson(
-        _oracle_map(problem), start.x, config.alpha, config.max_iters, config.tol_step,
-        config.tol_residual, ANDERSON_DEPTH)
+        _oracle_map(problem), start.x, config.alpha, config.max_iters, config.tol_residual,
+        ANDERSON_DEPTH)
     assert _trace_rows(result) == rows
     assert np.array_equal(result.x_final.x, x)
     assert (result.termination.value, result.safeguard_steps) == (termination, safeguard_steps)
