@@ -36,7 +36,7 @@ def _split(value) -> list:
 
 
 def read_config(path) -> dict[str, str]:
-    """Parse a flat key=value file; '#' starts a comment."""
+    """Parse a flat key=value file; '#' starts a comment; a key may appear once."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -45,7 +45,10 @@ def read_config(path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -125,7 +128,6 @@ def resolve_spec(args) -> tuple[ExperimentSpec, dict[str, str]]:
     Returns the spec and the merged settings that are not spec fields
     (sweep and metric), so a config file sets those too.
     """
-    hints = _SPEC_HINTS
     defaults = {f.name: f.default for f in fields(ExperimentSpec)} | _EXTRA_DEFAULTS
     settings = dict(defaults)
     if getattr(args, "config", None):
@@ -140,13 +142,13 @@ def resolve_spec(args) -> tuple[ExperimentSpec, dict[str, str]]:
             settings[key] = value
 
     def coerce(key):
-        hint = hints[key]
+        hint = _SPEC_HINTS[key]
         if get_origin(hint) is tuple:
             return tuple(get_args(hint)[0](v) for v in _split(settings[key]))
         return hint(settings[key])
 
     extras = {key: str(settings[key]) for key in _EXTRA_DEFAULTS}
-    return ExperimentSpec(**{key: coerce(key) for key in hints}), extras
+    return ExperimentSpec(**{key: coerce(key) for key in _SPEC_HINTS}), extras
 
 
 def _outdir(spec: ExperimentSpec) -> Path:

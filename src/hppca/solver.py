@@ -4,7 +4,7 @@ An iteration maps the frame, A = alpha * X + [M_1 x_1, ..., M_K x_K], and moves 
 P = U V.T from the thin SVD A = P H, H = V Sigma V.T. The fixed-point residual
 ||X H - A||_F (the stopping rule) and the nuclear gap ||A||_* - trace(X.T A) vanish
 exactly at fixed points. An accelerated solve moves to a type-II Anderson mixture
-of the last updates (Walker & Ni, 2011) unless a safeguard prefers P."""
+of the last updates (Walker & Ni, 2011) unless its objective is below X's."""
 
 from __future__ import annotations
 
@@ -63,8 +63,9 @@ class SolverConfig:
     """Step weight, iteration budget and residual tolerance. The solve uses
     alpha as given: a finite-sample solve ascends monotonically once alpha is
     at least WeightTable.ascent_alpha_floor(), the population problem (with a
-    positive semidefinite signal covariance) for any positive alpha. With
-    accelerate on, each step that does not stop the solve is an Anderson mixture."""
+    positive semidefinite signal covariance) for any positive alpha. With accelerate on,
+    a step that does not stop the solve moves to an Anderson mixture, unless it is the
+    first (no history to mix) or the mixture's objective is below the frame's (then P)."""
 
     alpha: float = 0.05
     max_iters: int = 5000
@@ -257,7 +258,7 @@ def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
     # xs[i] is row i's frame and acc.inputs[rows[i]] its mapped matrix.
     alpha, acc, xs = config.alpha, _Anderson(*x.shape), np.empty((CHUNK + 1, *x.shape))
     rows, (residuals, steps) = np.empty(CHUNK, int), np.empty((2, CHUNK))
-    termination, safeguard_steps, t0, carried, xs[0] = Termination.MAX_ITERS, 0, 0, False, x
+    termination, t0, carried, xs[0] = Termination.MAX_ITERS, 0, False, x
     while True:
         stamps, failure, kept, done = [time.perf_counter()], None, 0, 0
         try:
@@ -277,8 +278,7 @@ def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
                         if residual <= config.tol_residual:
                             termination = Termination.RESIDUAL
                         else:
-                            successor, carried, fell_back = acc.step(problem, pi, diff, alpha)
-                            safeguard_steps += fell_back
+                            successor, carried = acc.step(problem, pi, diff, alpha, (x * a).sum())
                         xs[i + 1] = successor
                     stamps.append(time.perf_counter())
                     kept, done = i + 1, acc.count
@@ -295,15 +295,15 @@ def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
         if failure is not None:
             raise failure
         if final:
-            return xs[kept - 1], termination, safeguard_steps
+            return xs[kept - 1], termination, acc.fallbacks
         t0 += kept
         xs[0], acc.inputs[0], acc.count = xs[CHUNK], acc.inputs[acc.count], 0
 
 
 class _Anderson:
-    """An accelerated chunk's SVDs, rows' and mixtures', in ``inputs`` slot order, and
-    the mixing history: the last differences of consecutive residuals G(X) - X and updates
-    G(X), flat, in a ring of ANDERSON_DEPTH slots, their Gram and the latest pair."""
+    """An accelerated chunk's SVDs, rows' and mixtures', in ``inputs`` slot order, the
+    fallbacks and the mixing history: the last differences of consecutive residuals G(X) - X
+    and updates G(X), flat, in a ring of ANDERSON_DEPTH slots, their Gram and latest pair."""
 
     def __init__(self, d: int, k: int):
         size, slots = d * k, 2 * CHUNK + 1
@@ -311,7 +311,7 @@ class _Anderson:
         self.gram, self.latest = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH)), np.empty((2, size))
         self.inputs, self.u, self.p = np.empty((3, slots, d, k))
         self.sigma, self.vt = np.empty((slots, k)), np.empty((slots, k, k))
-        self.pushes = self.depth = self.count = 0
+        self.pushes = self.depth = self.count = self.fallbacks = 0
 
     def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decompose the next slot; return its P = U V.T, sigma and V.T."""
@@ -343,28 +343,25 @@ class _Anderson:
             pass
         return np.linalg.lstsq(diffs.T, self.latest[0], rcond=None)[0]
 
-    def step(self, problem, g: np.ndarray, residual: np.ndarray,
-             alpha: float) -> tuple[np.ndarray, bool, bool]:
-        """Successor of the frame with plain update ``g`` and residual G(X) - X: the mixture
-        projected through the next slot, or ``g`` if its objective is larger (kept in the
-        history either way); whether the next slot holds its alpha * X + M(X); the fallback."""
+    def step(self, problem, g: np.ndarray, residual: np.ndarray, alpha: float,
+             floor: float) -> tuple[np.ndarray, bool]:
+        """Successor of frame X, given its plain update ``g``, residual G(X) - X (both join
+        the history) and trace(X.T A) = ``floor``: the mixture projected through the next slot
+        unless its trace is below ``floor``, then ``g``, so an accepted mixture never lowers f
+        below f(X); and whether the next slot holds the successor's alpha * X + M(X)."""
         self.push(residual.ravel(), g.ravel())
         if self.pushes == 1:
-            return g, False, False
+            return g, False
         np.subtract(self.latest[1], self.weights() @ self.update_diffs[:self.depth],
                     out=self.inputs[self.count].reshape(-1))
         mixture = self.take()[0]
         mapped = problem.columnwise_map(mixture, out=self.inputs[self.count])
         mapped += alpha * mixture
-        mapped_g = alpha * g + problem.columnwise_map(g)
-        # Both frames are orthonormal: their objectives differ as trace(X.T A) does.
-        ours, plain = (mixture * mapped).sum(), (g * mapped_g).sum()
-        if not (math.isfinite(ours) and math.isfinite(plain)):  # NaN fails `<` below
-            raise ValueError("matrix has non-finite entries")
-        if ours < plain:
-            mapped[...] = mapped_g
-            return g, True, True
-        return mixture, True, False
+        # Orthonormal frames' objectives differ as trace(X.T A) does; NaN takes the mixture.
+        if (mixture * mapped).sum() < floor:
+            self.fallbacks += 1
+            return g, False
+        return mixture, True
 
 
 def _cells(column: np.ndarray) -> list[str]:

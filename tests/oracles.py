@@ -238,7 +238,8 @@ def plain_anderson(apply, x0, alpha: float, max_iters: int, tol_residual: float,
     weights from the normal equations of that Gram, or from lstsq when a
     Cholesky pivot is below GRAM_PIVOT_TOL times its diagonal entry or the
     factor fails; and the safeguard that keeps the plain update G(X) when
-    the mixture's objective is below f(G(X)).
+    the mixture's objective is below the row's own f(X), the next row then
+    mapping G(X).
 
     Returns (rows, x_final, termination value, safeguard steps); a row is
     plain_trace's, without truth cells (None), and its step is the plain
@@ -279,9 +280,8 @@ def plain_anderson(apply, x0, alpha: float, max_iters: int, tol_residual: float,
                         gamma = np.linalg.lstsq(np.array(dr).T, pair[0], rcond=None)[0]
                     mixture = thin_svd((pair[1] - gamma @ np.array(du)).reshape(x.shape)).p
                     mapped_mixture = alpha * mixture + apply(mixture)
-                    mapped_update = alpha * f.p + apply(f.p)
-                    if (mixture * mapped_mixture).sum() < (f.p * mapped_update).sum():
-                        mapped, safeguard_steps = mapped_update, safeguard_steps + 1
+                    if (mixture * mapped_mixture).sum() < inner:
+                        safeguard_steps += 1
                     else:
                         successor, mapped = mixture, mapped_mixture
                 latest = pair

@@ -326,6 +326,20 @@ def test_read_config_parsing(tmp_path):
         read_config(bad)
 
 
+@pytest.mark.parametrize("command, lines, key", [
+    ("generate", "d = 20\nd = 25\n", "d"),
+    ("solve", "max-iters = 10\n# the same key, spelled with '_'\nmax_iters = 20\n", "max_iters"),
+])
+def test_a_repeated_config_key_is_rejected(tmp_path, capsys, command, lines, key):
+    config = tmp_path / "twice.cfg"
+    config.write_text(lines)
+    out = tmp_path / "out"
+    lineno = len(lines.splitlines())
+    assert run_cli(command, "--config", str(config), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {config}:{lineno}: duplicate key {key!r}\n"
+    assert not out.exists()
+
+
 _CONFIG_KEYS = st.from_regex(r"[a-z][a-z0-9_-]{0,11}", fullmatch=True)
 # No '#' (a comment) and no line break; '=' may recur inside a value.
 _CONFIG_TEXT = st.text(alphabet="abcxyz019.,:+-=/ \t", max_size=12)

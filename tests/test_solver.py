@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -325,12 +326,20 @@ def test_each_certificate_and_each_mixture_takes_one_thin_svd(accelerate, monkey
     # Accelerated iterations are those whose residual test fails; the first
     # of them has no history to mix.
     stepped = int(np.sum(trace.residual > config.tol_residual))
-    mixtures = max(stepped - 1, 0) if accelerate else 0
-    assert len(calls) == len(maps)
-    # A plain solve also maps and decomposes the rows of the last chunk that
-    # run past the final row, fewer than CHUNK of them.
-    assert 0 <= len(calls) - (result.iterations + 1 + mixtures) <= (0 if accelerate else CHUNK - 1)
-    assert (mixtures if accelerate else result.iterations) > 10
+    if accelerate:
+        mixtures = stepped - 1
+        assert len(calls) == result.iterations + 1 + mixtures
+        # Each row maps its frame, except a row whose frame is an accepted
+        # mixture, mapped by the step that formed it; a rejected mixture's
+        # map is the one map more that a fallback costs.
+        assert len(maps) == result.iterations + 1 + result.safeguard_steps
+        assert mixtures > 10 and result.safeguard_steps > 0
+    else:
+        # A plain solve also maps and decomposes the rows of the last chunk
+        # that run past the final row, fewer than CHUNK of them.
+        assert len(calls) == len(maps)
+        assert 0 <= len(calls) - (result.iterations + 1) <= CHUNK - 1
+        assert result.iterations > 10
 
 
 def test_svd_corrupted_at_iteration_5_stops_the_solve(pop50, monkeypatch):
@@ -525,21 +534,27 @@ def test_an_earlier_failing_row_is_raised_before_a_later_svd_error(pop50, monkey
     assert len(calls) == 6
 
 
-def test_a_non_finite_mapped_matrix_mid_chunk_is_a_value_error(monkeypatch):
-    # The SVD of row 5 raises on its NaN input; rows 0-4 pass their checks,
-    # and the error is thin_svd's.
-    problem, start = _sweep_problem(20, (30, 90), 0, 3)
+def _nan_on_map(monkeypatch, call: int) -> list:
+    """Patch the map so that its ``call``-th use returns NaN; return the list of uses."""
     columnwise_map = HppcaProblem.columnwise_map
     maps = []
 
     def nan_map(problem, xa, out=None):
         maps.append(1)
         mapped = columnwise_map(problem, xa, out)
-        if len(maps) == 6:
+        if len(maps) == call:
             mapped *= np.nan
         return mapped
 
     monkeypatch.setattr(HppcaProblem, "columnwise_map", nan_map)
+    return maps
+
+
+def test_a_non_finite_mapped_matrix_mid_chunk_is_a_value_error(monkeypatch):
+    # The SVD of row 5 raises on its NaN input; rows 0-4 pass their checks,
+    # and the error is thin_svd's.
+    problem, start = _sweep_problem(20, (30, 90), 0, 3)
+    maps = _nan_on_map(monkeypatch, 6)
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
         gpm_solve(problem, start, SolverConfig())
     assert len(maps) == 6
@@ -595,6 +610,25 @@ def test_accelerated_solve_agrees_with_a_tight_plain_reference(d, sizes, seed, l
     assert fixed_point_residual(problem, accelerated.x_final, 0.05) <= 1e-10
 
 
+@pytest.mark.parametrize("setting, cap, termination", [
+    ((20, (30, 90), 0, 0), 100_000, Termination.RESIDUAL),
+    ((30, (40, 160), 1, 5), 8000, Termination.MAX_ITERS),  # its first part is capped too
+], ids=["converges", "capped"])
+def test_a_continued_solve_equals_the_uninterrupted_one(setting, cap, termination):
+    # A plain row depends only on its frame, so scripts/accel_gate.py takes
+    # its residual-1e-13 reference as the default solve continued from its
+    # final frame with the iterations left of the cap.
+    problem, start = _sweep_problem(*setting)
+    tight = SolverConfig(tol_residual=1e-13, max_iters=cap)
+    whole = gpm_solve(problem, start, tight)
+    first = gpm_solve(problem, start, SolverConfig())
+    assert first.trace.residual[-2] > tight.tol_residual
+    rest = gpm_solve(problem, first.x_final, replace(tight, max_iters=cap - first.iterations))
+    assert np.array_equal(rest.x_final.x, whole.x_final.x)
+    assert rest.termination is whole.termination is termination
+    assert first.iterations + rest.iterations == whole.iterations
+
+
 @pytest.mark.parametrize("accelerate", [False, True])
 @pytest.mark.parametrize("setting", [*_SWEEP_PROBLEMS, None],
                          ids=[*(f"sweep{i}" for i in range(len(_SWEEP_PROBLEMS))), "reference"])
@@ -616,8 +650,9 @@ def test_a_residual_tolerance_of_1e_13_applies(setting, accelerate):
 
 @pytest.mark.parametrize("d, sizes, seed, level", _SWEEP_PROBLEMS)
 def test_accelerated_solve_needs_few_iterations(d, sizes, seed, level):
-    # 16, 17 and 21 iterations with a history that survives fallbacks; a
-    # history restarted at every fallback took 35, 29 and 57.
+    # 17, 18 and 23 iterations with a history that survives fallbacks; a
+    # history restarted at every fallback took 35, 29 and 57 (safeguarded
+    # against f(G(X)) then).
     problem, start = _sweep_problem(d, sizes, seed, level)
     result = gpm_solve(problem, start, SolverConfig(accelerate=True))
     assert result.termination is Termination.RESIDUAL
@@ -630,16 +665,15 @@ def test_anderson_history_survives_a_fallback():
     rng = RngStream(31)
     frames = [random_stiefel(20, 3, rng).x for _ in range(2 * ANDERSON_DEPTH + 4)]
     anderson, pairs = _Anderson(20, 3), []
+    problem = SimpleNamespace(columnwise_map=lambda x, out=None: np.negative(x, out=out))
     for n, (xa, g) in enumerate(zip(frames[::2], frames[1::2])):
-        # A map that projects onto span(G(X)) rates the plain update above
-        # any mixture that leaves that span, so the safeguard falls back.
-        problem = SimpleNamespace(
-            columnwise_map=lambda x, out=None, g=g: np.matmul(100.0 * g, g.T @ x, out=out))
+        # An objective of X above any mixture's makes the safeguard fall back
+        # at every step that forms a mixture, all but the first.
         before = list(pairs)
         with linalg.svd_errstate():
-            successor, _, fell_back = anderson.step(problem, g, g - xa, 0.05)
-        assert successor is g
-        assert fell_back is (len(before) > 0)
+            successor, carried = anderson.step(problem, g, g - xa, 0.05, math.inf)
+        assert successor is g and not carried
+        assert anderson.fallbacks == n
         pairs = (before + [np.stack([g - xa, g]).reshape(2, -1)])[-ANDERSON_DEPTH - 1:]
         assert anderson.depth + 1 == len(pairs) == min(len(before) + 1, ANDERSON_DEPTH + 1)
         # The history holds the differences of its iterates' residuals
@@ -722,50 +756,43 @@ def test_accelerated_solve_checks_the_accepted_mixture_is_orthonormal(pop50, mon
     start = random_stiefel(50, 3, RngStream(26))
     with pytest.raises(RuntimeError, match="left factor lost orthonormality"):
         gpm_solve(pop50, start, SolverConfig(max_iters=50, accelerate=True))
-    # The chunk runs on to the solve's final row first: 68 calls, one per
-    # row and one per mixture.
-    assert len(calls) == 68
+    # The chunk runs on to the solve's final row first: 96 calls, one for
+    # the start's draw, then one per row (49) and one per mixture (46).
+    assert len(calls) == 96
+
+
+# Maps of the (20, (30, 90), 0, 3) sweep solve, which takes 20 iterations
+# with 3 fallbacks: rows 0 and 1 map their own frames, the start and the
+# plain update of the first step, which has no history to mix. Maps 3-16
+# are accepted mixtures, each taken by the next row without a map of its
+# own. Maps 17, 19 and 21 are rejected mixtures, each followed by the next
+# row's map of G(X) (18, 20, 22); map 23 is an accepted mixture whose row
+# stops the solve, and map 24 the final row's.
 
 
 def test_a_non_finite_mapped_mixture_mid_chunk_is_a_value_error(monkeypatch):
-    # Maps: rows 0 and 1 map their own frames; each later step maps its
-    # mixture, then the plain update. The fifth map, row 2's mixture, is NaN:
-    # the safeguard raises on its objective after the sixth map, once rows 0
-    # and 1 pass their checks, with thin_svd's message.
+    # A NaN mixture objective fails the safeguard's `<`, so the mixture is
+    # taken, never silently dropped: the next row's SVD raises on its map,
+    # after the rows before it pass their checks, with thin_svd's message.
+    # Map 5 is a mixture the safeguard accepts, map 17 one it would reject.
     problem, start = _sweep_problem(20, (30, 90), 0, 3)
-    columnwise_map = HppcaProblem.columnwise_map
-    maps = []
-
-    def nan_map(problem, xa, out=None):
-        maps.append(1)
-        mapped = columnwise_map(problem, xa, out)
-        if len(maps) == 5:
-            mapped *= np.nan
-        return mapped
-
-    monkeypatch.setattr(HppcaProblem, "columnwise_map", nan_map)
-    with pytest.raises(ValueError, match="matrix has non-finite entries"):
-        gpm_solve(problem, start, SolverConfig(accelerate=True))
-    assert len(maps) == 6
+    clean = gpm_solve(problem, start, SolverConfig(accelerate=True))
+    assert (clean.iterations, clean.safeguard_steps) == (20, 3)
+    for call in (5, 17):
+        with monkeypatch.context() as patch:
+            maps = _nan_on_map(patch, call)
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                gpm_solve(problem, start, SolverConfig(accelerate=True))
+        assert len(maps) == call
 
 
-@pytest.mark.parametrize("call", [4, 6])
+@pytest.mark.parametrize("call", [2, 18])
 def test_a_non_finite_map_of_the_plain_update_is_a_value_error(call, monkeypatch):
-    # The fourth and sixth maps are rows 1 and 2's maps of the plain update
-    # G(X), which only the safeguard reads: NaN there failed its comparison,
-    # so the mixture was taken and the solve converged.
+    # Maps 2 and 18 are rows' maps of the plain update G(X): after the first
+    # step, which has no history to mix, and after a fallback. The row's own
+    # SVD raises on it.
     problem, start = _sweep_problem(20, (30, 90), 0, 3)
-    columnwise_map = HppcaProblem.columnwise_map
-    maps = []
-
-    def nan_map(problem, xa, out=None):
-        maps.append(1)
-        mapped = columnwise_map(problem, xa, out)
-        if len(maps) == call:
-            mapped *= np.nan
-        return mapped
-
-    monkeypatch.setattr(HppcaProblem, "columnwise_map", nan_map)
+    maps = _nan_on_map(monkeypatch, call)
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
         gpm_solve(problem, start, SolverConfig(accelerate=True))
     assert len(maps) == call
