@@ -58,10 +58,9 @@ _FLAGS = {
     "out": dict(help="output directory (default: out)"),
     "config": dict(help="flat key=value settings file; flags override"),
     "d": dict(type=int, help="ambient dimension"),
-    "k": dict(type=int, help="subspace dimension"),
     "sizes": dict(help="comma-separated group sizes"),
     "variances": dict(help="comma-separated group noise variances"),
-    "lambdas": dict(help="comma-separated signal strengths"),
+    "lambdas": dict(help="comma-separated signal strengths, one per column"),
     "noise": dict(choices=("gaussian", "uniform")),
     "alpha": dict(type=float),
     "max_iters": dict(type=int),
@@ -81,7 +80,7 @@ _FLAGS = {
 
 # The flags each subcommand reads; argparse rejects the others, and
 # resolve_spec rejects a --config key that names none of its settings.
-_MODEL = ("seed", "out", "config", "d", "k", "sizes", "variances", "lambdas", "noise")
+_MODEL = ("seed", "out", "config", "d", "sizes", "variances", "lambdas", "noise")
 _SOLVER = ("alpha", "max_iters", "tol_residual")
 _COMMAND_FLAGS = {
     "generate": _MODEL,
@@ -175,7 +174,7 @@ def cmd_generate(args) -> int:
 
 # Settings a dataset directory fixes, so `solve --data` and `diagnose --data`
 # reject them, as flags or in the --config file.
-_DATASET_FLAGS = ("d", "k", "sizes", "variances", "noise")
+_DATASET_FLAGS = ("d", "sizes", "variances", "noise")
 
 
 def _reject_flags(args, names, reason: str) -> None:

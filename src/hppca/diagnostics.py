@@ -213,8 +213,6 @@ class DavisKahanCheck(NamedTuple):
 
     lhs: float
     rhs: float
-    per_column_bounds: np.ndarray
-    covariance_deviation: float
     holds: bool
 
 
@@ -233,15 +231,12 @@ def davis_kahan_check(model: SignalModel, groups: NoiseGroups, data) -> DavisKah
     deviation = operator_norm(cov - expected_covariance(model, groups))
     padded = np.concatenate([[np.inf], model.lambdas, [0.0]])
     gaps = np.minimum(padded[:-2] - padded[1:-1], padded[1:-1] - padded[2:])
-    per_column = 2.0**1.5 * deviation / gaps
-    rhs = float(np.sum(per_column**2))
+    rhs = float(np.sum((2.0**1.5 * deviation / gaps) ** 2))
     init = pca_init(cov, k=model.k)
     lhs = frame_distance(init, model.q_truth) ** 2
     # Absolute slack covers the degenerate case where both sides are zero
     # up to eigensolver rounding.
-    return DavisKahanCheck(lhs=lhs, rhs=rhs, per_column_bounds=per_column,
-                           covariance_deviation=deviation,
-                           holds=bool(lhs <= rhs + 1e-12))
+    return DavisKahanCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-12))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ import numpy as np
 from .diagnostics import DiagnosticsReport, RatioSamples, run_diagnostics
 from .linalg import RngStream
 from .model import (GroupedDataset, NoiseGroups, NoiseKind, SignalModel,
-                    expected_covariance, sample_dataset)
+                    expected_covariance, sample_dataset, validate_lambdas)
 from .problem import PopulationProblem, build_problem
 from .solver import (SolveResult, SolverConfig, Termination, csv_cell, gpm_solve,
                      pca_init)
@@ -41,7 +41,6 @@ class ExperimentSpec:
     of 1000 samples in dimension 100 with groups (200, v=1) and (800, v=6)."""
 
     d: int = 100
-    k: int = 3
     sizes: tuple[int, ...] = (200, 800)
     variances: tuple[float, ...] = (1.0, 6.0)
     lambdas: tuple[float, ...] = (5.0, 3.5, 2.0)
@@ -54,6 +53,11 @@ class ExperimentSpec:
     noise: NoiseKind = NoiseKind.GAUSSIAN
     init: str = "pca"
     out: Path = Path("out")
+
+    @property
+    def k(self) -> int:
+        """Subspace dimension: one column per (validated) signal strength."""
+        return len(validate_lambdas(self.lambdas))
 
     def groups(self) -> NoiseGroups:
         return NoiseGroups(sizes=self.sizes, variances=self.variances)

@@ -76,19 +76,10 @@ def fro_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
 
 
-def matrix_transpose(a: np.ndarray) -> np.ndarray:
-    """Transpose of a matrix, or of each matrix of a stack."""
-    return a.T if a.ndim == 2 else np.swapaxes(a, -1, -2)
-
-
-def orthonormality_defect(a: np.ndarray) -> float:
-    """||a.T a - I||_F; NaN when ``a`` has a non-finite entry."""
-    return fro_norm(a.T.dot(a) - _identity(a.shape[1]))
-
-
 def orthonormality_defects(stack: np.ndarray) -> np.ndarray:
-    """orthonormality_defect of each matrix of a (B, d, k) stack (by gemm, not syrk)."""
-    gram = np.ascontiguousarray(matrix_transpose(stack)) @ stack
+    """||a.T a - I||_F of each matrix a of a (B, d, k) stack (by gemm, not syrk);
+    NaN for a matrix with a non-finite entry."""
+    gram = np.ascontiguousarray(stack.mT) @ stack
     return fro_norms(gram - _identity(stack.shape[2]))
 
 
@@ -188,7 +179,7 @@ def polar_factors(u: np.ndarray, sigma: np.ndarray, vt: np.ndarray,
                   p: np.ndarray | None = None) -> ThinSvd:
     """The thin SVD u, sigma, vt of a matrix or a stack with its polar factors
     p = u @ vt (formed unless given) and h = v @ diag(sigma) @ v.T, unchecked."""
-    v = matrix_transpose(vt)
+    v = vt.mT
     return ThinSvd(u, sigma, v, u @ vt if p is None else p, v @ (sigma[..., None] * vt))
 
 

@@ -120,11 +120,11 @@ class HppcaProblem:
 
     def columnwise_map(self, xa: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """[M_1 x_1, ..., M_K x_K] of a checked frame array (a StiefelPoint's
-        ``x``), written into ``out`` when given; the input is not re-checked."""
-        # One batched matrix-vector product per column: (K,d,d) @ (K,d,1).
-        if out is None:
-            return np.matmul(self.m_matrices, xa.T[:, :, None])[:, :, 0].T
-        np.matmul(self.m_matrices, xa.T[:, :, None], out=out.T[:, :, None])
+        ``x``), or of each frame of a (B, d, k) stack, written into ``out`` when
+        given; the input is not re-checked."""
+        # One batched matrix-vector product per column: (K,d,d) @ (..., K,d,1).
+        out = np.empty_like(xa) if out is None else out
+        np.matmul(self.m_matrices, xa.mT[..., None], out=out.mT[..., None])
         return out
 
     def objective(self, x) -> float:

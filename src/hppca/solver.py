@@ -108,18 +108,15 @@ class SolveResult:
 
 
 def fixed_point_residual(problem, x: StiefelPoint, alpha: float) -> float:
-    """||X V Sigma V.T - A(X)||_F from the checked thin SVD of A(X) = alpha * X +
-    M(X): zero exactly at fixed points, the residual of the stopping rule."""
-    xa = frame_array(x)
-    mapped = check_step_weight(alpha) * xa + problem.columnwise_map(xa)
-    return fro_norm(xa @ thin_svd(mapped).h - mapped)
+    """fixed_point_residuals of one frame, as a stack of one."""
+    return float(fixed_point_residuals(problem, frame_array(x)[None], alpha)[0])
 
 
-def fixed_point_residuals(population: PopulationProblem, frames: np.ndarray,
-                          alpha: float) -> np.ndarray:
-    """fixed_point_residual of each frame of a (B, d, k) stack of checked
-    frame arrays, from one checked SVD of the stacked mapped frames."""
-    mapped = check_step_weight(alpha) * frames + population.columnwise_map(frames)
+def fixed_point_residuals(problem, frames: np.ndarray, alpha: float) -> np.ndarray:
+    """||X V Sigma V.T - A(X)||_F of each frame X of a (B, d, k) stack of checked frame
+    arrays, from one checked thin SVD of the stacked A(X) = alpha * X + M(X): zero
+    exactly at fixed points, the residual of the stopping rule."""
+    mapped = check_step_weight(alpha) * frames + problem.columnwise_map(frames)
     return fro_norms(frames @ thin_svd(mapped).h - mapped)
 
 

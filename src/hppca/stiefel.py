@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (RngStream, as_matrix, fro_norm, fro_norms, frozen,
-                     orthonormality_defect, random_gaussian, thin_svd)
+from .linalg import (RngStream, as_matrix, fro_norms, frozen, orthonormality_defects,
+                     random_gaussian, thin_svd)
 
 # Orthonormality slack for points, checked on construction.
 ORTHO_TOL = 1e-8
@@ -33,7 +33,7 @@ class StiefelPoint:
         d, k = mat.shape
         if d < k:
             raise ValueError(f"need d >= k, got shape {mat.shape}")
-        dev = orthonormality_defect(mat)
+        dev = orthonormality_defects(mat[None])[0]
         if not dev <= ORTHO_TOL:
             raise ValueError(f"columns are not orthonormal (deviation {dev:.3e})")
         object.__setattr__(self, "x", frozen(mat))
@@ -77,16 +77,6 @@ def _frame_pair(x, ref) -> tuple[np.ndarray, np.ndarray]:
     return xa, ra
 
 
-def _signs(xa: np.ndarray, ra: np.ndarray) -> np.ndarray:
-    """Column signs q in {-1, +1}^k minimizing ||xa - ra * q||_F.
-
-    The objective separates over columns, so q_k is the sign of the inner
-    product of the k-th columns, the k-th diagonal entry of ra.T @ xa, with
-    exact ties resolved to +1. A (B, d, k) stack ``xa`` gives (B, k) signs.
-    """
-    return np.where(np.diagonal(ra.T @ xa, axis1=-2, axis2=-1) >= 0, 1.0, -1.0)
-
-
 def frame_distance(x, ref) -> float:
     """Sign-invariant Frobenius distance between two orthonormal frames.
 
@@ -94,13 +84,18 @@ def frame_distance(x, ref) -> float:
     Always in [0, sqrt(2k)].
     """
     xa, ra = _frame_pair(x, ref)
-    return fro_norm(xa - ra * _signs(xa, ra))
+    return float(aligned_distances(xa[None], ra)[0])
 
 
 def aligned_distances(stack: np.ndarray, ra: np.ndarray) -> np.ndarray:
-    """frame_distance of each frame of a (B, d, k) stack from one frame array,
-    bit for bit: the same entries, flattened to (B, d * k) rows."""
-    signed = np.tile(_signs(stack, ra), ra.shape[0]) * ra.ravel()
+    """frame_distance of each frame of a (B, d, k) stack from one frame array.
+
+    The objective separates over columns, so the best sign q_k of column k is
+    the sign of the k-th diagonal entry of ra.T @ frame, with exact ties
+    resolved to +1; the distances are taken on (B, d * k) rows.
+    """
+    signs = np.where(np.diagonal(ra.T @ stack, axis1=-2, axis2=-1) >= 0, 1.0, -1.0)
+    signed = np.tile(signs, ra.shape[0]) * ra.ravel()
     return fro_norms(stack.reshape(len(stack), -1) - signed)
 
 

@@ -5,12 +5,14 @@ oracle is a hand-rolled cyclic Jacobi iteration, the trace-maximization
 oracle combines mass sampling with a QR-retraction ascent, and the sign
 and critical-value oracles are exhaustive enumerations. The diagnostics
 samplers and the solver's trace records are checked against
-one-frame-at-a-time references built only on the one-frame library
-routines (thin_svd of one matrix, project_stiefel, frame_distance,
-fixed_point_residual, PopulationProblem.objective), never on the stacked
-ones. Those references take their values from a one-matrix factorization
-(LAPACK on the 2-d matrix, then 2-d products) and their checks from
-check_thin_svd, which thin_svd runs on one matrix as on a stack of one.
+one-frame-at-a-time references built on one-frame formulas: thin_svd of
+one matrix, project_stiefel, PopulationProblem.objective, and this module's
+one_frame_distance and one_frame_residual. The library's frame_distance and
+fixed_point_residual are its stacked kernels on a stack of one, so the
+references do not call them. Those references take their values from a
+one-matrix factorization (LAPACK on the 2-d matrix, then 2-d products) and
+their checks from check_thin_svd, which thin_svd runs on one matrix as on a
+stack of one.
 read_trace parses a trace CSV back, so that its 17 digits can be compared
 with the trace they were written from.
 """
@@ -25,8 +27,8 @@ import numpy as np
 
 from hppca.diagnostics import ZERO_DIST, ZERO_RESIDUAL
 from hppca.linalg import thin_svd
-from hppca.solver import GRAM_PIVOT_TOL, TRACE_DTYPE, TRACE_HEADER, fixed_point_residual
-from hppca.stiefel import frame_distance, project_stiefel
+from hppca.solver import GRAM_PIVOT_TOL, TRACE_DTYPE, TRACE_HEADER
+from hppca.stiefel import project_stiefel
 
 
 def jacobi_eigh(s, max_sweeps: int = 100, tol: float = 1e-13):
@@ -112,6 +114,19 @@ def exhaustive_sign_distance(x, ref):
     return best_val, best_signs
 
 
+def one_frame_distance(x: np.ndarray, ref: np.ndarray) -> float:
+    """frame_distance of two frame arrays by the one-frame formula: ||x - ref * q||_F,
+    q_k the sign of the k-th diagonal entry of ref.T @ x (ties +1)."""
+    return float(np.linalg.norm(x - ref * np.where(np.diagonal(ref.T @ x) >= 0, 1.0, -1.0)))
+
+
+def one_frame_residual(problem, x: np.ndarray, alpha: float) -> float:
+    """fixed_point_residual of a frame array by the one-frame formula: ||X H - A||_F
+    with H from thin_svd of the 2-d A = alpha * X + M(X)."""
+    mapped = alpha * x + problem.columnwise_map(x)
+    return float(np.linalg.norm(x @ thin_svd(mapped).h - mapped))
+
+
 def population_critical_values(lambdas, gains):
     """All objective values attained at critical frames, sorted descending.
 
@@ -193,7 +208,7 @@ def plain_trace(apply, x0, alpha: float, iterations: int, truth=None) -> list[tu
 
     A row is (iteration, objective, population objective, distance to the
     truth, step norm, residual, gap, map norm). The truth metrics come from
-    the one-frame PopulationProblem.objective and frame_distance, and are
+    the one-frame PopulationProblem.objective and one_frame_distance, and are
     None without ``truth``.
     """
     x = np.array(x0, dtype=np.float64)
@@ -207,7 +222,7 @@ def plain_trace(apply, x0, alpha: float, iterations: int, truth=None) -> list[tu
         x_next = u @ v.T
         step = np.linalg.norm(x_next - x) if t < iterations else 0.0
         truth_cells = (None, None) if truth is None else (
-            truth.objective(x), frame_distance(x, truth.q_truth))
+            truth.objective(x), one_frame_distance(x, truth.q_truth.x))
         rows.append((t, inner - alpha * x.shape[1], *truth_cells, float(step),
                      float(residual), float(sigma.sum()) - inner, float(sigma[0])))
         x = x_next
@@ -299,7 +314,7 @@ def reference_sample_near(q, radius: float, gen, max_tries: int = 200):
         direction = gen.standard_normal((q.d, q.k))
         direction *= radius / np.linalg.norm(direction)
         candidate = project_stiefel(q.x + direction)
-        if frame_distance(candidate, q) <= radius:
+        if one_frame_distance(candidate.x, q.x) <= radius:
             return candidate
     raise RuntimeError(f"could not sample within radius {radius} after {max_tries} tries")
 
@@ -317,7 +332,7 @@ def reference_growth_samples(population, n_samples: int, radius: float, rng):
     def ratio_rows(points):
         rows = []
         for point in points:
-            dist = frame_distance(point, population.q_truth)
+            dist = one_frame_distance(point.x, population.q_truth.x)
             if dist < ZERO_DIST:
                 continue
             rows.append((dist, (top - population.objective(point)) / dist**2))
@@ -337,8 +352,8 @@ def reference_error_bound_samples(population, alpha: float, n_samples: int,
     rows = []
     for _ in range(n_samples):
         point = reference_sample_near(population.q_truth, radius, gen)
-        dist = frame_distance(point, population.q_truth)
-        residual = fixed_point_residual(population, point, alpha)
+        dist = one_frame_distance(point.x, population.q_truth.x)
+        residual = one_frame_residual(population, point.x, alpha)
         if residual < ZERO_RESIDUAL:
             continue
         rows.append((dist, dist / residual))

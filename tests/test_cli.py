@@ -185,7 +185,7 @@ def test_robustness_without_trials_is_a_one_line_error(trials, tmp_path, capsys)
     "solve --alpha nan", "solve --max-iters -1", "solve --init file:/nonexistent/x.npy",
     "solve --tol-residual 0", "robustness --levels 0", "diagnose --alpha -1", "solve --alpha inf",
     "solve --init file:{tmp}/frame_50x3.npy", "solve --init file:{tmp}/frame_20x2.npy",
-    "robustness --k 2 --trials 1 --levels 1"])
+    "robustness --lambdas 5,5 --trials 1 --levels 1"])
 def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys):
     # Orthonormal start frames of the wrong shape for --d 20 with k = 3.
     for d, k in ((50, 3), (20, 2)):
@@ -236,7 +236,16 @@ def test_one_more_dimension_than_columns_runs(command, tmp_path):
     # d = k + 1 leaves one eigenvalue below the kept ones: pca_init's gap
     # test reads the whole spectrum.
     out = tmp_path / command
-    assert run_cli(command, "--d", "4", "--k", "3", "--sizes", "10,20", "--out", str(out)) == 0
+    assert run_cli(command, "--d", "4", "--sizes", "10,20", "--out", str(out)) == 0
+
+
+def test_the_signal_strengths_set_the_number_of_columns(tmp_path):
+    # There is no --k flag (test_each_command_rejects_flags_it_does_not_read):
+    # k is the number of --lambdas.
+    out = tmp_path / "k2"
+    assert run_cli("solve", "--d", "20", "--sizes", "30,90", "--lambdas", "5,3",
+                   "--out", str(out)) == 0
+    assert np.load(out / "x_final.npy").shape == (20, 2)
 
 
 def test_diagnose_command_deterministic(tmp_path):
@@ -385,6 +394,7 @@ def test_robustness_reads_sweep_and_metric_from_config(tmp_path):
     ("convergence", ("--init", "random", "--metric", "sin-theta", "--trials", "7")),
     ("robustness", ("--init", "random", "--variances", "1,2")),
     ("diagnose", ("--max-iters", "5", "--tol-residual", "1", "--trials", "9")),
+    ("solve", ("--k", "3")),  # k is the number of --lambdas
 ])
 def test_each_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, unused):
     out = tmp_path / "o"
@@ -437,7 +447,7 @@ def small_dataset(tmp_path_factory):
     return out / "dataset"
 
 
-@pytest.mark.parametrize("flag", [("--d", "20"), ("--k", "2"), ("--sizes", "30,90"),
+@pytest.mark.parametrize("flag", [("--d", "20"), ("--sizes", "30,90"),
                                   ("--variances", "1,6"), ("--noise", "uniform")])
 def test_solve_with_data_rejects_flags_the_dataset_fixes(small_dataset, tmp_path, capsys,
                                                          flag):

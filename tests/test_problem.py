@@ -246,12 +246,20 @@ def test_map_into_a_buffer_row_is_the_returned_map_bit_for_bit(d, ref_lambdas, r
     ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(d, 1))
     population = PopulationProblem.from_model(model, ref_groups)
     x = random_stiefel(d, 3, RngStream(d, 2)).x
+    stack = np.stack([x, *(random_stiefel(d, 3, RngStream(d, 3 + i)).x for i in range(3))])
     for problem in (build_problem(ds, ref_lambdas), population):
         rows = np.full((3, d, 3), np.nan)
         out = rows[1]
         assert problem.columnwise_map(x, out=out) is out
         assert out.tobytes() == problem.columnwise_map(x).tobytes()
         assert np.isnan(rows[[0, 2]]).all()
+        # A (B, d, k) stack maps each frame as the frame alone, into a buffer or not.
+        rows = np.full((6, d, 3), np.nan)
+        assert problem.columnwise_map(stack, out=rows[1:5]).base is rows
+        for mapped in (problem.columnwise_map(stack), rows[1:5]):
+            for frame, row in zip(stack, mapped):
+                assert row.tobytes() == problem.columnwise_map(frame).tobytes()
+        assert np.isnan(rows[[0, 5]]).all()
 
 
 def test_gpm_map_population_cases(ref_lambdas, ref_groups):

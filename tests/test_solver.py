@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -20,7 +21,8 @@ from hppca.problem import HppcaProblem
 from hppca.solver import MAX_ALPHA, TRACE_DTYPE, TRACE_HEADER, csv_cell
 
 from conftest import make_model, make_population
-from oracles import plain_anderson, plain_gpm, plain_trace, read_trace, reference_sample_near
+from oracles import (one_frame_residual, plain_anderson, plain_gpm, plain_trace, read_trace,
+                     reference_sample_near)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,21 @@ def test_fixed_point_residual_zero_at_truth_positive_nearby(pop50):
     gen = RngStream(4).generator()
     near = reference_sample_near(pop50.q_truth, 0.1, gen)
     assert fixed_point_residual(pop50, near, 0.05) > 0
+
+
+@pytest.mark.parametrize("d", [4, 25, 100])
+def test_fixed_point_residual_is_the_solvers_row_residual_bit_for_bit(d, ref_lambdas,
+                                                                      ref_groups):
+    # The public residual and the solver's stopping rule are one formula.
+    model = make_model(d, ref_lambdas, seed=d)
+    ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(d, 1))
+    for problem in (build_problem(ds, ref_lambdas), PopulationProblem.from_model(model,
+                                                                                 ref_groups)):
+        for seed, alpha in itertools.product(range(3), (0.0, 0.05, 10.0)):
+            x = random_stiefel(d, 3, RngStream(d, 10 + seed))
+            row = gpm_solve(problem, x, SolverConfig(alpha=alpha, max_iters=0)).trace.residual[0]
+            assert fixed_point_residual(problem, x, alpha) == row
+            assert one_frame_residual(problem, x.x, alpha) == row
 
 
 def test_fixed_point_gap_nonnegative_at_500_random_points(pop50):

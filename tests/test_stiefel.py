@@ -8,7 +8,7 @@ from hppca import (RngStream, StiefelPoint, frame_distance, project_stiefel,
 from hppca import linalg
 from hppca.stiefel import aligned_distances
 
-from oracles import best_trace_by_search, exhaustive_sign_distance
+from oracles import best_trace_by_search, exhaustive_sign_distance, one_frame_distance
 
 
 def test_point_validation():
@@ -178,6 +178,7 @@ def test_aligned_distances_match_frame_distance_with_and_without_flips():
     for stack in (near, flipped, np.concatenate([near, flipped])):
         dists = aligned_distances(stack, ref.x)
         assert np.array_equal(dists, [frame_distance(x, ref) for x in stack])
+        assert np.array_equal(dists, [one_frame_distance(x, ref.x) for x in stack])
     assert np.array_equal(aligned_distances(flipped, ref.x), aligned_distances(near, ref.x))
 
 
