@@ -128,13 +128,12 @@ def resolve_spec(args) -> tuple[ExperimentSpec, dict[str, str]]:
     (sweep and metric), so a config file sets those too.
     """
     defaults = {f.name: f.default for f in fields(ExperimentSpec)} | _EXTRA_DEFAULTS
-    settings = dict(defaults)
-    if getattr(args, "config", None):
-        file_values = read_config(args.config)
-        unknown = set(file_values) - (set(defaults) & set(_COMMAND_FLAGS[args.command]))
-        if unknown:
-            raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-        settings.update(file_values)
+    file_values = read_config(args.config) if getattr(args, "config", None) else {}
+    unknown = set(file_values) - (set(defaults) & set(_COMMAND_FLAGS[args.command]))
+    if unknown:
+        raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    args.config_keys = set(file_values)  # for _reject_flags, so a run reads the file once
+    settings = defaults | file_values
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -178,9 +177,10 @@ _DATASET_FLAGS = ("d", "sizes", "variances", "noise")
 
 
 def _reject_flags(args, names, reason: str) -> None:
-    in_file = read_config(args.config) if args.config else {}
+    """Raise if a flag or a key of the --config file resolve_spec read sets one of ``names``."""
     given = [f"--{name}" if getattr(args, name, None) is not None else f"{name} (in --config)"
-             for name in names if getattr(args, name, None) is not None or name in in_file]
+             for name in names if getattr(args, name, None) is not None
+             or name in args.config_keys]
     if given:
         raise ValueError(f"{', '.join(given)} cannot be used with --data: {reason}")
 
@@ -188,7 +188,8 @@ def _reject_flags(args, names, reason: str) -> None:
 def _load_or_generate(args, spec: ExperimentSpec) -> tuple[GroupedDataset, SignalModel | None]:
     """The --data dataset, or the spec's trial-0 one, plus the model that
     drew it when that is recoverable. With --data, the settings the dataset
-    fixes are rejected: the shape always, the lambdas when it holds them."""
+    fixes are rejected: the shape always, the lambdas when it holds them.
+    A directory holding only one of qtruth.npy and lambdas.npy is an error."""
     if not args.data:
         model = spec.make_model()
         return spec.make_dataset(model), model
@@ -196,8 +197,12 @@ def _load_or_generate(args, spec: ExperimentSpec) -> tuple[GroupedDataset, Signa
     dataset = load_dataset(args.data)
     truth_path = Path(args.data) / "qtruth.npy"
     lambdas_path = Path(args.data) / "lambdas.npy"
-    if not (truth_path.is_file() and lambdas_path.is_file()):
+    missing = [path for path in (truth_path, lambdas_path) if not path.is_file()]
+    if len(missing) == 2:
         return dataset, None
+    if missing:
+        raise ValueError(f"{missing[0]} is missing: the ground truth needs both "
+                         "qtruth.npy and lambdas.npy")
     _reject_flags(args, ("lambdas",), "the dataset's lambdas.npy fixes them")
     truth = np.load(truth_path)
     if truth.shape != (dataset.d, dataset.k):

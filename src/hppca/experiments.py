@@ -144,9 +144,6 @@ class RunSummary:
 
 @dataclass(eq=False)
 class ConvergenceResult:
-    model: SignalModel
-    population: PopulationProblem
-    dataset: GroupedDataset | None
     runs: dict[str, SolveResult] = field(default_factory=dict)
     summaries: dict[str, RunSummary] = field(default_factory=dict)
 
@@ -180,14 +177,13 @@ def run_convergence(spec: ExperimentSpec, population_mode: bool = False) -> Conv
     population = PopulationProblem.from_model(model, groups)
     config = spec.solver_config()
     if population_mode:
-        dataset = None
         problem = population
         spectral = pca_init(expected_covariance(model, groups), k=spec.k)
     else:
         dataset = spec.make_dataset(model)
         problem = build_problem(dataset, model.lambdas)
         spectral = pca_init(dataset)
-    out = ConvergenceResult(model=model, population=population, dataset=dataset)
+    out = ConvergenceResult()
     for label, start in (("pca", spectral), ("random", spec.random_start(spec.d, spec.k))):
         result = gpm_solve(problem, start, config, truth=population)
         out.runs[label] = result

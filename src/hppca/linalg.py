@@ -10,7 +10,6 @@ on (orthonormal factors, sorted spectra, exact reconstruction bounds).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,21 +56,14 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm by np.linalg.norm's own arithmetic (dot product of the
-    array raveled in memory order, square root): bit-identical, less dispatch."""
-    flat = a.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
-
-
 @functools.lru_cache(maxsize=16)
 def _identity(k: int) -> np.ndarray:
     return frozen(np.eye(k))
 
 
 def fro_norms(stack: np.ndarray) -> np.ndarray:
-    """fro_norm of each matrix of a C-ordered (B, d, k) stack, by the same
-    arithmetic: one dot product of each raveled matrix with itself."""
+    """Frobenius norm of each matrix of a C-ordered (B, d, k) stack by np.linalg.norm's
+    own arithmetic: one dot product of each raveled matrix with itself, square root."""
     flat = stack.reshape(stack.shape[0], -1)
     return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
 

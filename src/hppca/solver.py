@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .linalg import (CHUNK, ThinSvd, check_symmetric, check_thin_svd, fro_norm, fro_norms,
+from .linalg import (CHUNK, ThinSvd, check_symmetric, check_thin_svd, fro_norms,
                      polar_factors, sym_eig_topk, thin_svd)
 from .model import GroupedDataset, sample_covariance
 from .problem import PopulationProblem
@@ -78,15 +78,6 @@ class SolverConfig:
             raise ValueError("max_iters must be nonnegative")
         if not 0 < self.tol_residual < math.inf:
             raise ValueError(f"tol_residual must be positive and finite, got {self.tol_residual}")
-
-
-def _check_certificates(residuals: np.ndarray, gaps: np.ndarray, nuclear: np.ndarray,
-                        wall: np.ndarray) -> None:
-    """Raise ValueError unless each row's residual and time are nonnegative and its
-    gap at least -max(1e-9, GAP_RTOL * ||A||_*), ``nuclear`` being ||A||_*; NaN fails."""
-    if not (residuals.min() >= 0 and wall.min() >= 0
-            and (gaps >= -np.maximum(1e-9, GAP_RTOL * nuclear)).all()):
-        raise ValueError("iteration certificates out of range")
 
 
 @dataclass(eq=False)
@@ -164,12 +155,13 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
 
     Rows run CHUNK at a time, taking linalg.lapack_svd unchecked into chunk buffers
     and mapping by ``problem.columnwise_map``, which does not re-validate frames.
-    One pass per chunk (check_chunk) takes every thin_svd test and the certificate
-    ranges: a failing row raises when its chunk ends, an exception in a row once the
-    rows before it pass. A plain solve finds its final row after the chunk and drops
-    those past it; an accelerated one tests the residual in each row and moves to
-    _Anderson.step's mixture. P = U V.T needs no check: with U and V orthonormal
-    within FACTOR_TOL, ||P.T P - I||_F stays near 2 * FACTOR_TOL.
+    One pass per chunk (check_chunk) forms the trace rows, with their step norms, and
+    takes every thin_svd test and the certificate ranges: a failing row raises when its
+    chunk ends, an exception in a row once the rows before it pass. A plain solve finds
+    its final row after the chunk and drops those past it; an accelerated one tests the
+    residual in each row and moves to _Anderson.step's mixture. P = U V.T needs no
+    check: with U and V orthonormal within FACTOR_TOL, ||P.T P - I||_F stays near
+    2 * FACTOR_TOL.
     """
     for name, frame in (("initial frame", init), ("truth frame", truth and truth.q_truth)):
         if frame is not None and frame.x.shape != (problem.d, problem.k):
@@ -177,16 +169,23 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
                              f"the problem needs ({problem.d}, {problem.k})")
     blocks, smallest = [], []
 
-    def check_chunk(t0, stamps, frames, stack: np.ndarray, f: ThinSvd, rows, residuals, steps):
+    def check_chunk(t0, stamps, frames, stack: np.ndarray, f: ThinSvd, rows, residuals, final):
         """Check the chunk's SVDs, then its kept rows' certificates (their mapped matrices
-        are stack[rows]); add the rows, each timed with a share of the chunk's pass."""
+        are stack[rows], their updates f.p[rows]): each residual and time nonnegative and
+        each gap at least -max(1e-9, GAP_RTOL * ||A||_*), NaN failing. Add the rows, each
+        timed with a share of the chunk's pass; a ``final`` chunk's last row takes no step."""
         kept, mapped, sigma = len(frames), stack[rows], f.sigma[rows]
         check_thin_svd(stack, f, "matrix")
         inner, nuclear = (frames * mapped).reshape(kept, -1).sum(axis=1), sigma.sum(axis=1)
         gaps = nuclear - inner
+        steps = fro_norms(f.p[rows] - frames)
+        if final:
+            steps[-1] = 0.0
         own = np.diff(stamps)[:kept]
         wall = own + (time.perf_counter() - stamps[0] - own.sum()) / kept
-        _check_certificates(residuals, gaps, nuclear, wall)
+        if not (residuals.min() >= 0 and wall.min() >= 0
+                and (gaps >= -np.maximum(1e-9, GAP_RTOL * nuclear)).all()):
+            raise ValueError("iteration certificates out of range")
         metrics = ((np.full(kept, math.nan),) * 2 if truth is None else
                    (truth.frame_objective(frames), aligned_distances(frames, truth.q_truth.x)))
         blocks.append(np.rec.fromarrays([np.arange(t0, t0 + kept), inner - config.alpha * problem.k,
@@ -234,15 +233,13 @@ def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
         with np.errstate(all="ignore"):  # a row that would warn here fails a check or is dropped
             f = polar_factors(u[:n], sigma[:n], vt[:n], xs[1:n + 1])
             residuals = fro_norms(xs[:n] @ f.h - mapped[:n])
-            steps = fro_norms(f.p - xs[:n])
         final = 0 if stopped else config.max_iters - t0
         fires = np.flatnonzero(residuals[:final] <= config.tol_residual)
         if fires.size:
             final, termination = fires[0] + 1, Termination.RESIDUAL
         kept = min(final + 1, n)
-        steps[final:] = 0.0  # the final row takes no step
         check_chunk(t0, stamps, xs[:kept], mapped[:kept], ThinSvd._make(a[:kept] for a in f),
-                    slice(None), residuals[:kept], steps[:kept])
+                    slice(None), residuals[:kept], final < n)
         if failure is not None and final >= n:
             raise failure
         if final < n:
@@ -254,7 +251,7 @@ def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
     """gpm_solve's accelerated loop: the final frame, termination, safeguards."""
     # xs[i] is row i's frame and acc.inputs[rows[i]] its mapped matrix.
     alpha, acc, xs = config.alpha, _Anderson(*x.shape), np.empty((CHUNK + 1, *x.shape))
-    rows, (residuals, steps) = np.empty(CHUNK, int), np.empty((2, CHUNK))
+    rows, residuals = np.empty(CHUNK, int), np.empty(CHUNK)
     termination, t0, carried, xs[0] = Termination.MAX_ITERS, 0, False, x
     while True:
         stamps, failure, kept, done = [time.perf_counter()], None, 0, 0
@@ -266,16 +263,14 @@ def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
                         problem.columnwise_map(x, out=a)
                         a += alpha * x
                     pi, si, vti = acc.take()
-                    residuals[i] = residual = fro_norm(x @ (vti.T @ (si[:, None] * vti)) - a)
+                    residuals[i] = residual = np.linalg.norm(x @ (vti.T @ (si[:, None] * vti)) - a)
                     final = t0 + i == config.max_iters or termination is not Termination.MAX_ITERS
-                    steps[i], successor, carried = 0.0, pi, False
+                    successor, carried = pi, False
                     if not final:
-                        diff = pi - x
-                        steps[i] = fro_norm(diff)
                         if residual <= config.tol_residual:
                             termination = Termination.RESIDUAL
                         else:
-                            successor, carried = acc.step(problem, pi, diff, alpha, (x * a).sum())
+                            successor, carried = acc.step(problem, pi, pi - x, alpha, (x * a).sum())
                         xs[i + 1] = successor
                     stamps.append(time.perf_counter())
                     kept, done = i + 1, acc.count
@@ -288,7 +283,7 @@ def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
         with np.errstate(all="ignore"):  # an infinite sigma fails the check
             f = polar_factors(acc.u[:done], acc.sigma[:done], acc.vt[:done], acc.p[:done])
         check_chunk(t0, stamps, xs[:kept], acc.inputs[:done], f, rows[:kept], residuals[:kept],
-                    steps[:kept])
+                    final)
         if failure is not None:
             raise failure
         if final:

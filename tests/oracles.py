@@ -6,13 +6,13 @@ oracle combines mass sampling with a QR-retraction ascent, and the sign
 and critical-value oracles are exhaustive enumerations. The diagnostics
 samplers and the solver's trace records are checked against
 one-frame-at-a-time references built on one-frame formulas: thin_svd of
-one matrix, project_stiefel, PopulationProblem.objective, and this module's
-one_frame_distance and one_frame_residual. The library's frame_distance and
-fixed_point_residual are its stacked kernels on a stack of one, so the
-references do not call them. Those references take their values from a
-one-matrix factorization (LAPACK on the 2-d matrix, then 2-d products) and
-their checks from check_thin_svd, which thin_svd runs on one matrix as on a
-stack of one.
+one matrix, project_stiefel, and this module's one_frame_distance,
+one_frame_population_objective and one_frame_residual. The library's
+frame_distance, PopulationProblem.objective and fixed_point_residual are its
+stacked kernels on a stack of one, so the references do not call them. Those
+references take their values from a one-matrix factorization (LAPACK on the
+2-d matrix, then 2-d products) and their checks from check_thin_svd, which
+thin_svd runs on one matrix as on a stack of one.
 read_trace parses a trace CSV back, so that its 17 digits can be compared
 with the trace they were written from.
 """
@@ -120,6 +120,13 @@ def one_frame_distance(x: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(x - ref * np.where(np.diagonal(ref.T @ x) >= 0, 1.0, -1.0)))
 
 
+def one_frame_population_objective(q: np.ndarray, lambdas: np.ndarray, gains: np.ndarray,
+                                   x: np.ndarray) -> float:
+    """PopulationProblem.objective of a frame array by the one-frame formula:
+    sum_k gains_k * sum_j lambdas_j * (q_j . x_k)**2."""
+    return float(np.sum(gains * np.sum(lambdas[:, None] * (q.T @ x) ** 2, axis=0)))
+
+
 def one_frame_residual(problem, x: np.ndarray, alpha: float) -> float:
     """fixed_point_residual of a frame array by the one-frame formula: ||X H - A||_F
     with H from thin_svd of the 2-d A = alpha * X + M(X)."""
@@ -208,7 +215,7 @@ def plain_trace(apply, x0, alpha: float, iterations: int, truth=None) -> list[tu
 
     A row is (iteration, objective, population objective, distance to the
     truth, step norm, residual, gap, map norm). The truth metrics come from
-    the one-frame PopulationProblem.objective and one_frame_distance, and are
+    one_frame_population_objective and one_frame_distance, and are
     None without ``truth``.
     """
     x = np.array(x0, dtype=np.float64)
@@ -222,7 +229,8 @@ def plain_trace(apply, x0, alpha: float, iterations: int, truth=None) -> list[tu
         x_next = u @ v.T
         step = np.linalg.norm(x_next - x) if t < iterations else 0.0
         truth_cells = (None, None) if truth is None else (
-            truth.objective(x), one_frame_distance(x, truth.q_truth.x))
+            one_frame_population_objective(truth.q_truth.x, truth.lambdas, truth.gains, x),
+            one_frame_distance(x, truth.q_truth.x))
         rows.append((t, inner - alpha * x.shape[1], *truth_cells, float(step),
                      float(residual), float(sigma.sum()) - inner, float(sigma[0])))
         x = x_next
@@ -335,7 +343,9 @@ def reference_growth_samples(population, n_samples: int, radius: float, rng):
             dist = one_frame_distance(point.x, population.q_truth.x)
             if dist < ZERO_DIST:
                 continue
-            rows.append((dist, (top - population.objective(point)) / dist**2))
+            value = one_frame_population_objective(population.q_truth.x, population.lambdas,
+                                                   population.gains, point.x)
+            rows.append((dist, (top - value) / dist**2))
         return _rows(rows)
 
     near = ratio_rows(reference_sample_near(population.q_truth, radius, gen)

@@ -439,6 +439,21 @@ def test_a_truth_frame_of_the_wrong_shape_is_a_one_line_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("missing", ["qtruth.npy", "lambdas.npy"])
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_half_a_truth_pair_is_a_one_line_error(tmp_path, capsys, command, missing):
+    generated = tmp_path / "gen"
+    assert run_cli("generate", "--d", "20", "--sizes", "30,90", "--out", str(generated)) == 0
+    (generated / "dataset" / missing).unlink()
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run_cli(command, "--data", str(generated / "dataset"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {generated / 'dataset' / missing} is missing")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("generated")

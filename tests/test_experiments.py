@@ -61,7 +61,6 @@ def test_run_convergence_population_mode():
     assert pca.final_dist <= 1e-8
     assert rand.final_dist <= 1e-8
     assert rand.rate is not None and rand.rate < 1.0
-    assert run.dataset is None
 
 
 def test_run_convergence_data_mode_reference_setting():

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from hppca import (RngStream, linalg, operator_norm, project_stiefel, random_gaussian,
                    sym_eig_topk, thin_svd)
-from hppca.linalg import (as_matrix, check_symmetric, fro_norm, fro_norms,
+from hppca.linalg import (as_matrix, check_symmetric, fro_norms,
                           orthonormality_defects)
 from hppca.stiefel import ORTHO_TOL
 
@@ -208,13 +208,10 @@ def test_thin_svd_takes_finiteness_from_the_norm(big):
 
 
 def test_fro_norm_is_bit_identical_to_numpy():
-    base = random_gaussian(40, 7, RngStream(13))
-    for a in (base, base.T, base[::3, 1:5], base[:, :1], np.zeros((2, 2))):
-        assert fro_norm(a) == float(np.linalg.norm(a))
     gen = RngStream(14).generator()
     for shape in ((1, 5, 1), (7, 40, 7), (64, 100, 3)):
         stack = gen.standard_normal(shape) * 10.0 ** gen.uniform(-5, 5, (shape[0], 1, 1))
-        assert np.array_equal(fro_norms(stack), [fro_norm(a) for a in stack])
+        assert np.array_equal(fro_norms(stack), [np.linalg.norm(a) for a in stack])
 
 
 def test_sym_eig_topk_identity():
