@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from hppca import (NoiseKind, SolveResult, SolverConfig, Termination, build_problem,
                    fixed_point_residual, frame_distance, gpm_solve, pca_init)
-from hppca.experiments import ExperimentSpec, sweep_trial_id, sweep_variances
+from hppca.experiments import ExperimentSpec, sweep_trials
 
 REFERENCE = SolverConfig(tol_residual=1e-13, max_iters=100_000)
 
@@ -44,13 +44,9 @@ def trials():
     # Noise level 0 has the variances (0.1, 0.6) of heterogeneity level 0,
     # and the same seed and trial ids: its 20 problems are criterion 12's.
     for group, sweep, first in (("c12", "heterogeneity", 0), ("noise", "noise", 1)):
-        for level in range(first, 6):
-            level_spec = replace(spec, variances=sweep_variances(sweep, level))
-            for trial in range(20):
-                trial_id = sweep_trial_id(level, trial)
-                model = level_spec.make_model(trial_id)
-                yield (group, f"{group} level {level} trial {trial:2d}", model,
-                       level_spec.make_dataset(model, trial_id))
+        for level in range(first, spec.levels):
+            for trial, (model, dataset) in enumerate(sweep_trials(spec, sweep, level)):
+                yield group, f"{group} level {level} trial {trial:2d}", model, dataset
     for number, noise, variances in ((10, NoiseKind.GAUSSIAN, (1.0, 6.0)),
                                      (11, NoiseKind.UNIFORM, (0.5, 3.0))):
         for seed in range(20):

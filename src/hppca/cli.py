@@ -16,10 +16,10 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .experiments import (ExperimentSpec, robustness_csv, run_convergence, run_diagnose,
-                          run_robustness, svg_line_chart)
+from .experiments import (METRICS, SWEEPS, ExperimentSpec, robustness_csv, run_convergence,
+                          run_diagnose, run_robustness, svg_line_chart)
 from .diagnostics import report_text, write_report
-from .model import GroupedDataset, SignalModel, load_dataset, save_dataset
+from .model import GroupedDataset, NoiseKind, SignalModel, load_dataset, save_dataset
 from .problem import PopulationProblem, build_problem
 from .solver import gpm_solve, pca_init, write_trace_csv
 from .stiefel import StiefelPoint, frame_distance
@@ -52,24 +52,19 @@ def read_config(path) -> dict[str, str]:
     return out
 
 
-# argparse options of every flag, keyed by its destination.
+# argparse options by destination; values stay text, which resolve_spec converts.
 _FLAGS = {
-    "seed": dict(type=int),
     "out": dict(help="output directory (default: out)"),
     "config": dict(help="flat key=value settings file; flags override"),
-    "d": dict(type=int, help="ambient dimension"),
+    "d": dict(help="ambient dimension"),
     "sizes": dict(help="comma-separated group sizes"),
     "variances": dict(help="comma-separated group noise variances"),
     "lambdas": dict(help="comma-separated signal strengths, one per column"),
-    "noise": dict(choices=("gaussian", "uniform")),
-    "alpha": dict(type=float),
-    "max_iters": dict(type=int),
-    "tol_residual": dict(type=float, help="fixed-point residual at which a solve stops"),
+    "noise": dict(choices=[kind.value for kind in NoiseKind]),
+    "tol_residual": dict(help="fixed-point residual at which a solve stops"),
     "init": dict(help="pca | random | file:PATH"),
-    "trials": dict(type=int),
-    "levels": dict(type=int),
-    "sweep": dict(choices=("noise", "heterogeneity")),
-    "metric": dict(choices=("dist-f", "sin-theta")),
+    "sweep": dict(choices=SWEEPS),
+    "metric": dict(choices=list(METRICS)),
     "svg": dict(action="store_true", help="also render SVG charts"),
     "data": dict(help="directory of a previously generated dataset"),
     "population": dict(action="store_true",
@@ -95,7 +90,7 @@ _COMMAND_FLAGS = {
 
 def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     for name in _COMMAND_FLAGS[command]:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
+        p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS.get(name, {}))
     # So that a flag the subcommand does not take is reported with its usage.
     p.set_defaults(subparser=p)
 
@@ -120,9 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _where(args, name: str) -> str | None:
+    """How the run set ``name``: as a flag, as a --config key, or not at all (None)."""
+    if getattr(args, name, None) is not None:
+        return "--" + name.replace("_", "-")
+    return f"{name} (in --config)" if name in args.config_keys else None
+
+
 def resolve_spec(args) -> tuple[ExperimentSpec, dict[str, str]]:
     """Merge ExperimentSpec defaults, config file and explicit flags into a
     spec, coercing each value to its field's type (comma lists to tuples).
+    A value that does not convert is an error naming its flag or key.
 
     Returns the spec and the merged settings that are not spec fields
     (sweep and metric), so a config file sets those too.
@@ -132,7 +135,7 @@ def resolve_spec(args) -> tuple[ExperimentSpec, dict[str, str]]:
     unknown = set(file_values) - (set(defaults) & set(_COMMAND_FLAGS[args.command]))
     if unknown:
         raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-    args.config_keys = set(file_values)  # for _reject_flags, so a run reads the file once
+    args.config_keys = set(file_values)  # for _where, so a run reads the file once
     settings = defaults | file_values
     for key in defaults:
         value = getattr(args, key, None)
@@ -141,9 +144,12 @@ def resolve_spec(args) -> tuple[ExperimentSpec, dict[str, str]]:
 
     def coerce(key):
         hint = _SPEC_HINTS[key]
-        if get_origin(hint) is tuple:
-            return tuple(get_args(hint)[0](v) for v in _split(settings[key]))
-        return hint(settings[key])
+        try:
+            if get_origin(hint) is tuple:
+                return tuple(get_args(hint)[0](v) for v in _split(settings[key]))
+            return hint(settings[key])
+        except ValueError as exc:
+            raise ValueError(f"{_where(args, key)}: {exc}") from None
 
     extras = {key: str(settings[key]) for key in _EXTRA_DEFAULTS}
     return ExperimentSpec(**{key: coerce(key) for key in _SPEC_HINTS}), extras
@@ -171,16 +177,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# Settings a dataset directory fixes, so `solve --data` and `diagnose --data`
-# reject them, as flags or in the --config file.
-_DATASET_FLAGS = ("d", "sizes", "variances", "noise")
-
-
 def _reject_flags(args, names, reason: str) -> None:
     """Raise if a flag or a key of the --config file resolve_spec read sets one of ``names``."""
-    given = [f"--{name}" if getattr(args, name, None) is not None else f"{name} (in --config)"
-             for name in names if getattr(args, name, None) is not None
-             or name in args.config_keys]
+    given = [where for name in names if (where := _where(args, name))]
     if given:
         raise ValueError(f"{', '.join(given)} cannot be used with --data: {reason}")
 
@@ -193,7 +192,7 @@ def _load_or_generate(args, spec: ExperimentSpec) -> tuple[GroupedDataset, Signa
     if not args.data:
         model = spec.make_model()
         return spec.make_dataset(model), model
-    _reject_flags(args, _DATASET_FLAGS, "the dataset fixes them")
+    _reject_flags(args, ("d", "sizes", "variances", "noise"), "the dataset fixes them")
     dataset = load_dataset(args.data)
     truth_path = Path(args.data) / "qtruth.npy"
     lambdas_path = Path(args.data) / "lambdas.npy"
@@ -292,8 +291,7 @@ def cmd_diagnose(args) -> int:
     dataset, model = _load_or_generate(args, spec)
     if model is None:
         raise ValueError(f"{args.data} has no qtruth.npy and lambdas.npy, which diagnose needs")
-    report, samples = run_diagnose(spec, zero_residual=args.zero_residual,
-                                   data=(model, dataset))
+    report, samples = run_diagnose(spec, model, dataset, zero_residual=args.zero_residual)
     write_report(report, samples, spec.out)
     print(report_text(report), end="")
     return 0

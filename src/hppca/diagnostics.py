@@ -31,6 +31,8 @@ from .stiefel import StiefelPoint, aligned_distances, frame_distance
 ZERO_DIST = 1e-6
 # Residuals below this are treated as exact fixed points.
 ZERO_RESIDUAL = 1e-12
+# Consecutive rejected tries after which the near sampler gives up.
+MAX_TRIES = 200
 
 
 def orthogonal_completion(q: StiefelPoint, rng: RngStream) -> np.ndarray:
@@ -76,8 +78,7 @@ def critical_point(population: PopulationProblem, columns, signs,
     return StiefelPoint(qbar[:, cols] * sgn[None, :])
 
 
-def _near_chunks(q: StiefelPoint, radius: float, gen: np.random.Generator,
-                 n: int, max_tries: int = 200):
+def _near_chunks(q: StiefelPoint, radius: float, gen: np.random.Generator, n: int):
     """n random frames within ``radius`` of q (in sign-invariant distance),
     CHUNK tries at a time: yields the accepted frames of each chunk with
     their distances from q, in draw order.
@@ -87,11 +88,9 @@ def _near_chunks(q: StiefelPoint, radius: float, gen: np.random.Generator,
     if it lands outside the ball. Each try consumes one d-by-k draw from
     ``gen``, and a chunk makes at most as many tries as frames are still
     needed, so the stream is consumed exactly as n one-frame samplers
-    would consume it. Raises RuntimeError after max_tries consecutive
+    would consume it. Raises RuntimeError after MAX_TRIES consecutive
     rejections, counted across chunk boundaries.
     """
-    if max_tries < 1:
-        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     needed, misses = n, 0
     while needed > 0:
         directions = gen.standard_normal((min(CHUNK, needed), q.d, q.k))
@@ -101,9 +100,9 @@ def _near_chunks(q: StiefelPoint, radius: float, gen: np.random.Generator,
         inside = dists <= radius
         for hit in inside.tolist():
             misses = 0 if hit else misses + 1
-            if misses == max_tries:
+            if misses == MAX_TRIES:
                 raise RuntimeError(
-                    f"could not sample within radius {radius} after {max_tries} tries")
+                    f"could not sample within radius {radius} after {MAX_TRIES} tries")
         if inside.any():
             needed -= int(inside.sum())
             yield frames[inside], dists[inside]
@@ -279,7 +278,7 @@ class RatioSamples:
 
 
 def run_diagnostics(model: SignalModel, groups: NoiseGroups, dataset: GroupedDataset,
-                    alpha: float = SolverConfig.alpha, n_samples: int = 500, radius: float = 0.3,
+                    alpha: float = SolverConfig.alpha, n_samples: int = 500,
                     rng: RngStream = RngStream(0, 0), zero_residual: bool = False,
                     ) -> tuple[DiagnosticsReport, RatioSamples]:
     """Assemble the full report for one model setting and dataset.
@@ -287,6 +286,7 @@ def run_diagnostics(model: SignalModel, groups: NoiseGroups, dataset: GroupedDat
     ``zero_residual`` replaces the sampled residual matrices by zero, the
     exact infinite-sample limit, which zeroes the distance bound.
     """
+    radius = 0.3  # of the neighborhood of the truth the samplers draw from
     population = PopulationProblem.from_model(model, groups)
     near, far = growth_ratio_samples(population, n_samples, radius, rng)
     growth = _growth_rate(near, far)

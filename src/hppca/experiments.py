@@ -29,6 +29,10 @@ _ROLE_INIT = 2
 _ROLE_DIAG = 3
 _STREAMS_PER_TRIAL = 8
 
+# The sweeps sweep_variances knows, and the subspace error of each metric.
+SWEEPS = ("noise", "heterogeneity")
+METRICS = {"dist-f": frame_distance, "sin-theta": sin_theta_distance}
+
 
 def trial_stream(seed: int, trial: int, role: int) -> RngStream:
     """Independent stream for one role of one trial."""
@@ -80,15 +84,15 @@ class ExperimentSpec:
         return random_stiefel(d, k, trial_stream(self.seed, 0, _ROLE_INIT))
 
 
-def count_trend_violations(values, window: int = 5, slack_fraction: float = 0.01) -> int:
+def count_trend_violations(values, window: int = 5) -> int:
     """Steps where the trailing boxcar average over ``window`` values rises by
-    more than a fraction of the total raw descent; zero means the series
-    decreases monotonically in trend."""
+    more than 1% of the total raw descent; zero means the series decreases
+    monotonically in trend."""
     arr = np.asarray(values, dtype=np.float64)
     if window < 1 or arr.size < window:
         raise ValueError("window must be positive and no longer than the series")
     ma = np.convolve(arr, np.ones(window) / window, mode="valid")
-    slack = slack_fraction * max(float(arr[0] - arr[-1]), 1e-12)
+    slack = 0.01 * max(float(arr[0] - arr[-1]), 1e-12)
     return int(np.sum(np.diff(ma) > slack))
 
 
@@ -206,12 +210,18 @@ def sweep_variances(sweep: str, level: int) -> tuple[float, float]:
         return (base[0] * factor, base[1] * factor)
     if sweep == "heterogeneity":
         return (base[0], base[1] + level / 10.0)
-    raise ValueError(f"unknown sweep {sweep!r} (expected 'noise' or 'heterogeneity')")
+    raise ValueError(f"unknown sweep {sweep!r} (expected {' or '.join(map(repr, SWEEPS))})")
 
 
-def sweep_trial_id(level: int, trial: int) -> int:
-    """Trial id, and so seed streams, of one trial of one sweep level."""
-    return level * 1_000_003 + trial + 1
+def sweep_trials(spec: ExperimentSpec, sweep: str, level: int):
+    """The model and dataset of each of the ``spec.trials`` trials of one sweep
+    level, in trial order. Trial t of level l draws from the streams of
+    trial id l * 1_000_003 + t + 1."""
+    level_spec = replace(spec, variances=sweep_variances(sweep, level))
+    for trial in range(spec.trials):
+        trial_id = level * 1_000_003 + trial + 1
+        model = level_spec.make_model(trial_id)
+        yield model, level_spec.make_dataset(model, trial_id)
 
 
 @dataclass(frozen=True)
@@ -230,27 +240,21 @@ class LevelStat:
     trials_capped: int
 
 
-ROBUSTNESS_HEADER = "level,method,mean_error,std_error"
-
-
 def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
                    metric: str = "dist-f") -> list[LevelStat]:
     """Compare the spectral baseline against the full solver across noise levels.
 
     Each level runs ``spec.trials`` seeded replicates; each replicate
     draws a fresh ground truth and dataset, measures the spectral
-    initialization's subspace error and the solver's final error. Trials
-    whose start or solve fails are excluded and counted, and so are solves
-    that hit the iteration cap; a setting no trial can draw raises. Only the
-    final frame counts here, so the solves are accelerated
-    (SolverConfig.accelerate).
+    initialization's subspace error and the solver's final error. A trial
+    whose start or solve fails counts for neither method and is counted as
+    failed; solves that hit the iteration cap are counted too. A setting no
+    trial can draw raises. Only the final frame counts here, so the solves
+    are accelerated (SolverConfig.accelerate).
     """
-    if metric == "dist-f":
-        error = frame_distance
-    elif metric == "sin-theta":
-        error = sin_theta_distance
-    else:
-        raise ValueError(f"unknown metric {metric!r} (expected 'dist-f' or 'sin-theta')")
+    error = METRICS.get(metric)
+    if error is None:
+        raise ValueError(f"unknown metric {metric!r} (expected {' or '.join(map(repr, METRICS))})")
     levels = spec.levels if levels is None else levels
     if levels < 1:
         raise ValueError("need at least one sweep level")
@@ -260,22 +264,18 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
     stats: list[LevelStat] = []
     for level in range(levels):
         variances = sweep_variances(sweep, level)
-        level_spec = replace(spec, variances=variances)
         errors: dict[str, list[float]] = {"pca": [], "gpm": []}
         failed = capped = 0
-        for trial in range(spec.trials):
-            trial_id = sweep_trial_id(level, trial)
-            model = level_spec.make_model(trial_id)
-            dataset = level_spec.make_dataset(model, trial_id)
+        for model, dataset in sweep_trials(spec, sweep, level):
             try:
                 start = pca_init(dataset)
-                errors["pca"].append(error(start, model.q_truth))
-                problem = build_problem(dataset, model.lambdas)
-                result = gpm_solve(problem, start, config)
-                errors["gpm"].append(error(result.x_final, model.q_truth))
-                capped += result.termination is Termination.MAX_ITERS
+                result = gpm_solve(build_problem(dataset, model.lambdas), start, config)
             except (ValueError, RuntimeError):
                 failed += 1
+                continue
+            errors["pca"].append(error(start, model.q_truth))
+            errors["gpm"].append(error(result.x_final, model.q_truth))
+            capped += result.termination is Termination.MAX_ITERS
         for method, values in errors.items():
             arr = np.asarray(values)
             stats.append(LevelStat(
@@ -289,21 +289,16 @@ def run_robustness(spec: ExperimentSpec, sweep: str, levels: int | None = None,
 
 def robustness_csv(stats: list[LevelStat]) -> str:
     """One row per level and method; an undefined statistic is an empty cell."""
-    lines = [ROBUSTNESS_HEADER]
+    lines = ["level,method,mean_error,std_error"]
     for s in stats:
         lines.append(f"{s.level},{s.method},{csv_cell(s.mean_error)},{csv_cell(s.std_error)}")
     return "\n".join(lines) + "\n"
 
 
-def run_diagnose(spec: ExperimentSpec, zero_residual: bool = False,
-                 data: tuple[SignalModel, GroupedDataset] | None = None,
-                 ) -> tuple[DiagnosticsReport, RatioSamples]:
-    """Diagnostics report for a model and the dataset drawn from it, by
-    default the spec's trial-0 ones; the groups are the dataset's."""
-    if data is None:
-        model = spec.make_model()
-        data = model, spec.make_dataset(model)
-    model, dataset = data
+def run_diagnose(spec: ExperimentSpec, model: SignalModel, dataset: GroupedDataset,
+                 zero_residual: bool = False) -> tuple[DiagnosticsReport, RatioSamples]:
+    """Diagnostics report for a model and the dataset drawn from it; the
+    groups are the dataset's."""
     return run_diagnostics(
         model, dataset.groups, dataset, alpha=spec.alpha,
         rng=trial_stream(spec.seed, 0, _ROLE_DIAG), zero_residual=zero_residual,

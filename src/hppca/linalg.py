@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-# Deviation allowed for orthonormal factors and reconstruction residuals.
+# Deviation allowed for orthonormal factors, reconstruction residuals and symmetry.
 FACTOR_TOL = 1e-10
 
 # Largest singular value above which the squares a Frobenius norm sums
@@ -75,14 +75,14 @@ def orthonormality_defects(stack: np.ndarray) -> np.ndarray:
     return fro_norms(gram - _identity(stack.shape[2]))
 
 
-def check_symmetric(m, name: str = "matrix", tol: float = FACTOR_TOL) -> np.ndarray:
-    """Validate that ``m`` is symmetric within an entrywise tolerance."""
+def check_symmetric(m, name: str = "matrix") -> np.ndarray:
+    """Validate that ``m`` is symmetric within FACTOR_TOL, relative to its largest entry."""
     out = as_matrix(m, name)
     if out.shape[0] != out.shape[1]:
         raise ValueError(f"{name} must be square, got shape {out.shape}")
     scale = max(1.0, float(np.max(np.abs(out))))
     dev = float(np.max(np.abs(out - out.T)))
-    if dev > tol * scale:
+    if dev > FACTOR_TOL * scale:
         raise ValueError(f"{name} is not symmetric (max asymmetry {dev:.3e})")
     return out
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -91,6 +92,10 @@ class NoiseGroups:
     variances: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(isinstance(s, numbers.Integral) for s in self.sizes):
+            raise ValueError(f"sizes must be integers, got {list(self.sizes)}")
+        if not all(isinstance(v, numbers.Real) for v in self.variances):
+            raise ValueError(f"variances must be real numbers, got {list(self.variances)}")
         sizes = tuple(int(s) for s in self.sizes)
         variances = tuple(float(v) for v in self.variances)
         if len(sizes) == 0 or len(sizes) != len(variances):
@@ -278,6 +283,8 @@ def load_dataset(directory) -> GroupedDataset:
         raise ValueError(f"{meta_path}: unsupported format {meta['format']!r} (expected 1)")
     if not (isinstance(meta["sizes"], list) and isinstance(meta["variances"], list)):
         raise ValueError(f"{meta_path}: sizes and variances must be lists")
+    if type(meta["k"]) is not int:  # a JSON integer; true is not one
+        raise ValueError(f"{meta_path}: k must be an integer, got {meta['k']!r}")
     if meta["l"] != len(meta["sizes"]):
         raise ValueError(f"{meta_path}: l={meta['l']!r} but {len(meta['sizes'])} sizes")
     groups = NoiseGroups(sizes=tuple(meta["sizes"]), variances=tuple(meta["variances"]))
@@ -290,6 +297,6 @@ def load_dataset(directory) -> GroupedDataset:
                              f"gives d={meta['d']!r} and size {size}")
         blocks.append(block)
     return GroupedDataset(
-        blocks=tuple(blocks), k=int(meta["k"]), groups=groups,
+        blocks=tuple(blocks), k=meta["k"], groups=groups,
         noise=NoiseKind(meta["noise"]), seed=meta.get("seed"), stream=meta.get("stream"),
     )

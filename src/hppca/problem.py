@@ -31,9 +31,6 @@ from .linalg import check_symmetric, frozen
 from .model import GroupedDataset, NoiseGroups, SignalModel, validate_lambdas
 from .stiefel import StiefelPoint, frame_array
 
-# Entrywise symmetry slack for the per-column matrices.
-SYM_TOL = 1e-10
-
 
 def _check_strictly_decreasing(arr: np.ndarray, label: str) -> None:
     if np.any(np.diff(arr) >= 0) or np.any(arr <= 0):
@@ -105,7 +102,7 @@ class HppcaProblem:
     m_matrices: np.ndarray
 
     def __post_init__(self):
-        mats = np.stack([check_symmetric(m, f"column matrix {i}", SYM_TOL)
+        mats = np.stack([check_symmetric(m, f"column matrix {i}")
                          for i, m in enumerate(self.m_matrices)])
         mats.setflags(write=False)
         object.__setattr__(self, "m_matrices", mats)

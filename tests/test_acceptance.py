@@ -215,7 +215,7 @@ def _plateau_seed_passes(seed: int, noise: NoiseKind,
     result = gpm_solve(problem, pca_init(ds), spec.solver_config(), truth=population)
     elapsed = perf_counter() - tic
     dists = result.trace.dist_to_truth
-    trend_ok = count_trend_violations(dists, window=5, slack_fraction=0.01) == 0
+    trend_ok = count_trend_violations(dists, window=5) == 0
     return bool(trend_ok and dists[-1] < dists[0]), elapsed
 
 

@@ -425,6 +425,43 @@ def test_damaged_dataset_header_is_a_one_line_error(tmp_path, capsys, command):
     assert err.startswith("error: ") and "sizes" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sizes", [30.7, 90]), ("variances", [None, 6]), ("variances", ["1", 6]), ("k", None),
+    ("k", True)])
+def test_a_header_field_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, field, value):
+    import json
+
+    generated = tmp_path / "gen"
+    assert run_cli("generate", "--d", "20", "--sizes", "30,90", "--out", str(generated)) == 0
+    meta_path = generated / "dataset" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[field] = value
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run_cli("solve", "--data", str(generated / "dataset"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, config, where", [
+    (["--d", "abc"], None, "--d: "), (None, "d = abc", "d (in --config): "),
+    (["--max-iters", "1e3"], None, "--max-iters: "),
+    (None, "alpha = x", "alpha (in --config): "),
+    (["--sizes", "30,9.5"], None, "--sizes: "), (None, "noise = pink", "noise (in --config): ")])
+def test_a_value_that_does_not_convert_names_its_setting(tmp_path, capsys, flag, config, where):
+    args = flag or []
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config + "\n")
+        args = ["--config", str(tmp_path / "bad.cfg")]
+    out = tmp_path / "run"
+    assert run_cli("solve", *args, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + where) and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "diagnose"])
 def test_a_truth_frame_of_the_wrong_shape_is_a_one_line_error(tmp_path, capsys, command):
     generated = tmp_path / "gen"

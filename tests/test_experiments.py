@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hppca import ExperimentSpec, NoiseKind
+from hppca import ExperimentSpec, NoiseKind, frame_distance, pca_init
 from hppca.experiments import (count_trend_violations, fitted_rate,
                                iterations_to_reach, robustness_csv,
                                run_convergence, run_diagnose, run_robustness,
-                               svg_line_chart, sweep_variances)
+                               svg_line_chart, sweep_trials, sweep_variances)
 
 
 def test_count_trend_violations_synthetic():
@@ -125,6 +125,48 @@ def test_run_robustness_level_where_every_solve_failed(monkeypatch):
     assert "0,gpm,,\n" in robustness_csv(list(stats.values()))
 
 
+def test_a_failed_sweep_trial_counts_for_neither_method(monkeypatch):
+    import hppca.experiments as experiments
+
+    solve, calls = experiments.gpm_solve, []
+
+    def fails_first(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("svd left factor lost orthonormality")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "gpm_solve", fails_first)
+    spec = ExperimentSpec(d=20, sizes=(30, 90), seed=7, trials=3)
+    stats = {s.method: s for s in run_robustness(spec, sweep="noise", levels=1)}
+    assert all(s.trials_ok == 2 and s.trials_failed == 1 for s in stats.values())
+    # The pca mean is over the two trials that solved: level 0's trial ids 2 and 3.
+    level_spec = ExperimentSpec(d=20, sizes=(30, 90), seed=7, variances=(0.1, 0.6))
+    errors = []
+    for trial_id in (2, 3):
+        model = level_spec.make_model(trial_id)
+        start = pca_init(level_spec.make_dataset(model, trial_id))
+        errors.append(frame_distance(start, model.q_truth))
+    assert stats["pca"].mean_error == np.mean(errors)
+
+
+@pytest.mark.parametrize("sweep, level", [("heterogeneity", 0), ("noise", 2)])
+def test_sweep_trials_draw_from_their_trial_ids(sweep, level):
+    spec = ExperimentSpec(d=12, sizes=(10, 30), seed=9, trials=3)
+    level_spec = ExperimentSpec(d=12, sizes=(10, 30), seed=9,
+                                variances=sweep_variances(sweep, level))
+    trials = list(sweep_trials(spec, sweep, level))
+    assert len(trials) == 3
+    for t, (model, dataset) in enumerate(trials):
+        trial_id = level * 1_000_003 + t + 1
+        expected_model = level_spec.make_model(trial_id)
+        expected = level_spec.make_dataset(expected_model, trial_id)
+        assert np.array_equal(model.q_truth.x, expected_model.q_truth.x)
+        assert dataset.groups == expected.groups and dataset.stream == expected.stream
+        assert all(np.array_equal(a, b) for a, b in zip(dataset.blocks, expected.blocks,
+                                                       strict=True))
+
+
 def test_run_robustness_counts_capped_trials():
     spec = ExperimentSpec(d=20, sizes=(30, 90), seed=8, trials=2, max_iters=3)
     stats = run_robustness(spec, sweep="noise", levels=1)
@@ -141,10 +183,12 @@ def test_run_robustness_sin_theta_metric():
 
 def test_run_diagnose_smoke():
     spec = ExperimentSpec(d=30, sizes=(40, 160), seed=4)
-    report, samples = run_diagnose(spec)
+    model = spec.make_model()
+    dataset = spec.make_dataset(model)
+    report, samples = run_diagnose(spec, model, dataset)
     assert report.quadratic_growth_rate > 0
     assert samples.error_bound.shape[1] == 2
-    zero, _ = run_diagnose(spec, zero_residual=True)
+    zero, _ = run_diagnose(spec, model, dataset, zero_residual=True)
     assert zero.optimum_distance_bound == 0.0
 
 
