@@ -119,8 +119,8 @@ def main() -> int:
                                 d_fast, (plain.iterations, fast.iterations), tuple(seconds)))
         print(f"{label}: plain {plain.iterations:5d} {plain.termination.value:18s} "
               f"dist {d_plain:.2e} | accelerated {fast.iterations:3d} "
-              f"{fast.termination.value:18s} dist {d_fast:.2e} "
-              f"safeguard {fast.safeguard_steps:2d}{'' if ok else '  FAIL'}", flush=True)
+              f"{fast.termination.value:18s} dist {d_fast:.2e}{'' if ok else '  FAIL'}",
+              flush=True)
     for group in dict.fromkeys(o.group for o in outcomes):
         print(_summary(group, [o for o in outcomes if o.group == group]))
     print(_summary("total", outcomes))

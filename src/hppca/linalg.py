@@ -175,12 +175,9 @@ def polar_factors(u: np.ndarray, sigma: np.ndarray, vt: np.ndarray,
     return ThinSvd(u, sigma, v, u @ vt if p is None else p, v @ (sigma[..., None] * vt))
 
 
-# LAPACK's thin SVD, Cholesky factor and solve: the gufuncs np.linalg.svd(m, full_matrices=
-# False), cholesky and solve call for float64 input (numpy >= 2.0). Under np.linalg.svd's
-# own svd_errstate() a failure raises LinAlgError.
+# LAPACK's thin SVD: the gufunc np.linalg.svd(m, full_matrices=False) calls for float64
+# input (numpy >= 2.0). Under np.linalg.svd's own svd_errstate() a failure raises LinAlgError.
 lapack_svd = functools.partial(_umath_linalg.svd_s, signature="d->ddd")
-lapack_cholesky = functools.partial(_umath_linalg.cholesky_lo, signature="d->d")
-lapack_solve = functools.partial(_umath_linalg.solve1, signature="dd->d")
 
 
 def _svd_nonconvergence(err, flag):

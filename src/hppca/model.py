@@ -279,12 +279,17 @@ def load_dataset(directory) -> GroupedDataset:
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise ValueError(f"{meta_path}: missing keys {missing}")
+    for key in ("format", "d", "k", "l"):
+        if type(meta[key]) is not int:  # a JSON integer; true is not one
+            raise ValueError(f"{meta_path}: {key} must be an integer, got {meta[key]!r}")
+    for key in ("seed", "stream"):  # RngStream's range
+        if not (meta.get(key) is None or type(meta[key]) is int and 0 <= meta[key] < 2**64):
+            raise ValueError(f"{meta_path}: {key} must be null or an integer in [0, 2**64), "
+                             f"got {meta[key]!r}")
     if meta["format"] != 1:
         raise ValueError(f"{meta_path}: unsupported format {meta['format']!r} (expected 1)")
     if not (isinstance(meta["sizes"], list) and isinstance(meta["variances"], list)):
         raise ValueError(f"{meta_path}: sizes and variances must be lists")
-    if type(meta["k"]) is not int:  # a JSON integer; true is not one
-        raise ValueError(f"{meta_path}: k must be an integer, got {meta['k']!r}")
     if meta["l"] != len(meta["sizes"]):
         raise ValueError(f"{meta_path}: l={meta['l']!r} but {len(meta['sizes'])} sizes")
     groups = NoiseGroups(sizes=tuple(meta["sizes"]), variances=tuple(meta["variances"]))

@@ -17,8 +17,8 @@ S = Q diag(lambdas) Q.T, which gives the exact decomposition
     h(X) = sum_k x_k.T @ D_k @ x_k            (sampling residual)
 
 with D_k = M_k - gain_k * S. The solver only needs the column-wise map
-X -> [M_1 x_1, ..., M_K x_K], which the finite-sample and the population
-problems both expose.
+X -> [M_1 x_1, ..., M_K x_K] and the stack of products M_k X, which the
+finite-sample and the population problems both expose.
 """
 
 from __future__ import annotations
@@ -124,6 +124,10 @@ class HppcaProblem:
         np.matmul(self.m_matrices, xa.mT[..., None], out=out.mT[..., None])
         return out
 
+    def products(self, xa: np.ndarray) -> np.ndarray:
+        """The (K, d, k) stack of M_c @ X of a checked frame array; not re-checked."""
+        return np.matmul(self.m_matrices, xa)
+
     def objective(self, x) -> float:
         """The sum of the per-column quadratic forms at a frame."""
         xa = frame_array(x)
@@ -192,6 +196,11 @@ class PopulationProblem:
         overlap = self.q_truth.x.T @ xa
         return np.multiply(self.q_truth.x @ (self.lambdas[:, None] * overlap), self.gains,
                            out=out)
+
+    def products(self, xa: np.ndarray) -> np.ndarray:
+        """The (K, d, k) stack of g_c S @ X of a checked frame array; not re-checked."""
+        q = self.q_truth.x
+        return self.gains[:, None, None] * (q @ (self.lambdas[:, None] * (q.T @ xa)))
 
     def objective(self, x) -> float:
         return float(self.frame_objective(frame_array(x)))

@@ -3,11 +3,13 @@
 An iteration maps the frame, A = alpha * X + [M_1 x_1, ..., M_K x_K], and moves to
 P = U V.T from the thin SVD A = P H, H = V Sigma V.T. The fixed-point residual
 ||X H - A||_F (the stopping rule) and the nuclear gap ||A||_* - trace(X.T A) vanish
-exactly at fixed points. An accelerated solve moves to a type-II Anderson mixture
-of the last updates (Walker & Ni, 2011) unless its objective is below X's."""
+exactly at fixed points. An accelerated solve first turns the frame of each odd row
+within its span, X -> X R, by one cyclic sweep of plane rotations, each maximizing the
+objective over its plane (_rotation)."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -17,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .linalg import (CHUNK, ThinSvd, check_symmetric, check_thin_svd, fro_norms,
-                     polar_factors, sym_eig_topk, thin_svd)
+from .linalg import (CHUNK, FACTOR_TOL, ThinSvd, check_symmetric, check_thin_svd, fro_norms,
+                     orthonormality_defects, polar_factors, sym_eig_topk, thin_svd)
 from .model import GroupedDataset, sample_covariance
 from .problem import PopulationProblem
 from .stiefel import RANK_TOL, StiefelPoint, aligned_distances, frame_array
@@ -27,14 +29,6 @@ from .stiefel import RANK_TOL, StiefelPoint, aligned_distances, frame_array
 EIGENGAP_TOL = 1e-12
 
 MAX_ALPHA = linalg.HUGE_SIGMA  # largest step weight: alpha * X has no larger singular value
-
-# Differences of past fixed-point residuals an accelerated step mixes.
-ANDERSON_DEPTH = 10
-
-# Mixing weights solve the normal equations of the differences' Gram G; lstsq fits them if
-# a Cholesky pivot L_ii**2 is below this share of G_ii (the squared sine between difference i
-# and the earlier ones), as G scaled to a unit diagonal then has a condition number over 1e10.
-GRAM_PIVOT_TOL = 1e-10
 
 # Rounding allowed in the nuclear gap ||A||_* - trace(X.T A) (>= 0 in exact arithmetic) per
 # unit of ||A||_*: a backward-stable SVD's sigma sum is off by at most k * p(d, k) * eps *
@@ -45,8 +39,8 @@ GAP_RTOL = 1e-12
 
 TRACE_HEADER = "iter,f,g,dist_f,step_norm,rho_alpha,fixed_point_gap,wall_time_ms"
 
-# One trace row per iterate; step_norm is the plain update's step, which an
-# accelerated solve may replace by a mixture. Truth cells may be NaN.
+# One trace row per iterate, whose step_norm is ||P - X|| of its frame X (an accelerated
+# solve's odd rows hold the rotated frame X R). Truth cells may be NaN.
 TRACE_DTYPE = np.dtype([("iteration", np.int64)] + [(name, np.float64) for name in (
     "objective", "population_objective", "dist_to_truth", "step_norm", "residual",
     "fixed_point_gap", "map_norm", "wall_time")])
@@ -64,8 +58,9 @@ class SolverConfig:
     alpha as given: a finite-sample solve ascends monotonically once alpha is
     at least WeightTable.ascent_alpha_floor(), the population problem (with a
     positive semidefinite signal covariance) for any positive alpha. With accelerate on,
-    a step that does not stop the solve moves to an Anderson mixture, unless it is the
-    first (no history to mix) or the mixture's objective is below the frame's (then P)."""
+    every odd row turns its frame within its span before its step (_rotation): the
+    rotation never lowers f, so the solve ascends as the plain one does, to the same
+    fixed points, but its frames are not the plain iterates; only the final frame counts."""
 
     alpha: float = 0.05
     max_iters: int = 5000
@@ -83,15 +78,13 @@ class SolverConfig:
 @dataclass(eq=False)
 class SolveResult:
     """Final frame, full per-iteration trace (a recarray of TRACE_DTYPE)
-    and why the loop stopped. safeguard_steps counts the accelerated steps
-    that fell back to the plain update."""
+    and why the loop stopped."""
 
     x_final: StiefelPoint
     trace: np.recarray
     termination: Termination
     alpha: float
     nonunique_steps: int = 0
-    safeguard_steps: int = 0
 
     @property
     def iterations(self) -> int:
@@ -156,12 +149,12 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
     Rows run CHUNK at a time, taking linalg.lapack_svd unchecked into chunk buffers
     and mapping by ``problem.columnwise_map``, which does not re-validate frames.
     One pass per chunk (check_chunk) forms the trace rows, with their step norms, and
-    takes every thin_svd test and the certificate ranges: a failing row raises when its
-    chunk ends, an exception in a row once the rows before it pass. A plain solve finds
-    its final row after the chunk and drops those past it; an accelerated one tests the
-    residual in each row and moves to _Anderson.step's mixture. P = U V.T needs no
-    check: with U and V orthonormal within FACTOR_TOL, ||P.T P - I||_F stays near
-    2 * FACTOR_TOL.
+    takes every thin_svd test, the rotated frames' test and the certificate ranges: a
+    failing row raises when its chunk ends, an exception in a row once the rows before
+    it pass. A plain solve finds its final row after the chunk and drops those past it;
+    an accelerated one tests the residual in each row, and maps its odd rows by
+    ``problem.products``. P = U V.T needs no check: with U and V orthonormal within
+    FACTOR_TOL, ||P.T P - I||_F stays near 2 * FACTOR_TOL.
     """
     for name, frame in (("initial frame", init), ("truth frame", truth and truth.q_truth)):
         if frame is not None and frame.x.shape != (problem.d, problem.k):
@@ -169,16 +162,21 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
                              f"the problem needs ({problem.d}, {problem.k})")
     blocks, smallest = [], []
 
-    def check_chunk(t0, stamps, frames, stack: np.ndarray, f: ThinSvd, rows, residuals, final):
-        """Check the chunk's SVDs, then its kept rows' certificates (their mapped matrices
-        are stack[rows], their updates f.p[rows]): each residual and time nonnegative and
-        each gap at least -max(1e-9, GAP_RTOL * ||A||_*), NaN failing. Add the rows, each
-        timed with a share of the chunk's pass; a ``final`` chunk's last row takes no step."""
-        kept, mapped, sigma = len(frames), stack[rows], f.sigma[rows]
-        check_thin_svd(stack, f, "matrix")
+    def check_chunk(t0, stamps, frames, mapped: np.ndarray, f: ThinSvd, residuals, final,
+                    rotated=slice(0)):
+        """Check the chunk's SVDs, then its ``rotated`` rows' frames orthonormal within
+        FACTOR_TOL (RuntimeError), then its rows' certificates (their mapped matrices are
+        ``mapped``, their updates f.p): each residual and time nonnegative and each gap at
+        least -max(1e-9, GAP_RTOL * ||A||_*), NaN failing. Add the rows, each timed with a
+        share of the chunk's pass; a ``final`` chunk's last row takes no step."""
+        kept, sigma = len(frames), f.sigma
+        check_thin_svd(mapped, f, "matrix")
+        turned = frames[rotated]
+        if len(turned) and not (orthonormality_defects(turned) <= FACTOR_TOL).all():
+            raise RuntimeError("rotated frame lost orthonormality")
         inner, nuclear = (frames * mapped).reshape(kept, -1).sum(axis=1), sigma.sum(axis=1)
         gaps = nuclear - inner
-        steps = fro_norms(f.p[rows] - frames)
+        steps = fro_norms(f.p - frames)
         if final:
             steps[-1] = 0.0
         own = np.diff(stamps)[:kept]
@@ -194,7 +192,7 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
         smallest.append(sigma[:, -1].copy())
 
     loop = _accelerated_rows if config.accelerate else _speculative_rows
-    x, termination, safeguard_steps = loop(problem, init.x, config, check_chunk)
+    x, termination = loop(problem, init.x, config, check_chunk)
     trace = blocks[0] if len(blocks) == 1 else np.concatenate(blocks).view(np.recarray)
     # The final row takes no step.
     nonunique = np.concatenate(smallest)[:-1] <= RANK_TOL
@@ -203,12 +201,11 @@ def gpm_solve(problem, init: StiefelPoint, config: SolverConfig,
         termination = Termination.PROJECTION_NONUNIQUE
     x_final = StiefelPoint(x, nonunique=last_step_nonunique) if len(trace) > 1 else init
     return SolveResult(x_final=x_final, trace=trace, termination=termination,
-                       alpha=config.alpha, nonunique_steps=int(nonunique.sum()),
-                       safeguard_steps=safeguard_steps)
+                       alpha=config.alpha, nonunique_steps=int(nonunique.sum()))
 
 
 def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk):
-    """gpm_solve's plain loop: the final frame, termination and 0 safeguards."""
+    """gpm_solve's plain loop: the final frame and termination."""
     alpha, (d, k), svd = config.alpha, x.shape, linalg.lapack_svd
     # xs[i] is row i's frame and xs[i + 1] its update P.
     xs, mapped, u = np.empty((CHUNK + 1, d, k)), np.empty((CHUNK, d, k)), np.empty((CHUNK, d, k))
@@ -239,121 +236,89 @@ def _speculative_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk)
             final, termination = fires[0] + 1, Termination.RESIDUAL
         kept = min(final + 1, n)
         check_chunk(t0, stamps, xs[:kept], mapped[:kept], ThinSvd._make(a[:kept] for a in f),
-                    slice(None), residuals[:kept], final < n)
+                    residuals[:kept], final < n)
         if failure is not None and final >= n:
             raise failure
         if final < n:
-            return xs[final], termination, 0
+            return xs[final], termination
         t0 += kept
 
 
 def _accelerated_rows(problem, x: np.ndarray, config: SolverConfig, check_chunk):
-    """gpm_solve's accelerated loop: the final frame, termination, safeguards."""
-    # xs[i] is row i's frame and acc.inputs[rows[i]] its mapped matrix.
-    alpha, acc, xs = config.alpha, _Anderson(*x.shape), np.empty((CHUNK + 1, *x.shape))
-    rows, residuals = np.empty(CHUNK, int), np.empty(CHUNK)
-    termination, t0, carried, xs[0] = Termination.MAX_ITERS, 0, False, x
+    """gpm_solve's accelerated loop: the final frame and termination. Row t0 + i steps
+    from xs[i], which an odd row first turns to X R by _rotation of X.T M_c X, mapping
+    X R from the products M_c X as [(M_c X) R[:, c]]."""
+    alpha, (d, k), svd = config.alpha, x.shape, linalg.lapack_svd
+    # xs[i] is row i's frame and p[i] its update P, the next row's frame before a rotation.
+    xs, (mapped, u, p) = np.empty((CHUNK + 1, d, k)), np.empty((3, CHUNK, d, k))
+    sigma, vt, residuals = np.empty((CHUNK, k)), np.empty((CHUNK, k, k)), np.empty(CHUNK)
+    termination, t0, xs[0] = Termination.MAX_ITERS, 0, x
     while True:
-        stamps, failure, kept, done = [time.perf_counter()], None, 0, 0
+        stamps, failure, kept = [time.perf_counter()], None, 0
         try:
             with linalg.svd_errstate():
                 for i in range(CHUNK):
-                    x, a, rows[i] = xs[i], acc.inputs[acc.count], acc.count
-                    if not carried:
+                    x, a = xs[i], mapped[i]
+                    if (t0 + i) % 2:
+                        full = problem.products(x)
+                        r = _rotation(x.T @ full)
+                        x[...] = x @ r
+                        np.matmul(full, r.T[:, :, None], out=a.T[:, :, None])
+                    else:
                         problem.columnwise_map(x, out=a)
-                        a += alpha * x
-                    pi, si, vti = acc.take()
+                    a += alpha * x
+                    u[i], sigma[i], vt[i] = ui, si, vti = svd(a)
                     residuals[i] = residual = np.linalg.norm(x @ (vti.T @ (si[:, None] * vti)) - a)
+                    np.matmul(ui, vti, out=p[i])
                     final = t0 + i == config.max_iters or termination is not Termination.MAX_ITERS
-                    successor, carried = pi, False
                     if not final:
                         if residual <= config.tol_residual:
                             termination = Termination.RESIDUAL
-                        else:
-                            successor, carried = acc.step(problem, pi, pi - x, alpha, (x * a).sum())
-                        xs[i + 1] = successor
+                        xs[i + 1] = p[i]
                     stamps.append(time.perf_counter())
-                    kept, done = i + 1, acc.count
+                    kept = i + 1
                     if final:
                         break
         except Exception as exc:  # raised below, after the rows before it are checked
-            failure = linalg.svd_failure(exc, acc.inputs[acc.count])
+            failure = linalg.svd_failure(exc, mapped[i])
         if kept == 0:
             raise failure
         with np.errstate(all="ignore"):  # an infinite sigma fails the check
-            f = polar_factors(acc.u[:done], acc.sigma[:done], acc.vt[:done], acc.p[:done])
-        check_chunk(t0, stamps, xs[:kept], acc.inputs[:done], f, rows[:kept], residuals[:kept],
-                    final)
+            f = polar_factors(u[:kept], sigma[:kept], vt[:kept], p[:kept])
+        check_chunk(t0, stamps, xs[:kept], mapped[:kept], f, residuals[:kept], final,
+                    slice((t0 + 1) % 2, None, 2))
         if failure is not None:
             raise failure
         if final:
-            return xs[kept - 1], termination, acc.fallbacks
+            return xs[kept - 1], termination
         t0 += kept
-        xs[0], acc.inputs[0], acc.count = xs[CHUNK], acc.inputs[acc.count], 0
+        xs[0] = xs[CHUNK]
 
 
-class _Anderson:
-    """An accelerated chunk's SVDs, rows' and mixtures', in ``inputs`` slot order, the
-    fallbacks and the mixing history: the last differences of consecutive residuals G(X) - X
-    and updates G(X), flat, in a ring of ANDERSON_DEPTH slots, their Gram and latest pair."""
-
-    def __init__(self, d: int, k: int):
-        size, slots = d * k, 2 * CHUNK + 1
-        self.residual_diffs, self.update_diffs = np.empty((2, ANDERSON_DEPTH, size))
-        self.gram, self.latest = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH)), np.empty((2, size))
-        self.inputs, self.u, self.p = np.empty((3, slots, d, k))
-        self.sigma, self.vt = np.empty((slots, k)), np.empty((slots, k, k))
-        self.pushes = self.depth = self.count = self.fallbacks = 0
-
-    def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decompose the next slot; return its P = U V.T, sigma and V.T."""
-        c = self.count
-        self.u[c], self.sigma[c], self.vt[c] = u, sigma, vt = linalg.lapack_svd(self.inputs[c])
-        self.count = c + 1
-        return np.matmul(u, vt, out=self.p[c]), sigma, vt
-
-    def push(self, residual: np.ndarray, update: np.ndarray) -> None:
-        """Add one iterate's flat residual and update."""
-        if self.pushes:
-            slot, self.depth = (self.pushes - 1) % ANDERSON_DEPTH, min(self.pushes, ANDERSON_DEPTH)
-            diff = np.subtract(residual, self.latest[0], out=self.residual_diffs[slot])
-            np.subtract(update, self.latest[1], out=self.update_diffs[slot])
-            self.gram[slot, :self.depth] = self.gram[:self.depth, slot] = (
-                self.residual_diffs[:self.depth] @ diff)
-        self.latest[0], self.latest[1] = residual, update
-        self.pushes += 1
-
-    def weights(self) -> np.ndarray:
-        """Least-squares weights of the residual differences for the latest
-        residual (see GRAM_PIVOT_TOL); under svd_errstate, a failing factor raises."""
-        diffs, gram = self.residual_diffs[:self.depth], self.gram[:self.depth, :self.depth]
-        try:
-            if (linalg.lapack_cholesky(gram).diagonal() ** 2
-                    >= GRAM_PIVOT_TOL * gram.diagonal()).all():
-                return linalg.lapack_solve(gram, diffs @ self.latest[0])
-        except np.linalg.LinAlgError:  # not positive definite in floating point
-            pass
-        return np.linalg.lstsq(diffs.T, self.latest[0], rcond=None)[0]
-
-    def step(self, problem, g: np.ndarray, residual: np.ndarray, alpha: float,
-             floor: float) -> tuple[np.ndarray, bool]:
-        """Successor of frame X, given its plain update ``g``, residual G(X) - X (both join
-        the history) and trace(X.T A) = ``floor``: the mixture projected through the next slot
-        unless its trace is below ``floor``, then ``g``, so an accepted mixture never lowers f
-        below f(X); and whether the next slot holds the successor's alpha * X + M(X)."""
-        self.push(residual.ravel(), g.ravel())
-        if self.pushes == 1:
-            return g, False
-        np.subtract(self.latest[1], self.weights() @ self.update_diffs[:self.depth],
-                    out=self.inputs[self.count].reshape(-1))
-        mixture = self.take()[0]
-        mapped = problem.columnwise_map(mixture, out=self.inputs[self.count])
-        mapped += alpha * mixture
-        # Orthonormal frames' objectives differ as trace(X.T A) does; NaN takes the mixture.
-        if (mixture * mapped).sum() < floor:
-            self.fallbacks += 1
-            return g, False
-        return mixture, True
+def _rotation(b: np.ndarray) -> np.ndarray:
+    """The k-by-k rotation R of one cyclic sweep over the pairs i < j, given the (K, k, k)
+    stack b[c] = X.T M_c X (not modified): R is the product of the plane rotations
+    x_i <- cos t x_i + sin t x_j, x_j <- cos t x_j - sin t x_i, each at the angle
+    t = atan2(q, p) / 2 that maximizes f(X R) = const + p cos 2t + q sin 2t over its plane,
+    with p = (b_i[ii] + b_j[jj] - b_i[jj] - b_j[ii]) / 2 and q = b_i[ij] - b_j[ij] of b
+    as the rotations before it left it. A pair with q == 0 and p >= 0 is skipped, so f
+    never falls; k = 1 gives R = I."""
+    k = b.shape[-1]
+    b, r = b.tolist(), np.eye(k).tolist()
+    for i, j in itertools.combinations(range(k), 2):
+        bi, bj = b[i], b[j]
+        p = 0.5 * (bi[i][i] + bj[j][j] - bi[j][j] - bj[i][i])
+        q = bi[i][j] - bj[i][j]
+        if q == 0 and p >= 0:
+            continue
+        angle = 0.5 * math.atan2(q, p)
+        c, s = math.cos(angle), math.sin(angle)
+        for row in itertools.chain(*b, r):  # columns i and j of each b[c] and of R
+            row[i], row[j] = c * row[i] + s * row[j], c * row[j] - s * row[i]
+        for m in b:  # then rows i and j of each b[c]
+            m[i], m[j] = ([c * x + s * y for x, y in zip(m[i], m[j])],
+                          [c * y - s * x for x, y in zip(m[i], m[j])])
+    return np.array(r)
 
 
 def _cells(column: np.ndarray) -> list[str]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from hppca.diagnostics import ZERO_DIST, ZERO_RESIDUAL
 from hppca.linalg import thin_svd
-from hppca.solver import GRAM_PIVOT_TOL, TRACE_DTYPE, TRACE_HEADER
+from hppca.solver import TRACE_DTYPE, TRACE_HEADER
 from hppca.stiefel import project_stiefel
 
 
@@ -250,69 +250,72 @@ def read_trace(path) -> np.recarray:
     return np.rec.fromrecords(rows, dtype=TRACE_DTYPE)
 
 
-def plain_anderson(apply, x0, alpha: float, max_iters: int, tol_residual: float,
-                   depth: int):
-    """The accelerated power-method loop one row at a time, in the library's
-    arithmetic and stopping rules: the row after the first whose fixed-point
-    residual is at most tol_residual, or row max_iters, is the last; a checked
-    thin_svd per row and per mixture; the residual and update differences
-    kept in lists used as rings of ``depth`` slots, and the Gram of the
-    residual differences updated by one row and column per difference; the
-    weights from the normal equations of that Gram, or from lstsq when a
-    Cholesky pivot is below GRAM_PIVOT_TOL times its diagonal entry or the
-    factor fails; and the safeguard that keeps the plain update G(X) when
-    the mixture's objective is below the row's own f(X), the next row then
-    mapping G(X).
+def _scalar_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b by scalar loops: each entry summed left to right from 0, one rounding per
+    product and per sum, never a fused multiply-add."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for m, n in itertools.product(range(a.shape[0]), range(b.shape[1])):
+        for l in range(a.shape[1]):
+            out[m, n] += a[m, l] * b[l, n]
+    return out
 
-    Returns (rows, x_final, termination value, safeguard steps); a row is
-    plain_trace's, without truth cells (None), and its step is the plain
-    update's.
+
+def givens_sweep(b) -> np.ndarray:
+    """One cyclic sweep of plane rotations for the stack b[c] = X.T M_c X, R as an
+    explicit product of k-by-k Givens matrices G (b[c] <- G.T (b[c] G), R <- R G): the
+    pair i < j turns by t = atan2(q, p) / 2, which maximizes p cos 2t + q sin 2t, with
+    p = (b_i[ii] + b_j[jj] - b_i[jj] - b_j[ii]) / 2 and q = b_i[ij] - b_j[ij], and is
+    skipped when q == 0 and p >= 0."""
+    b = [np.array(m, dtype=np.float64) for m in b]
+    k = b[0].shape[0]
+    r = np.eye(k)
+    for i, j in itertools.combinations(range(k), 2):
+        p = 0.5 * (b[i][i, i] + b[j][j, j] - b[i][j, j] - b[j][i, i])
+        q = b[i][i, j] - b[j][i, j]
+        if q == 0 and p >= 0:
+            continue
+        angle = 0.5 * math.atan2(q, p)
+        g = np.eye(k)
+        g[i, i] = g[j, j] = math.cos(angle)
+        g[j, i], g[i, j] = math.sin(angle), -math.sin(angle)
+        b = [_scalar_product(g.T, _scalar_product(m, g)) for m in b]
+        r = _scalar_product(r, g)
+    return r
+
+
+def plain_rotated(apply, products, x0, alpha: float, max_iters: int, tol_residual: float):
+    """The accelerated power-method loop one row at a time, in the library's arithmetic
+    and stopping rules: the row after the first whose fixed-point residual is at most
+    tol_residual, or row max_iters, is the last; a checked thin_svd per row. Row t steps
+    from the previous row's update X, or from x0; an odd row first turns X to X R, R =
+    givens_sweep(X.T M_c X), and maps X R as alpha * X R + [(M_c X) R[:, c]] from
+    ``products``' M_c X, column by column.
+
+    Returns (rows, x_final, termination value); a row is plain_trace's, without truth
+    cells (None).
     """
     x = np.array(x0, dtype=np.float64)
-    rows, mapped, safeguard_steps, termination = [], None, 0, "max-iters"
-    dr, du, gram, latest, diffs_seen = [], [], np.empty((depth, depth)), None, 0
+    rows, termination = [], "max-iters"
     for t in itertools.count():
-        if mapped is None:
+        if t % 2:
+            full = products(x)
+            r = givens_sweep([x.T @ m for m in full])
+            x = x @ r
+            mapped = alpha * x + np.column_stack([full[c] @ r[:, c] for c in range(len(full))])
+        else:
             mapped = alpha * x + apply(x)
         f = thin_svd(mapped)
         residual = np.linalg.norm(x @ f.h - mapped)
         inner = float((x * mapped).sum())
         final = t == max_iters or termination != "max-iters"
-        step, successor, mapped = 0.0, f.p, None
-        if not final:
-            step = np.linalg.norm(f.p - x)
-            if residual <= tol_residual:
-                termination = "residual-converged"
-            else:
-                pair = (f.p - x).ravel(), f.p.ravel()
-                if latest is not None:
-                    slot, diffs_seen = diffs_seen % depth, diffs_seen + 1
-                    if len(dr) < depth:
-                        dr.append(None)
-                        du.append(None)
-                    dr[slot], du[slot] = pair[0] - latest[0], pair[1] - latest[1]
-                    m = len(dr)
-                    gram[slot, :m] = gram[:m, slot] = np.array(dr) @ dr[slot]
-                    try:
-                        pivots = np.linalg.cholesky(gram[:m, :m]).diagonal() ** 2
-                    except np.linalg.LinAlgError:
-                        pivots = np.zeros(m)
-                    if (pivots >= GRAM_PIVOT_TOL * gram[:m, :m].diagonal()).all():
-                        gamma = np.linalg.solve(gram[:m, :m], np.array(dr) @ pair[0])
-                    else:
-                        gamma = np.linalg.lstsq(np.array(dr).T, pair[0], rcond=None)[0]
-                    mixture = thin_svd((pair[1] - gamma @ np.array(du)).reshape(x.shape)).p
-                    mapped_mixture = alpha * mixture + apply(mixture)
-                    if (mixture * mapped_mixture).sum() < inner:
-                        safeguard_steps += 1
-                    else:
-                        successor, mapped = mixture, mapped_mixture
-                latest = pair
+        step = 0.0 if final else np.linalg.norm(f.p - x)
+        if not final and residual <= tol_residual:
+            termination = "residual-converged"
         rows.append((t, inner - alpha * x.shape[1], None, None, float(step), float(residual),
                      float(f.sigma.sum()) - inner, float(f.sigma[0])))
         if final:
-            return rows, x, termination, safeguard_steps
-        x = successor
+            return rows, x, termination
+        x = f.p
 
 
 def reference_sample_near(q, radius: float, gen, max_tries: int = 200):

@@ -427,7 +427,8 @@ def test_damaged_dataset_header_is_a_one_line_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("field, value", [
     ("sizes", [30.7, 90]), ("variances", [None, 6]), ("variances", ["1", 6]), ("k", None),
-    ("k", True)])
+    ("k", True), ("seed", "x"), ("seed", True), ("stream", -1), ("d", 20.0), ("l", 2.0),
+    ("format", 1.0)])
 def test_a_header_field_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, field, value):
     import json
 
