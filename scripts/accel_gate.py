@@ -19,7 +19,8 @@ the accelerated solve at the default settings against that reference:
 Prints one line per solve, then per group (c12, noise, c10, c11) and in
 total the worst distances, the iteration totals, the solve times and how
 many accelerated solves converged on the residual; exits 1 if any check
-fails. Takes about 40 s at one BLAS thread on a 2-core x86-64:
+fails. Takes 33-39 s at one BLAS thread on a 2-core x86-64 (24 s of it the
+plain solves):
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/accel_gate.py
 """

@@ -178,10 +178,10 @@ def cmd_generate(args) -> int:
 
 
 def _reject_flags(args, names, reason: str) -> None:
-    """Raise if a flag or a key of the --config file resolve_spec read sets one of ``names``."""
+    """Raise "<settings> <reason>" if a flag or a --config key sets one of ``names``."""
     given = [where for name in names if (where := _where(args, name))]
     if given:
-        raise ValueError(f"{', '.join(given)} cannot be used with --data: {reason}")
+        raise ValueError(f"{', '.join(given)} {reason}")
 
 
 def _load_or_generate(args, spec: ExperimentSpec) -> tuple[GroupedDataset, SignalModel | None]:
@@ -192,7 +192,8 @@ def _load_or_generate(args, spec: ExperimentSpec) -> tuple[GroupedDataset, Signa
     if not args.data:
         model = spec.make_model()
         return spec.make_dataset(model), model
-    _reject_flags(args, ("d", "sizes", "variances", "noise"), "the dataset fixes them")
+    _reject_flags(args, ("d", "sizes", "variances", "noise"),
+                  "cannot be used with --data: the dataset fixes them")
     dataset = load_dataset(args.data)
     truth_path = Path(args.data) / "qtruth.npy"
     lambdas_path = Path(args.data) / "lambdas.npy"
@@ -202,7 +203,8 @@ def _load_or_generate(args, spec: ExperimentSpec) -> tuple[GroupedDataset, Signa
     if missing:
         raise ValueError(f"{missing[0]} is missing: the ground truth needs both "
                          "qtruth.npy and lambdas.npy")
-    _reject_flags(args, ("lambdas",), "the dataset's lambdas.npy fixes them")
+    _reject_flags(args, ("lambdas",),
+                  "cannot be used with --data: the dataset's lambdas.npy fixes them")
     truth = np.load(truth_path)
     if truth.shape != (dataset.d, dataset.k):
         raise ValueError(f"{truth_path} has shape {truth.shape}, "
@@ -247,7 +249,10 @@ def cmd_solve(args) -> int:
 
 def cmd_convergence(args) -> int:
     spec, _ = resolve_spec(args)
-    run = run_convergence(spec, population_mode=bool(getattr(args, "population", False)))
+    if args.population:
+        _reject_flags(args, ("noise",),
+                      "cannot be used with --population: the population problem draws no noise")
+    run = run_convergence(spec, population_mode=args.population)
     out = _outdir(spec)
     summary_lines: list[str] = []
     for label, result in run.runs.items():

@@ -5,7 +5,8 @@ every critical frame consists of eigenvectors of the signal covariance,
 i.e. signed selections of columns from the orthogonal completion of the
 ground-truth frame, and only the identity selection attains the optimum.
 This module generates such frames, estimates the constants appearing in
-the growth and error-bound inequalities by sampling, bounds the distance
+the growth and error-bound inequalities by sampling (each frame drawn
+near the truth serves both ratio families), bounds the distance
 from a maximizer to the truth via the residual operator norms, and
 checks the eigengap condition that certifies the spectral
 initialization. Results are gathered in a flat report that exports as
@@ -33,6 +34,8 @@ ZERO_DIST = 1e-6
 ZERO_RESIDUAL = 1e-12
 # Consecutive rejected tries after which the near sampler gives up.
 MAX_TRIES = 200
+# Radius (sign-invariant distance) of the truth's neighborhood of near frames.
+NEAR_RADIUS = 0.3
 
 
 def orthogonal_completion(q: StiefelPoint, rng: RngStream) -> np.ndarray:
@@ -108,79 +111,27 @@ def _near_chunks(q: StiefelPoint, radius: float, gen: np.random.Generator, n: in
             yield frames[inside], dists[inside]
 
 
-def _check_sample_count(n_samples: int) -> None:
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-
-
-def _rows(rows: list) -> np.ndarray:
-    return np.array(rows) if rows else np.empty((0, 2))
-
-
-def growth_ratio_samples(population: PopulationProblem, n_samples: int,
-                         radius: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled (distance, gap / distance^2) pairs near the optimum and globally.
-
-    The gap is optimal value minus objective; the ratio is the quantity
-    whose infimum is the quadratic growth constant. Points closer than
-    ZERO_DIST to the optimum set are skipped. The n_samples near frames
-    are drawn first, then the n_samples global ones, from one stream.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    _check_sample_count(n_samples)
-    gen = rng.generator()
+def growth_ratio_samples(population: PopulationProblem, frames: np.ndarray,
+                         dists: np.ndarray) -> np.ndarray:
+    """(distance, gap / distance^2) rows of a (B, d, k) stack of frames at
+    distances ``dists`` from the optimum set. The gap is optimal value minus
+    objective; the ratio's infimum is the quadratic growth constant. Frames
+    closer than ZERO_DIST to the optimum set are skipped."""
     top = population.optimal_value()
-
-    def ratio_rows(frames, dists) -> list:
-        values = population.frame_objective(frames).tolist()
-        return [(dist, (top - value) / dist**2)
-                for dist, value in zip(dists.tolist(), values) if not dist < ZERO_DIST]
-
-    near = []
-    for frames, dists in _near_chunks(population.q_truth, radius, gen, n_samples):
-        near += ratio_rows(frames, dists)
-    far = []
-    for start in range(0, n_samples, CHUNK):
-        draws = gen.standard_normal((min(CHUNK, n_samples - start), population.d, population.k))
-        frames = thin_svd(draws).p
-        far += ratio_rows(frames, aligned_distances(frames, population.q_truth.x))
-    return _rows(near), _rows(far)
+    values = population.frame_objective(frames).tolist()
+    return np.array([(dist, (top - value) / dist**2) for dist, value in
+                     zip(dists.tolist(), values) if not dist < ZERO_DIST]).reshape(-1, 2)
 
 
-def _growth_rate(near: np.ndarray, far: np.ndarray) -> float:
-    """Quadratic growth constant of sampled ratios: their minimum."""
-    ratios = np.concatenate([near[:, 1], far[:, 1]])
-    if ratios.size == 0:
-        raise RuntimeError("no usable growth samples (all points hit the optimum set)")
-    return float(np.min(ratios))
-
-
-def error_bound_samples(population: PopulationProblem, alpha: float, n_samples: int,
-                        radius: float, rng: RngStream) -> np.ndarray:
-    """Sampled (distance, distance / fixed-point residual) pairs near the optimum.
-
-    The ratio's supremum over a neighborhood is the local error-bound
-    constant tying distance to the solver's optimality residual. Points
-    with numerically zero residual are skipped.
-    """
-    if not 0 < radius < np.sqrt(2) / 2:
-        raise ValueError("radius must lie in (0, sqrt(2)/2) for the local bound")
-    _check_sample_count(n_samples)
-    gen = rng.generator()
-    rows = []
-    for frames, dists in _near_chunks(population.q_truth, radius, gen, n_samples):
-        residuals = fixed_point_residuals(population, frames, alpha).tolist()
-        rows += [(dist, dist / residual) for dist, residual in zip(dists.tolist(), residuals)
-                 if not residual < ZERO_RESIDUAL]
-    return _rows(rows)
-
-
-def _error_bound_factor(rows: np.ndarray) -> float:
-    """Error-bound constant of sampled ratios: their maximum."""
-    if rows.size == 0:
-        raise RuntimeError("no usable error-bound samples")
-    return float(np.max(rows[:, 1]))
+def error_bound_samples(population: PopulationProblem, alpha: float, frames: np.ndarray,
+                        dists: np.ndarray) -> np.ndarray:
+    """(distance, distance / fixed-point residual) rows of a (B, d, k) stack
+    of frames at distances ``dists`` from the optimum set. The ratio's
+    supremum near the truth is the local error-bound constant tying distance
+    to the solver's residual. Frames with numerically zero residual are skipped."""
+    residuals = fixed_point_residuals(population, frames, alpha).tolist()
+    return np.array([(dist, dist / residual) for dist, residual in zip(dists.tolist(), residuals)
+                     if not residual < ZERO_RESIDUAL]).reshape(-1, 2)
 
 
 def residual_norms(residuals: HppcaProblem) -> np.ndarray:
@@ -283,16 +234,32 @@ def run_diagnostics(model: SignalModel, groups: NoiseGroups, dataset: GroupedDat
                     ) -> tuple[DiagnosticsReport, RatioSamples]:
     """Assemble the full report for one model setting and dataset.
 
-    ``zero_residual`` replaces the sampled residual matrices by zero, the
-    exact infinite-sample limit, which zeroes the distance bound.
+    ``rng``'s generator draws n_samples frames within NEAR_RADIUS of the
+    truth, each giving a growth and an error-bound ratio, then n_samples
+    projected Gaussian frames, each giving a growth ratio. ``zero_residual``
+    replaces the sampled residual matrices by zero, the exact
+    infinite-sample limit, which zeroes the distance bound.
     """
-    radius = 0.3  # of the neighborhood of the truth the samplers draw from
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     population = PopulationProblem.from_model(model, groups)
-    near, far = growth_ratio_samples(population, n_samples, radius, rng)
-    growth = _growth_rate(near, far)
-    eb_rows = error_bound_samples(population, alpha, n_samples, radius,
-                                  RngStream(rng.seed, rng.stream + 1))
-    factor = _error_bound_factor(eb_rows)
+    gen = rng.generator()
+    near, eb_rows, far = [], [], []
+    for frames, dists in _near_chunks(population.q_truth, NEAR_RADIUS, gen, n_samples):
+        near.append(growth_ratio_samples(population, frames, dists))
+        eb_rows.append(error_bound_samples(population, alpha, frames, dists))
+    for start in range(0, n_samples, CHUNK):
+        draws = gen.standard_normal((min(CHUNK, n_samples - start), population.d, population.k))
+        frames = thin_svd(draws).p
+        far.append(growth_ratio_samples(population, frames,
+                                        aligned_distances(frames, population.q_truth.x)))
+    near, far, eb_rows = (np.concatenate(rows) for rows in (near, far, eb_rows))
+    ratios = np.concatenate([near[:, 1], far[:, 1]])
+    if ratios.size == 0:
+        raise RuntimeError("no usable growth samples (all points hit the optimum set)")
+    if eb_rows.size == 0:
+        raise RuntimeError("no usable error-bound samples")
+    growth, factor = float(np.min(ratios)), float(np.max(eb_rows[:, 1]))
     if zero_residual:
         norms = np.zeros(model.k)
     else:

@@ -334,6 +334,11 @@ def _rows(rows):
     return np.array(rows) if rows else np.empty((0, 2))
 
 
+def reference_near_frames(population, n_samples: int, radius: float, gen):
+    """The near draw: n_samples frames within ``radius`` of the truth, one at a time."""
+    return [reference_sample_near(population.q_truth, radius, gen) for _ in range(n_samples)]
+
+
 def reference_growth_samples(population, n_samples: int, radius: float, rng):
     """(near, far) growth-ratio rows, one frame at a time: n_samples near
     frames first, then n_samples projected Gaussian frames."""
@@ -351,8 +356,7 @@ def reference_growth_samples(population, n_samples: int, radius: float, rng):
             rows.append((dist, (top - value) / dist**2))
         return _rows(rows)
 
-    near = ratio_rows(reference_sample_near(population.q_truth, radius, gen)
-                      for _ in range(n_samples))
+    near = ratio_rows(reference_near_frames(population, n_samples, radius, gen))
     far = ratio_rows(project_stiefel(gen.standard_normal((population.d, population.k)))
                      for _ in range(n_samples))
     return near, far
@@ -360,11 +364,10 @@ def reference_growth_samples(population, n_samples: int, radius: float, rng):
 
 def reference_error_bound_samples(population, alpha: float, n_samples: int,
                                   radius: float, rng):
-    """(distance, distance / fixed-point residual) rows, one frame at a time."""
-    gen = rng.generator()
+    """(distance, distance / fixed-point residual) rows, one frame at a time,
+    of the near frames of reference_growth_samples on the same stream."""
     rows = []
-    for _ in range(n_samples):
-        point = reference_sample_near(population.q_truth, radius, gen)
+    for point in reference_near_frames(population, n_samples, radius, rng.generator()):
         dist = one_frame_distance(point.x, population.q_truth.x)
         residual = one_frame_residual(population, point.x, alpha)
         if residual < ZERO_RESIDUAL:

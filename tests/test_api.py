@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -33,3 +36,16 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert len(sources) > 1
     unused = {path.name: _unused_imports(path) for path in sources}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_the_cli_imports_only_declared_dependencies():
+    # pyproject.toml declares numpy alone. The baseline is a bare `import
+    # numpy`, since site hooks load packages of their own before any import.
+    code = ("import sys, numpy; before = set(sys.modules); import hppca.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    path = os.pathsep.join([str(Path(hppca.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=120).stdout.split()
+    assert "hppca" in loaded
+    assert set(loaded) - set(sys.stdlib_module_names) - {"numpy", "hppca"} == set()

@@ -103,6 +103,19 @@ def test_convergence_population_mode(tmp_path):
     assert float(summary["random.fitted_rate"]) < 1.0
 
 
+@pytest.mark.parametrize("given, where", [("flag", "--noise"), ("config", "noise (in --config)")])
+def test_convergence_population_rejects_noise(tmp_path, capsys, given, where):
+    # The population problem draws no noise, so a noise setting would be ignored.
+    out = tmp_path / "pop"
+    config = tmp_path / "noise.cfg"
+    config.write_text("noise = uniform\n")
+    extra = ("--noise", "uniform") if given == "flag" else ("--config", str(config))
+    assert run_cli("convergence", "--population", "--d", "20", *extra, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: {where} cannot be used with --population: "
+                                       "the population problem draws no noise\n")
+    assert not out.exists()
+
+
 def test_convergence_nonconvergence_is_still_success(tmp_path):
     # Hitting the iteration cap is a reported result, not an error.
     out = tmp_path / "cap"

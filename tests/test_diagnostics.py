@@ -9,7 +9,10 @@ from hppca import (HppcaProblem, NoiseGroups, NoiseKind, PopulationProblem, RngS
                    sample_dataset, SolverConfig)
 import hppca.diagnostics as diagnostics
 from hppca import growth_ratio_samples, project_stiefel
-from hppca.diagnostics import CHUNK, _near_chunks, critical_point, report_text, write_report
+from hppca.diagnostics import (CHUNK, NEAR_RADIUS, _near_chunks, critical_point, report_text,
+                               write_report)
+from hppca.linalg import thin_svd
+from hppca.stiefel import aligned_distances
 
 from conftest import make_model, make_population
 from oracles import (jacobi_eigh, population_critical_values,
@@ -76,27 +79,36 @@ def test_critical_point_validation(pop20):
         critical_point(pop20, (0, 1), (1.0, 1.0), RngStream(5))
 
 
-def _growth_rate(population, n_samples, radius, rng) -> float:
-    """Quadratic growth constant: the least sampled growth ratio."""
-    near, far = growth_ratio_samples(population, n_samples, radius, rng)
-    return float(np.min(np.concatenate([near, far])[:, 1]))
-
-
-def _error_bound_factor(population, alpha, n_samples, radius, rng) -> float:
-    """Error-bound constant: the largest sampled error-bound ratio."""
-    return float(np.max(error_bound_samples(population, alpha, n_samples, radius, rng)[:, 1]))
+def _near_rows(population, n_samples, seed, alpha=0.05):
+    """Growth and error-bound rows of n_samples near frames, drawn as
+    run_diagnostics draws them."""
+    gen = RngStream(seed).generator()
+    growth, bound = [], []
+    for frames, dists in _near_chunks(population.q_truth, NEAR_RADIUS, gen, n_samples):
+        growth.append(growth_ratio_samples(population, frames, dists))
+        bound.append(error_bound_samples(population, alpha, frames, dists))
+    return np.concatenate(growth), np.concatenate(bound)
 
 
 def test_quadratic_growth_estimate_positive(pop20):
-    growth = _growth_rate(pop20, 500, 0.3, RngStream(6))
-    assert growth > 0
+    near, _ = _near_rows(pop20, 500, 6)
+    frames = thin_svd(RngStream(6, 1).generator().standard_normal((500, 20, 3))).p
+    far = growth_ratio_samples(pop20, frames, aligned_distances(frames, pop20.q_truth.x))
+    assert near.shape == far.shape == (500, 2)
+    assert np.min(np.concatenate([near, far])[:, 1]) > 0
 
 
 def test_growth_samples_exclude_near_optimal_points(pop20):
-    near, far = growth_ratio_samples(pop20, 200, 0.3, RngStream(6))
-    for rows in (near, far):
-        assert np.all(np.isfinite(rows))
-        assert np.all(rows[:, 0] >= 1e-6)
+    # The truth itself (distance 0) and a frame 1e-7 from it are skipped.
+    frames, dists = next(_near_chunks(pop20.q_truth, NEAR_RADIUS, RngStream(6).generator(), 5))
+    tiny = project_stiefel(pop20.q_truth.x + 1e-7 * (frames[0] - pop20.q_truth.x)).x
+    stack = np.concatenate([pop20.q_truth.x[None], tiny[None], frames])
+    all_dists = aligned_distances(stack, pop20.q_truth.x)
+    assert all_dists[0] == 0.0 and all_dists[1] < 1e-6
+    rows = growth_ratio_samples(pop20, stack, all_dists)
+    assert np.array_equal(rows, growth_ratio_samples(pop20, frames, dists))
+    assert rows.shape == (5, 2) and np.all(np.isfinite(rows)) and np.all(rows[:, 0] >= 1e-6)
+    assert growth_ratio_samples(pop20, stack[:2], all_dists[:2]).shape == (0, 2)
 
 
 def test_growth_ratio_at_far_critical_points(pop20, ref_lambdas):
@@ -113,21 +125,18 @@ def test_growth_ratio_at_far_critical_points(pop20, ref_lambdas):
 
 
 def test_error_bound_samples_all_finite(pop20):
-    rows = error_bound_samples(pop20, 0.05, 500, 0.3, RngStream(7))
+    _, rows = _near_rows(pop20, 500, 7)
     assert rows.shape[0] > 0
     assert np.all(np.isfinite(rows))
     assert np.all(rows[:, 1] > 0)
+    # The truth, a fixed point of the population map, is skipped.
+    assert error_bound_samples(pop20, 0.05, pop20.q_truth.x[None], np.zeros(1)).shape == (0, 2)
 
 
 def test_error_bound_factor_stable_across_batches(pop20):
-    first = _error_bound_factor(pop20, 0.05, 500, 0.3, RngStream(8))
-    second = _error_bound_factor(pop20, 0.05, 500, 0.3, RngStream(9))
+    first = float(np.max(_near_rows(pop20, 500, 8)[1][:, 1]))
+    second = float(np.max(_near_rows(pop20, 500, 9)[1][:, 1]))
     assert first <= 2.0 * second and second <= 2.0 * first
-
-
-def test_error_bound_radius_validation(pop20):
-    with pytest.raises(ValueError):
-        error_bound_samples(pop20, 0.05, 10, 0.8, RngStream(0))
 
 
 def test_sample_near_respects_radius(pop20):
@@ -139,15 +148,22 @@ def test_sample_near_respects_radius(pop20):
 
 @pytest.mark.parametrize("d, seed", [(20, 0), (20, 1), (100, 2)])
 def test_stacked_samplers_match_per_frame_reference(ref_lambdas, ref_groups, d, seed):
-    population = make_population(d, ref_lambdas, ref_groups, seed=40 + seed)
+    model = make_model(d, ref_lambdas, seed=40 + seed)
+    population = PopulationProblem.from_model(model, ref_groups)
+    ds = sample_dataset(model, ref_groups, NoiseKind.GAUSSIAN, RngStream(40 + seed, 1))
     n = 2 * CHUNK + 2  # the last chunk is a short one
-    near, far = growth_ratio_samples(population, n, 0.3, RngStream(seed))
-    ref_near, ref_far = reference_growth_samples(population, n, 0.3, RngStream(seed))
-    assert near.shape == far.shape == (n, 2)
-    assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
-    rows = error_bound_samples(population, 0.05, n, 0.3, RngStream(seed, 1))
-    ref_rows = reference_error_bound_samples(population, 0.05, n, 0.3, RngStream(seed, 1))
-    assert rows.shape == (n, 2) and np.array_equal(rows, ref_rows)
+    report, samples = run_diagnostics(model, ref_groups, ds, alpha=0.05, n_samples=n,
+                                      rng=RngStream(seed))
+    ref_near, ref_far = reference_growth_samples(population, n, NEAR_RADIUS, RngStream(seed))
+    ref_rows = reference_error_bound_samples(population, 0.05, n, NEAR_RADIUS, RngStream(seed))
+    assert samples.growth_near.shape == samples.growth_global.shape == (n, 2)
+    assert np.array_equal(samples.growth_near, ref_near)
+    assert np.array_equal(samples.growth_global, ref_far)
+    assert samples.error_bound.shape == (n, 2) and np.array_equal(samples.error_bound, ref_rows)
+    # Both ratio families are taken on the same near frames.
+    assert np.array_equal(samples.error_bound[:, 0], samples.growth_near[:, 0])
+    assert report.quadratic_growth_rate == min(ref_near[:, 1].min(), ref_far[:, 1].min())
+    assert report.error_bound_factor == ref_rows[:, 1].max()
 
 
 def _reject_tries(monkeypatch, rejected, radius):
@@ -259,8 +275,10 @@ def test_final_iterate_within_distance_bound(ref_lambdas, ref_groups):
         problem = build_problem(ds, ref_lambdas)
         population = PopulationProblem.from_model(model, ref_groups)
         norms = residual_norms(build_residuals(problem, population))
-        growth = _growth_rate(population, 300, 0.3, RngStream(600 + seed, 3))
-        bound = optimum_distance_bound(float(np.max(norms)), growth, 3)
+        report, _ = run_diagnostics(model, ref_groups, ds, n_samples=300,
+                                    rng=RngStream(600 + seed, 3))
+        bound = optimum_distance_bound(float(np.max(norms)), report.quadratic_growth_rate, 3)
+        assert report.optimum_distance_bound == bound
         result = gpm_solve(problem, pca_init(ds), SolverConfig())
         if frame_distance(result.x_final, model.q_truth) <= bound:
             hits += 1
@@ -356,11 +374,8 @@ def test_run_diagnostics_shares_the_estimators_checks(ref_lambdas, monkeypatch):
     groups = NoiseGroups((40, 160), (1.0, 6.0))
     model = make_model(20, ref_lambdas, seed=20)
     ds = sample_dataset(model, groups, NoiseKind.GAUSSIAN, RngStream(20, 1))
-    population = PopulationProblem.from_model(model, groups)
     with pytest.raises(ValueError, match="n_samples"):
         run_diagnostics(model, groups, ds, n_samples=0)
-    with pytest.raises(ValueError, match="n_samples"):
-        error_bound_samples(population, 0.05, 0, 0.3, RngStream(0))
     # Every sampled point skipped: the estimators' own error, not numpy's.
     monkeypatch.setattr(diagnostics, "ZERO_DIST", 10.0)
     with pytest.raises(RuntimeError, match="no usable growth samples"):
@@ -369,3 +384,14 @@ def test_run_diagnostics_shares_the_estimators_checks(ref_lambdas, monkeypatch):
     monkeypatch.setattr(diagnostics, "ZERO_RESIDUAL", np.inf)
     with pytest.raises(RuntimeError, match="no usable error-bound samples"):
         run_diagnostics(model, groups, ds, n_samples=5)
+
+
+def test_run_diagnostics_at_the_top_stream_id(ref_lambdas):
+    # One stream per call: no second stream id is derived from rng's.
+    groups = NoiseGroups((40, 160), (1.0, 6.0))
+    model = make_model(20, ref_lambdas, seed=21)
+    ds = sample_dataset(model, groups, NoiseKind.GAUSSIAN, RngStream(21, 1))
+    report, samples = run_diagnostics(model, groups, ds, n_samples=20,
+                                      rng=RngStream(0, 2**64 - 1))
+    assert report.sample_count == 20 and samples.error_bound.shape == (20, 2)
+    assert np.array_equal(samples.error_bound[:, 0], samples.growth_near[:, 0])

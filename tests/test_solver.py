@@ -114,6 +114,21 @@ def test_solve_starting_at_truth_stops_immediately(pop50):
     assert result.trace[0].step_norm <= 1e-12
 
 
+@pytest.mark.parametrize("accelerate", [False, True])
+@pytest.mark.parametrize("d, n", [(100, 1000), (20, 60)])
+def test_homoscedastic_pca_frame_is_the_fixed_point(d, n, accelerate):
+    # With one noise group every M_k is an affine function of the same
+    # sample covariance, so the top-k eigenvector frame is the maximizer.
+    for seed in range(4):
+        spec = ExperimentSpec(seed=seed, d=d, sizes=(n,), variances=(1.0,))
+        dataset = spec.make_dataset(spec.make_model())
+        start = pca_init(dataset)
+        result = gpm_solve(build_problem(dataset, np.asarray(spec.lambdas)), start,
+                           replace(spec.solver_config(), accelerate=accelerate))
+        assert result.termination is Termination.RESIDUAL and result.iterations == 1
+        assert np.linalg.norm(result.x_final.x - start.x) <= 1e-14
+
+
 def test_population_solve_invariants_from_random_start(pop50):
     start = random_stiefel(50, 3, RngStream(7))
     result = gpm_solve(pop50, start, SolverConfig(max_iters=3000), truth=pop50)
