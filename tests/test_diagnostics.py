@@ -79,14 +79,14 @@ def test_critical_point_validation(pop20):
         critical_point(pop20, (0, 1), (1.0, 1.0), RngStream(5))
 
 
-def _near_rows(population, n_samples, seed, alpha=0.05):
+def _near_rows(population, n_samples, seed):
     """Growth and error-bound rows of n_samples near frames, drawn as
     run_diagnostics draws them."""
     gen = RngStream(seed).generator()
     growth, bound = [], []
     for frames, dists in _near_chunks(population.q_truth, NEAR_RADIUS, gen, n_samples):
         growth.append(growth_ratio_samples(population, frames, dists))
-        bound.append(error_bound_samples(population, alpha, frames, dists))
+        bound.append(error_bound_samples(population, 0.05, frames, dists))
     return np.concatenate(growth), np.concatenate(bound)
 
 
